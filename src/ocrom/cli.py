@@ -6,7 +6,7 @@ Verbs::
     ocrom mesh check MESH
     ocrom solve --config FILE --mu RE [RE2 ...] [--output NPZ]
     ocrom offline --config FILE
-    ocrom online --artifact FILE --mu RE [RE2 ...] [--mode tensor|reassemble]
+    ocrom online --artifact FILE --mu RE [RE2 ...]
     ocrom study errors --config FILE [--csv OUT] [--json OUT]
     ocrom study speedup --config FILE --mu RE [RE ...] [--json OUT]
     ocrom export --json REPORT --csv OUT
@@ -89,7 +89,6 @@ def _parser():
     onl = sub.add_parser("online", help="reduced solve from an offline artifact")
     onl.add_argument("--artifact", required=True)
     onl.add_argument("--mu", required=True, nargs="+", type=float)
-    onl.add_argument("--mode", default="tensor", choices=["tensor"])
 
     st = sub.add_parser("study", help="error-decay or speedup studies")
     ssub = st.add_subparsers(dest="kind", required=True)
@@ -161,7 +160,7 @@ def _cmd_offline(args):
 
 def _cmd_online(args):
     ops = rom.load_artifact(args.artifact)
-    sol = rom.solve_reduced(ops, np.array(args.mu), mode=args.mode)
+    sol = rom.solve_reduced(ops, np.array(args.mu))
     print(f"mu={args.mu} J={sol.objective:.10e} "
           f"newton_iterations={sol.newton_iterations}")
     return 0

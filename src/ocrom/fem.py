@@ -10,7 +10,7 @@ integrals a triangle rule exact to degree 4, covering every form assembled
 here including the trilinear convection terms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 
 from . import numerics
 from .errors import DimensionMismatch, SolverFailure
-from .mesh import FIRST_INLET_TAG, FIRST_OUTLET_TAG, WALL_TAG
+from .mesh import FIRST_OUTLET_TAG, WALL_TAG
 from .quadrature import tet_rule, tri_rule
 
 _TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -392,24 +392,6 @@ class ConvectionKernel:
 
     def test_slot_matrix(self, a):
         return self._assemble(np.asarray(a, dtype=float), "test_slot")
-
-    def trilinear(self, a, b, c):
-        """Direct evaluation of e(a, b, c)."""
-        return float(c @ (self.state_matrix(a) @ b))
-
-
-def convection_apply(kernel, v, direction="state"):
-    """Matrix of the convection operator evaluated at the field ``v``.
-
-    Both the state operator E(v) and the adjoint-side operator at a field w
-    share the same functional form e(field, phi_j, phi_i).
-    """
-    if direction not in ("state", "adjoint"):
-        raise ValueError(f"unknown direction {direction!r}")
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != kernel.spaces.n_velocity:
-        raise DimensionMismatch("velocity coefficient length mismatch")
-    return kernel.state_matrix(v)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ WALL_TAG = 1
 FIRST_INLET_TAG = 2
 FIRST_OUTLET_TAG = 100
 
+_NEAREST_CHUNK = 1024  # query points per vectorized centerline projection
+
 
 @dataclass(frozen=True)
 class Centerline:
@@ -55,26 +57,33 @@ class Centerline:
         return t / np.linalg.norm(t, axis=1)[:, None]
 
     def nearest(self, x):
-        """Closest point on the polyline to ``x``.
+        """Closest points on the polyline to the rows of ``x`` (n, 3).
 
-        Returns (distance, radius, unit tangent, arc parameter).  The foot
-        point is found by exact projection onto each segment; radius and
+        Returns per-point (distance, radius, unit tangent, arc parameter)
+        arrays.  Each foot point is found by exact projection onto every
+        segment, the first of equally near segments winning; radius and
         tangent are interpolated linearly along the hit segment.
         """
         x = np.asarray(x, dtype=float)
         p0 = self.points[:-1]
         seg = self.points[1:] - p0
         seglen2 = np.einsum("ij,ij->i", seg, seg)
-        t = np.clip(np.einsum("ij,ij->i", x - p0, seg) / seglen2, 0.0, 1.0)
-        feet = p0 + t[:, None] * seg
-        d2 = np.einsum("ij,ij->i", feet - x, feet - x)
-        k = int(np.argmin(d2))
-        tk = t[k]
-        radius = (1.0 - tk) * self.radii[k] + tk * self.radii[k + 1]
         tang = self.tangents()
-        tau = (1.0 - tk) * tang[k] + tk * tang[k + 1]
-        tau = tau / np.linalg.norm(tau)
-        return float(np.sqrt(d2[k])), float(radius), tau, k + tk
+        out = []
+        # bounded chunks keep the (points x segments x 3) temporaries small
+        for s in range(0, x.shape[0], _NEAREST_CHUNK):
+            xc = x[s : s + _NEAREST_CHUNK, None, :]
+            t = np.clip(np.einsum("nij,ij->ni", xc - p0, seg) / seglen2, 0.0, 1.0)
+            feet = p0 + t[:, :, None] * seg
+            d2 = np.einsum("nij,nij->ni", feet - xc, feet - xc)
+            k = np.argmin(d2, axis=1)
+            rows = np.arange(k.shape[0])
+            tk = t[rows, k]
+            radius = (1.0 - tk) * self.radii[k] + tk * self.radii[k + 1]
+            tau = (1.0 - tk)[:, None] * tang[k] + tk[:, None] * tang[k + 1]
+            tau = tau / np.linalg.norm(tau, axis=1)[:, None]
+            out.append((np.sqrt(d2[rows, k]), radius, tau, k + tk))
+        return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 @dataclass(frozen=True)
@@ -340,12 +349,7 @@ def _inside_union(points, centerlines, shrink=0.0):
     """Boolean mask: point lies inside any branch tube (r < R - shrink)."""
     inside = np.zeros(len(points), dtype=bool)
     for cl in centerlines:
-        d = np.empty(len(points))
-        R = np.empty(len(points))
-        for i, x in enumerate(points):
-            r, rad, _, _ = cl.nearest(x)
-            d[i] = r
-            R[i] = rad
+        d, R, _, _ = cl.nearest(points)
         inside |= d < R - shrink
     return inside
 
@@ -380,10 +384,11 @@ def generate_graft(spec):
     graft = Centerline(*_resample_polyline(*spec.branches[1], h))
 
     # the graft must actually meet the host tube
-    gaps = [host.nearest(p)[0] - host.nearest(p)[1] - r for p, r in zip(graft.points, graft.radii)]
-    if min(gaps) > 0.0:
+    d, R, _, _ = host.nearest(graft.points)
+    gaps = d - R - graft.radii
+    if gaps.min() > 0.0:
         raise NonIntersectingBranches(
-            "graft centerline stays %.3g mm clear of the host tube" % min(gaps)
+            "graft centerline stays %.3g mm clear of the host tube" % gaps.min()
         )
 
     n_rings = max(2, int(round(min(float(np.min(host.radii)), float(np.min(graft.radii))) / h)))
@@ -443,18 +448,23 @@ def generate_graft(spec):
 
 
 def centerline_query(mesh, x):
-    """Distance, radius, tangent and branch id of the nearest centerline point.
+    """Distance, radius, tangent and branch id of the nearest centerline
+    point to each row of ``x`` (n, 3), as per-point arrays.
 
     Nearest branch wins; ties break toward the lowest branch id.
     """
     if not mesh.centerlines:
         raise InvariantViolation("mesh carries no centerline metadata")
-    best = None
-    for bid, cl in enumerate(mesh.centerlines):
-        r, R, tau, _ = cl.nearest(x)
-        if best is None or r < best[0] - 1e-14:
-            best = (r, R, tau, bid)
-    return best
+    r, R, tau, _ = mesh.centerlines[0].nearest(x)
+    branch = np.zeros(r.shape[0], dtype=np.int64)
+    for bid, cl in enumerate(mesh.centerlines[1:], start=1):
+        r_b, R_b, tau_b, _ = cl.nearest(x)
+        better = r_b < r - 1e-14
+        r = np.where(better, r_b, r)
+        R = np.where(better, R_b, R)
+        tau = np.where(better[:, None], tau_b, tau)
+        branch = np.where(better, bid, branch)
+    return r, R, tau, branch
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,9 @@ def build_target(mesh, spaces, v_const):
 
     v_o(x) = v_const (1 - r^2/R^2) t_c, clamped to zero outside the lumen.
     """
-    coords = spaces.entity_coords
-    v_o = np.zeros(spaces.n_velocity)
-    for k, x in enumerate(coords):
-        r, R, tau, _ = centerline_query(mesh, x)
-        factor = max(0.0, 1.0 - (r / R) ** 2)
-        v_o[3 * k : 3 * k + 3] = v_const * factor * tau
-    return v_o
+    r, R, tau, _ = centerline_query(mesh, spaces.entity_coords)
+    factor = np.maximum(0.0, 1.0 - (r / R) ** 2)
+    return (v_const * factor[:, None] * tau).ravel()
 
 
 def inlet_geometry(mesh, tag):
@@ -151,17 +147,21 @@ class FullOrderModel:
             )
         self.free = self.spaces.free_velocity
         self.constrained = self.spaces.constrained_velocity
+        ops, f = self.operators, self.free
+        self._A_ff = ops.A[f][:, f]
+        self._M_ff = ops.M[f][:, f]
+        self._B_f = ops.B[:, f]
+        self._C_f = ops.C[f]
         # Pressure vertices whose whole velocity stencil is Dirichlet (corner
         # tets at rims/seams) have empty divergence rows on the free space and
         # would make every saddle system singular; pin them to zero instead.
-        b_free = abs(self.operators.B[:, self.free]).max(axis=1).toarray().ravel()
+        b_free = abs(self._B_f).max(axis=1).toarray().ravel()
         self.locked_pressure = np.where(b_free <= 1e-14 * max(b_free.max(), 1.0))[0]
         pin = np.zeros(self.spaces.n_pressure)
         pin[self.locked_pressure] = 1.0
         self._pressure_pin = sp.diags(pin).tocsr()
         self.liftings = [self._lifting(tag) for tag in self.inlet_tags]
         self._stokes_lu = None
-        self._stokes_matrix = None
 
     # -- parameter handling ------------------------------------------------
 
@@ -184,22 +184,28 @@ class FullOrderModel:
             vL += m * lift
         return vL
 
+    def _saddle_solve(self, X_ff, rhs):
+        """Solve [[X_ff, B_f^T], [B_f, pin]] (v_f, p) = rhs; returns (v_f, p)."""
+        K = sp.bmat([[X_ff, self._B_f.T], [self._B_f, self._pressure_pin]], format="csc")
+        sol = numerics.sparse_lu_solve(K, rhs)
+        nf = self.free.shape[0]
+        return sol[:nf], sol[nf:]
+
     def _lifting(self, tag):
-        """Divergence-free lifting of the unit-Reynolds inflow on one inlet."""
+        """Divergence-free lifting of the unit-Reynolds inflow on one inlet.
+
+        The inflow data vanishes on the free dofs, so A g and B g only see
+        its constrained part.
+        """
         g = build_inflow(self.mesh, self.spaces, tag, 1.0, self.config.viscosity)
         ops = self.operators
-        f, c = self.free, self.constrained
-        A_ff = ops.A[f][:, f]
-        A_fc = ops.A[f][:, c]
-        B_f = ops.B[:, f]
-        B_c = ops.B[:, c]
-        K = sp.bmat([[A_ff, B_f.T], [B_f, self._pressure_pin]], format="csc")
-        r_cont = -(B_c @ g[c])
+        r_cont = -(ops.B @ g)
         r_cont[self.locked_pressure] = 0.0
-        rhs = np.concatenate([-(A_fc @ g[c]), r_cont])
-        sol = numerics.sparse_lu_solve(K, rhs)
+        v_f, _ = self._saddle_solve(
+            self._A_ff, np.concatenate([-(ops.A @ g)[self.free], r_cont])
+        )
         lift = g.copy()
-        lift[f] = sol[: f.shape[0]]
+        lift[self.free] = v_f
         return lift
 
     # -- KKT assembly --------------------------------------------------------
@@ -210,31 +216,26 @@ class FullOrderModel:
         ``linearization`` is a pair (v_total, w_total) of full velocity
         vectors, or None for the Stokes system.
         """
-        ops = self.operators
         f = self.free
         alpha = self.config.alpha
-        A_ff = ops.A[f][:, f]
-        M_ff = ops.M[f][:, f]
-        B_f = ops.B[:, f]
-        C_f = ops.C[f]
+        B_f, C_f = self._B_f, self._C_f
         if linearization is None:
-            J11 = M_ff
-            J14 = A_ff
-            J41 = A_ff
+            J11 = self._M_ff
+            J14 = J41 = self._A_ff
         else:
             v_t, w_t = linearization
             E = self.kernel.state_matrix(v_t)
             F = self.kernel.first_slot_matrix(v_t)
             G = self.kernel.test_slot_matrix(w_t)
-            J11 = M_ff + (G + G.T)[f][:, f]
-            J41 = (ops.A + E + F)[f][:, f]
+            J11 = self._M_ff + (G + G.T)[f][:, f]
+            J41 = self._A_ff + (E + F)[f][:, f]
             J14 = J41.T
         pin = self._pressure_pin
         K = sp.bmat(
             [
                 [J11, None, None, J14, B_f.T],
                 [None, pin, None, B_f, None],
-                [None, None, alpha * ops.N_c, C_f.T, None],
+                [None, None, alpha * self.operators.N_c, C_f.T, None],
                 [J41, B_f.T, C_f, None, None],
                 [B_f, None, None, None, pin],
             ],
@@ -272,9 +273,6 @@ class FullOrderModel:
         o = np.cumsum([nf, npr, nu, nf, npr])
         return x[: o[0]], x[o[0] : o[1]], x[o[1] : o[2]], x[o[2] : o[3]], x[o[3] :]
 
-    def _join(self, *parts):
-        return np.concatenate(parts)
-
     def _expand(self, free_values):
         full = np.zeros(self.spaces.n_velocity)
         full[self.free] = free_values
@@ -302,19 +300,20 @@ class FullOrderModel:
         # pinned rows replace the (vacuous) continuity constraint there
         r_p[self.locked_pressure] = p[self.locked_pressure]
         r_q[self.locked_pressure] = q[self.locked_pressure]
-        return self._join(r_v, r_p, r_u, r_w, r_q)
+        return np.concatenate([r_v, r_p, r_u, r_w, r_q])
 
     # -- solvers ---------------------------------------------------------
 
-    def _pack_solution(self, x, mu, iters):
+    def _pack_solution(self, x, mu, iters, res, rhs):
+        """Solution fields at ``x``; ``res`` is the KKT residual there and
+        ``rhs`` the Stokes right-hand side that scales it."""
         v_f, p, u, w_f, q = self._split(x)
         vL = self.lifting_field(mu)
         v_hom = self._expand(v_f)
         v = v_hom + vL
         w = self._expand(w_f)
         J = evaluate_objective(v, u, self.target, self.operators, self.config.alpha)
-        res = self.kkt_residual(x, mu, self.config.equation == "navier-stokes")
-        scale = np.linalg.norm(self._stokes_rhs(mu)) or 1.0
+        scale = np.linalg.norm(rhs) or 1.0
         return OcpSolution(
             mu=np.atleast_1d(np.asarray(mu, dtype=float)),
             v=v,
@@ -328,45 +327,40 @@ class FullOrderModel:
             newton_iterations=iters,
         )
 
+    def _stokes_solve(self, mu):
+        """Stokes optimality solution vector and right-hand side at ``mu``;
+        the matrix is factorized once per model."""
+        if self._stokes_lu is None:
+            self._stokes_lu = numerics.factorize(self._blocks(None))
+        rhs = self._stokes_rhs(mu)
+        return self._stokes_lu.solve(rhs), rhs
+
     def solve_stokes_ocp(self, mu):
         """One-shot sparse LU solve of the Stokes optimality system."""
         mu = self.check_mu(mu)
-        if self._stokes_lu is None:
-            self._stokes_matrix = self._blocks(None)
-            self._stokes_lu = numerics.factorize(self._stokes_matrix)
-        x = self._stokes_lu.solve(self._stokes_rhs(mu))
-        return self._pack_solution(x, mu, 0)
+        x, rhs = self._stokes_solve(mu)
+        return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
 
     def solve_navier_stokes_ocp(self, mu):
         """Newton iteration on the coupled optimality system, Stokes warm start."""
         mu = self.check_mu(mu)
         cfg = self.config
-        x = np.concatenate(
-            [
-                (s := self.solve_stokes_ocp(mu)).v_hom[self.free],
-                s.p,
-                s.u,
-                s.w[self.free],
-                s.q,
-            ]
-        )
+        x, rhs = self._stokes_solve(mu)
         vL = self.lifting_field(mu)
         res = self.kkt_residual(x, mu, True)
         norm0 = np.linalg.norm(res)
         if norm0 <= cfg.newton_tol_abs:
-            return self._pack_solution(x, mu, 0)
+            return self._pack_solution(x, mu, 0, res, rhs)
         growth = 0
         prev = norm0
         for it in range(1, cfg.newton_max_iter + 1):
-            v_t = self._expand(self._split(x)[0]) + vL
-            w_t = self._expand(self._split(x)[3])
-            K = self._blocks((v_t, w_t))
-            dx = numerics.sparse_lu_solve(K, -res)
-            x = x + dx
+            v_f, _, _, w_f, _ = self._split(x)
+            K = self._blocks((self._expand(v_f) + vL, self._expand(w_f)))
+            x = x + numerics.sparse_lu_solve(K, -res)
             res = self.kkt_residual(x, mu, True)
             norm = np.linalg.norm(res)
             if norm <= cfg.newton_tol_rel * norm0 or norm <= cfg.newton_tol_abs:
-                return self._pack_solution(x, mu, it)
+                return self._pack_solution(x, mu, it, res, rhs)
             growth = growth + 1 if norm > prev else 0
             if growth >= 3:
                 raise NewtonDiverged(
@@ -383,47 +377,40 @@ class FullOrderModel:
     # -- state / adjoint sub-solves (gradient checks, feasible points) -----
 
     def solve_state(self, mu, u):
-        """Flow solve at fixed control; returns (v_total, p)."""
+        """Flow solve at fixed control; returns (v_total, p).
+
+        Newton on the state equations from zero: the first step leaves out
+        convection, so it is the Stokes solve (and for Stokes the last).
+        """
         mu = self.check_mu(mu)
-        ops = self.operators
-        f = self.free
+        ops, f, cfg = self.operators, self.free, self.config
         vL = self.lifting_field(mu)
-        nf = f.shape[0]
-        B_f = ops.B[:, f]
-        pin = self._pressure_pin
         locked = self.locked_pressure
-        r_cont = -(ops.B @ vL)
-        r_cont[locked] = 0.0
-        rhs = np.concatenate([-(ops.A @ vL + ops.C @ u)[f], r_cont])
-        if self.config.equation == "stokes":
-            K = sp.bmat([[ops.A[f][:, f], B_f.T], [B_f, pin]], format="csc")
-            sol = numerics.sparse_lu_solve(K, rhs)
-            return self._expand(sol[:nf]) + vL, sol[nf:]
-        # Newton on the state equations alone
-        v_f = np.zeros(nf)
+        v_f = np.zeros(f.shape[0])
         p = np.zeros(self.spaces.n_pressure)
-        K0 = sp.bmat([[ops.A[f][:, f], B_f.T], [B_f, pin]], format="csc")
-        sol = numerics.sparse_lu_solve(K0, rhs)
-        v_f, p = sol[:nf], sol[nf:]
-        for it in range(self.config.newton_max_iter):
+        tol = None
+        for it in range(cfg.newton_max_iter + 1):
+            convect = it > 0 and cfg.equation == "navier-stokes"
             v_t = self._expand(v_f) + vL
-            E = self.kernel.state_matrix(v_t)
-            r1 = (ops.A @ v_t + E @ v_t + ops.B.T @ p + ops.C @ u)[f]
-            r2 = ops.B @ v_t
-            r2[locked] = p[locked]
-            res = np.concatenate([r1, r2])
-            if np.linalg.norm(res) <= max(
-                self.config.newton_tol_rel * np.linalg.norm(rhs),
-                self.config.newton_tol_abs,
-            ):
+            r_v = ops.A @ v_t
+            if convect:
+                E = self.kernel.state_matrix(v_t)
+                r_v = r_v + E @ v_t
+            r_v = r_v + ops.B.T @ p + ops.C @ u
+            r_p = ops.B @ v_t
+            r_p[locked] = p[locked]
+            res = np.concatenate([r_v[f], r_p])
+            norm = np.linalg.norm(res)
+            if tol is None:
+                tol = max(cfg.newton_tol_rel * norm, cfg.newton_tol_abs)
+            elif norm <= tol:
                 return v_t, p
-            F = self.kernel.first_slot_matrix(v_t)
-            K = sp.bmat(
-                [[(ops.A + E + F)[f][:, f], B_f.T], [B_f, pin]], format="csc"
-            )
-            dx = numerics.sparse_lu_solve(K, -res)
-            v_f = v_f + dx[:nf]
-            p = p + dx[nf:]
+            X_ff = self._A_ff
+            if convect:
+                X_ff = X_ff + (E + self.kernel.first_slot_matrix(v_t))[f][:, f]
+            dv, dp = self._saddle_solve(X_ff, -res)
+            v_f = v_f + dv
+            p = p + dp
         raise NewtonDiverged("state solve did not converge")
 
     def solve_adjoint(self, mu, v_total):
@@ -431,18 +418,15 @@ class FullOrderModel:
         self.check_mu(mu)
         ops = self.operators
         f = self.free
-        nf = f.shape[0]
-        B_f = ops.B[:, f]
         rhs = np.concatenate([-(ops.M @ (v_total - self.target))[f],
                               np.zeros(self.spaces.n_pressure)])
-        Aw = ops.A
+        X_ff = self._A_ff
         if self.config.equation == "navier-stokes":
             E = self.kernel.state_matrix(v_total)
             F = self.kernel.first_slot_matrix(v_total)
-            Aw = ops.A + (E + F).T
-        K = sp.bmat([[Aw[f][:, f], B_f.T], [B_f, self._pressure_pin]], format="csc")
-        sol = numerics.sparse_lu_solve(K, rhs)
-        return self._expand(sol[:nf]), sol[nf:]
+            X_ff = X_ff + (E + F).T[f][:, f]
+        w_f, q = self._saddle_solve(X_ff, rhs)
+        return self._expand(w_f), q
 
     def reduced_gradient(self, mu, u):
         """Gradient of J(u) via one state and one adjoint solve."""

@@ -20,9 +20,8 @@ of dimension 13*N + liftings.
 import io
 import json
 import struct
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from . import numerics
 from .errors import (
     AllSnapshotsFailed,
     DimensionMismatch,
+    InvariantViolation,
     IoError,
     MissingArtifact,
     NewtonDiverged,
@@ -298,18 +298,17 @@ def truncate_basis(model, basis, n):
 
 
 def check_pod_invariants(model, basis, eps_tol=1e-4, orth_tol=1e-10):
-    """Assert eigenvalue monotonicity, energy retention and orthonormality."""
-    from .errors import InvariantViolation
+    """Assert eigenvalue monotonicity, non-negativity and orthonormality.
 
+    ``eps_tol`` is not enforced here: rank-limited energy retention is
+    reported by ``pod_compress`` as a ``RankDeficiency`` warning.
+    """
     for f in FIELDS:
         lam = basis.eigenvalues[f]
         if np.any(np.diff(lam) > 1e-12 * max(lam[0], 1e-300)):
             raise InvariantViolation(f"field {f}: eigenvalues not descending")
         if np.any(lam < -1e-12 * max(lam[0], 1e-300)):
             raise InvariantViolation(f"field {f}: negative eigenvalue")
-        if basis.energy[f] < 1.0 - eps_tol and basis.n_max < lam.shape[0]:
-            # rank-limited retention is reported via RankDeficiency instead
-            pass
     ops = model.operators
     for name, y, w in (
         ("velocity", basis.y_v, ops.X_v),
@@ -331,6 +330,11 @@ class ReducedOperators:
     Velocity projections use the extended basis [y_v | lifting]; reduced
     state-velocity coefficient vectors carry the parameter values in their
     trailing ``n_lift`` slots.
+
+    ``g_target`` (reduced coefficients of the M-orthogonal target
+    projection) and ``j_perp`` (half the squared M-norm of the out-of-span
+    remainder) are derived from ``m``, ``h`` and ``j_const`` on
+    construction, so queries only read the operators.
     """
 
     y_v: np.ndarray
@@ -351,10 +355,10 @@ class ReducedOperators:
     tensor: np.ndarray | None = None  # extended^3 convection trilinear values
     training_parameters: np.ndarray | None = None
     eigenvalues: dict | None = None
-    # derived once on first objective evaluation: reduced coefficients of the
-    # M-orthogonal target projection and the squared out-of-span remainder
-    g_target: np.ndarray | None = None
-    j_perp: float | None = None
+
+    def __post_init__(self):
+        self.g_target = np.linalg.solve(self.m, self.h)
+        self.j_perp = max(self.j_const - 0.5 * self.g_target @ (self.m @ self.g_target), 0.0)
 
     @property
     def n_velocity_modes(self):
@@ -441,7 +445,7 @@ def reduced_inf_sup(ops):
 
 @dataclass
 class ReducedSolution:
-    """Reduced coefficients with optional lifted full-order fields."""
+    """Reduced coefficients and their lifted full-order fields."""
 
     mu: np.ndarray
     v_N: np.ndarray  # homogeneous velocity coefficients (no lifting slots)
@@ -451,11 +455,11 @@ class ReducedSolution:
     q_N: np.ndarray
     objective: float
     newton_iterations: int
-    v: np.ndarray | None = None
-    p: np.ndarray | None = None
-    u: np.ndarray | None = None
-    w: np.ndarray | None = None
-    q: np.ndarray | None = None
+    v: np.ndarray
+    p: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    q: np.ndarray
 
 
 def _reduced_objective(ops, v_ext, u_n):
@@ -465,9 +469,6 @@ def _reduced_objective(ops, v_ext, u_n):
     (P = M-orthogonal projection onto the reduced velocity span), which avoids
     the catastrophic cancellation of 1/2 v M v - h v + const near the optimum.
     """
-    if ops.g_target is None:
-        ops.g_target = np.linalg.solve(ops.m, ops.h)
-        ops.j_perp = max(ops.j_const - 0.5 * ops.g_target @ (ops.m @ ops.g_target), 0.0)
     d = v_ext - ops.g_target
     return float(
         0.5 * d @ (ops.m @ d) + ops.j_perp
@@ -478,9 +479,8 @@ def _reduced_objective(ops, v_ext, u_n):
 def _reduced_system(ops, mu, x, conv):
     """Residual and Jacobian of the reduced optimality system at ``x``.
 
-    ``conv`` supplies the convection contributions; it is either the
-    precomputed tensor contraction or the full-order reassembly closure, and
-    is None for Stokes.
+    ``conv`` supplies the convection contributions (the precomputed tensor
+    contraction); it is None for Stokes.
     """
     nv, np_, nu = ops.n_velocity_modes, ops.y_p.shape[1], ops.y_u.shape[1]
     sv = slice(0, nv)
@@ -520,77 +520,57 @@ def _reduced_system(ops, mu, x, conv):
 
 
 def _tensor_convection(ops):
+    """Convection terms from the precomputed tensor t[g, a, b] = e(y_a, y_b, y_g).
+
+    Three contractions carry all five outputs: fv = t.v over b, ev = t.v
+    over a and gw = w.t over g.
+    """
     t = ops.tensor
+    n = t.shape[0]
+    t_g = t.reshape(n, n * n)
+    t_b = t.reshape(n * n, n)
 
     def conv(v_ext, w_ext):
-        gw = np.einsum("gab,g->ab", t, w_ext)  # e(., ., w) pairings
-        fv = np.einsum("gab,b->ga", t, v_ext)  # e(y_i, v, .) with i = a
-        ev = np.einsum("gab,a->gb", t, v_ext)  # e(v, y_i, .) with i = b
-        cv = fv.T @ w_ext + ev.T @ w_ext
-        cw = np.einsum("iab,a,b->i", t, v_ext, v_ext)
-        d_vv = gw + gw.T
-        d_vw = (fv + ev).T
-        d_wv = np.einsum("iab,a->ib", t, v_ext) + np.einsum("iab,b->ia", t, v_ext)
-        return cv, cw, d_vv, d_vw, d_wv
+        fv = (t_b @ v_ext).reshape(n, n)
+        ev = v_ext @ t
+        gw = (w_ext @ t_g).reshape(n, n)
+        d_wv = ev + fv
+        return d_wv.T @ w_ext, fv @ v_ext, gw + gw.T, d_wv.T, d_wv
 
     return conv
 
 
-def _reassembled_convection(ops, model):
-    """Compatibility route: project freshly assembled full-order convection."""
-    y_ext = np.column_stack([ops.y_v, ops.lifting])
-
-    def conv(v_ext, w_ext):
-        v_full = y_ext @ v_ext
-        w_full = y_ext @ w_ext
-        e_mat = model.kernel.state_matrix(v_full)
-        f_mat = model.kernel.first_slot_matrix(v_full)
-        g_mat = model.kernel.test_slot_matrix(w_full)
-        cv = y_ext.T @ (g_mat @ v_full + e_mat.T @ w_full)
-        cw = y_ext.T @ (e_mat @ v_full)
-        d_vv = y_ext.T @ ((g_mat + g_mat.T) @ y_ext)
-        d_wv = y_ext.T @ ((e_mat + f_mat) @ y_ext)
-        return cv, cw, d_vv, d_wv.T, d_wv
-
-    return conv
+NEWTON_TOL_REL = 1e-11
+NEWTON_TOL_ABS = 1e-13
+NEWTON_MAX_ITER = 30
 
 
-def solve_reduced_coefficients(
-    ops, mu, mode="tensor", model=None, tol_rel=1e-11, tol_abs=1e-13, max_iter=30
-):
+def solve_reduced_coefficients(ops, mu):
     """Dense reduced KKT solve; returns (coefficients, objective, iterations)."""
     mu = ops.check_mu(mu)
-    n = ops.dimension()
-    x = np.zeros(n)
+    x = np.zeros(ops.dimension())
     if ops.equation == "stokes":
         res, jac, _ = _reduced_system(ops, mu, x, None)
         x = np.linalg.solve(jac, -res)
-        _, _, (v_ext, u_n) = _reduced_system(ops, mu, x, None)
-        return x, _reduced_objective(ops, v_ext, u_n), 0
-    if mode == "tensor":
-        if ops.tensor is None:
-            raise MissingArtifact("reduced convection tensor not available")
-        conv = _tensor_convection(ops)
-    elif mode == "reassemble":
-        if model is None:
-            raise MissingArtifact("reassembly mode needs the full-order model")
-        conv = _reassembled_convection(ops, model)
-    else:
-        raise DimensionMismatch(f"unknown online mode {mode!r}")
+        v_n, _, u_n, _, _ = _unpack(ops, x)
+        return x, _reduced_objective(ops, np.concatenate([v_n, mu]), u_n), 0
+    if ops.tensor is None:
+        raise MissingArtifact("reduced convection tensor not available")
+    conv = _tensor_convection(ops)
     res, jac, _ = _reduced_system(ops, mu, x, conv)
-    norm0 = max(np.linalg.norm(res), tol_abs)
+    norm0 = max(np.linalg.norm(res), NEWTON_TOL_ABS)
     prev, growth = norm0, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         x = x + np.linalg.solve(jac, -res)
         res, jac, (v_ext, u_n) = _reduced_system(ops, mu, x, conv)
         norm = np.linalg.norm(res)
-        if norm <= tol_rel * norm0 or norm <= tol_abs:
+        if norm <= NEWTON_TOL_REL * norm0 or norm <= NEWTON_TOL_ABS:
             return x, _reduced_objective(ops, v_ext, u_n), it
         growth = growth + 1 if norm > prev else 0
         if growth >= 3:
             raise NewtonDiverged(f"reduced residual grew 3 times (now {norm:.3e})")
         prev = norm
-    raise NewtonDiverged(f"reduced Newton: no convergence in {max_iter} iterations")
+    raise NewtonDiverged(f"reduced Newton: no convergence in {NEWTON_MAX_ITER} iterations")
 
 
 def _unpack(ops, x):
@@ -599,22 +579,17 @@ def _unpack(ops, x):
     return x[: o[0]], x[o[0] : o[1]], x[o[1] : o[2]], x[o[2] : o[3]], x[o[3] :]
 
 
-def solve_reduced(ops, mu, mode="tensor", model=None, lift=True):
-    """Online reduced solve, optionally lifted back to full-order coefficients."""
+def solve_reduced(ops, mu):
+    """Online reduced solve lifted back to full-order coefficients."""
     mu = ops.check_mu(mu)
-    x, objective, iters = solve_reduced_coefficients(ops, mu, mode=mode, model=model)
+    x, objective, iters = solve_reduced_coefficients(ops, mu)
     v_n, p_n, u_n, w_n, q_n = _unpack(ops, x)
-    sol = ReducedSolution(
+    return ReducedSolution(
         mu=mu, v_N=v_n, p_N=p_n, u_N=u_n, w_N=w_n, q_N=q_n,
         objective=objective, newton_iterations=iters,
+        v=ops.y_v @ v_n + ops.lifting @ mu, p=ops.y_p @ p_n, u=ops.y_u @ u_n,
+        w=ops.y_v @ w_n, q=ops.y_p @ q_n,
     )
-    if lift:
-        sol.v = ops.y_v @ v_n + ops.lifting @ mu
-        sol.p = ops.y_p @ p_n
-        sol.u = ops.y_u @ u_n
-        sol.w = ops.y_v @ w_n
-        sol.q = ops.y_p @ q_n
-    return sol
 
 
 @dataclass
@@ -737,20 +712,60 @@ def load_artifact(path):
         if len(raw) != 8 * count:
             raise ParseError(f"{path}: truncated payload for array {rec['name']}")
         arrays[rec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if buf.read(1):
+        raise ParseError(f"{path}: trailing bytes after the last array")
     scal = index["scalars"]
+    if scal["equation"] not in ("stokes", "navier-stokes"):
+        raise ParseError(f"{path}: unknown equation {scal['equation']!r}")
+    values = [scal["alpha"], scal["j_const"]] + list(arrays.values())
+    if not all(np.isfinite(v).all() for v in values):
+        raise ParseError(f"{path}: non-finite values")
+    _check_shapes(path, arrays)
     eigenvalues = None
-    if f"eigenvalues_v" in arrays:
+    if "eigenvalues_v" in arrays:
         eigenvalues = {f: arrays[f"eigenvalues_{f}"] for f in FIELDS}
-    return ReducedOperators(
-        y_v=arrays["y_v"], y_p=arrays["y_p"], y_u=arrays["y_u"],
-        lifting=arrays["lifting"], a=arrays["a"], m=arrays["m"], b=arrays["b"],
-        c=arrays["c"], n_ctrl=arrays["n_ctrl"], h=arrays["h"],
-        j_const=scal["j_const"], alpha=scal["alpha"], equation=scal["equation"],
-        domain_lo=arrays["domain_lo"], domain_hi=arrays["domain_hi"],
-        tensor=arrays.get("tensor"),
-        training_parameters=arrays.get("training_parameters"),
-        eigenvalues=eigenvalues,
-    )
+    try:
+        return ReducedOperators(
+            y_v=arrays["y_v"], y_p=arrays["y_p"], y_u=arrays["y_u"],
+            lifting=arrays["lifting"], a=arrays["a"], m=arrays["m"], b=arrays["b"],
+            c=arrays["c"], n_ctrl=arrays["n_ctrl"], h=arrays["h"],
+            j_const=scal["j_const"], alpha=scal["alpha"], equation=scal["equation"],
+            domain_lo=arrays["domain_lo"], domain_hi=arrays["domain_hi"],
+            tensor=arrays.get("tensor"),
+            training_parameters=arrays.get("training_parameters"),
+            eigenvalues=eigenvalues,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ParseError(f"{path}: singular reduced mass matrix: {exc}") from exc
+
+
+def _check_shapes(path, arrays):
+    """Raise ParseError unless the operators fit the stored bases."""
+    missing = [name for name in _ARRAY_FIELDS if name not in arrays]
+    if missing:
+        raise ParseError(f"{path}: missing arrays {missing}")
+    eigen = [f"eigenvalues_{f}" for f in FIELDS]
+    if any(k in arrays for k in eigen) and not all(k in arrays for k in eigen):
+        raise ParseError(f"{path}: eigenvalues stored for some fields only")
+    if any(arrays[k].ndim != 2 for k in ("y_v", "y_p", "y_u", "lifting")):
+        raise ParseError(f"{path}: basis arrays must be two-dimensional")
+    if arrays["lifting"].shape[0] != arrays["y_v"].shape[0]:
+        raise ParseError(f"{path}: lifting and y_v have different row counts")
+    n_lift = arrays["lifting"].shape[1]
+    n_ext = arrays["y_v"].shape[1] + n_lift
+    n_p, n_u = arrays["y_p"].shape[1], arrays["y_u"].shape[1]
+    expected = {
+        "a": (n_ext, n_ext), "m": (n_ext, n_ext), "b": (n_p, n_ext),
+        "c": (n_ext, n_u), "n_ctrl": (n_u, n_u), "h": (n_ext,),
+        "tensor": (n_ext, n_ext, n_ext), "domain_lo": (n_lift,), "domain_hi": (n_lift,),
+    }
+    if "training_parameters" in arrays:
+        expected["training_parameters"] = arrays["training_parameters"].shape[:1] + (n_lift,)
+    for name, shape in expected.items():
+        if name in arrays and arrays[name].shape != shape:
+            raise ParseError(
+                f"{path}: array {name} has shape {arrays[name].shape}, expected {shape}"
+            )
 
 
 def build_offline(model, training, n_max, eps_tol=1e-4, with_tensor=None, enrich=True):

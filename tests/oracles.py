@@ -1,12 +1,17 @@
 """Independent re-implementations used as oracles by the tests.
 
-Everything here is written from the quadratic-tetrahedron definitions
-directly (shape functions, geometric mapping, Gauss rules), deliberately not
-sharing assembly code with the package under test.
+The finite-element oracles are written from the quadratic-tetrahedron
+definitions directly (shape functions, geometric mapping, Gauss rules),
+deliberately not sharing assembly code with the package under test.  The
+reduced Navier-Stokes reference at the end instead reassembles the
+full-order convection matrices at every Newton iterate, the path the
+precomputed reduced tensor replaces.
 """
 
 import numpy as np
 
+from ocrom import rom
+from ocrom.errors import NewtonDiverged
 from ocrom.quadrature import tet_rule, tri_rule
 
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -164,3 +169,42 @@ def gauss_solve(a, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def reassembled_convection(ops, model):
+    """Reduced convection terms from freshly assembled full-order matrices,
+    in the ``conv`` form ``rom._reduced_system`` takes."""
+    y_ext = np.column_stack([ops.y_v, ops.lifting])
+
+    def conv(v_ext, w_ext):
+        v_full = y_ext @ v_ext
+        w_full = y_ext @ w_ext
+        e_mat = model.kernel.state_matrix(v_full)
+        f_mat = model.kernel.first_slot_matrix(v_full)
+        g_mat = model.kernel.test_slot_matrix(w_full)
+        cv = y_ext.T @ (g_mat @ v_full + e_mat.T @ w_full)
+        cw = y_ext.T @ (e_mat @ v_full)
+        d_vv = y_ext.T @ ((g_mat + g_mat.T) @ y_ext)
+        d_wv = y_ext.T @ ((e_mat + f_mat) @ y_ext)
+        return cv, cw, d_vv, d_wv.T, d_wv
+
+    return conv
+
+
+def reassembled_reduced_solve(ops, model, mu):
+    """Reduced Navier-Stokes Newton with per-iteration reassembly of the
+    convection terms; returns (coefficients, objective, iterations)."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    conv = reassembled_convection(ops, model)
+    x = np.zeros(ops.dimension())
+    res, jac, _ = rom._reduced_system(ops, mu, x, conv)
+    norm0 = max(np.linalg.norm(res), rom.NEWTON_TOL_ABS)
+    for it in range(1, rom.NEWTON_MAX_ITER + 1):
+        x = x + np.linalg.solve(jac, -res)
+        res, jac, (v_ext, u_n) = rom._reduced_system(ops, mu, x, conv)
+        norm = np.linalg.norm(res)
+        if norm <= rom.NEWTON_TOL_REL * norm0 or norm <= rom.NEWTON_TOL_ABS:
+            return x, rom._reduced_objective(ops, v_ext, u_n), it
+    raise NewtonDiverged(
+        f"reassembled reduced Newton: no convergence in {rom.NEWTON_MAX_ITER} iterations"
+    )

@@ -32,6 +32,7 @@ from ocrom.study import (
 )
 
 import conftest
+import oracles
 from conftest import straight_tube
 
 
@@ -355,18 +356,21 @@ directory = {outdir}
 """
 
 
-def _online_median_seconds(ops, mu, repeats=100):
-    times = []
+def _online_min_seconds(ops_by_label, mu, repeats=200):
+    """Fastest reduced solve per model, timed alternately so that host
+    slowdowns hit every model alike and the minimum filters them out."""
+    best = dict.fromkeys(ops_by_label, np.inf)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        rom.solve_reduced_coefficients(ops, mu)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for label, ops in ops_by_label.items():
+            t0 = time.perf_counter()
+            rom.solve_reduced_coefficients(ops, mu)
+            best[label] = min(best[label], time.perf_counter() - t0)
+    return best
 
 
 def test_acceptance_8_speedup(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("speedup")
-    results = {}
+    results, reduced = {}, {}
     for label, res in (("coarse", 0.4), ("fine", 0.25)):
         sub = outdir / label
         path = outdir / f"{label}.ini"
@@ -377,15 +381,15 @@ def test_acceptance_8_speedup(tmp_path_factory):
             model, _, _, ops, _ = run_offline(cfg)
             report = run_speedup_study(
                 cfg, [np.array([72.0]), np.array([78.0])], model=model)
+        reduced[label] = ops
         results[label] = {
             "dofs": model.spaces.total_dofs(),
             "full": float(np.median(report.timing["full_seconds"])),
-            "online": _online_median_seconds(ops, np.array([75.0])),
             "speedup": report.timing["speedup_mean"],
         }
+    online = _online_min_seconds(reduced, np.array([75.0]))
     fine, coarse = results["fine"], results["coarse"]
-    online_ratio = max(fine["online"], coarse["online"]) / \
-        min(fine["online"], coarse["online"])
+    online_ratio = max(online.values()) / min(online.values())
     full_ratio = fine["full"] / coarse["full"]
     ok = (fine["dofs"] >= 5e4 and fine["speedup"] >= 50.0
           and online_ratio <= 1.5 and full_ratio >= 3.0)
@@ -414,14 +418,12 @@ def test_acceptance_9_ns_online_consistency(coarse_graft_mesh):
     for _ in range(20):
         mu = rng.uniform(70.0, 80.0, size=2)
         try:
-            a = rom.solve_reduced(ops, mu, mode="tensor", lift=False)
-            b = rom.solve_reduced(ops, mu, mode="reassemble", model=model,
-                                  lift=False)
+            a, _, _ = rom.solve_reduced_coefficients(ops, mu)
+            b, _, _ = oracles.reassembled_reduced_solve(ops, model, mu)
         except Exception:
             failures += 1
             continue
-        for f in ("v_N", "p_N", "u_N", "w_N", "q_N"):
-            x, y = getattr(a, f), getattr(b, f)
+        for x, y in zip(rom._unpack(ops, a), rom._unpack(ops, b)):
             worst = max(worst, np.abs(x - y).max()
                         / max(np.abs(x).max(), 1e-300))
     ok = basis.n_max == 6 and failures == 0 and worst <= 1e-8

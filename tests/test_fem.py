@@ -7,7 +7,6 @@ from ocrom.fem import (
     ConvectionKernel,
     assemble_operators,
     build_spaces,
-    convection_apply,
     inf_sup_constant,
     lbb_constant,
 )
@@ -173,17 +172,14 @@ class TestConvection:
     def test_zero_field(self, tube_spaces):
         k = ConvectionKernel(tube_spaces)
         z = np.zeros(tube_spaces.n_velocity)
-        assert convection_apply(k, z, "state").nnz == 0 or \
-            abs(convection_apply(k, z, "state")).max() == 0.0
-        assert abs(convection_apply(k, z, "adjoint")).max() == 0.0
+        assert k.state_matrix(z).nnz == 0 or abs(k.state_matrix(z)).max() == 0.0
 
     def test_linearity(self, tube_spaces):
         k = ConvectionKernel(tube_spaces)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(tube_spaces.n_velocity)
-        d = abs(convection_apply(k, 2 * v, "state")
-                - 2 * convection_apply(k, v, "state")).max()
-        assert d <= 1e-13 * abs(convection_apply(k, v, "state")).max()
+        d = abs(k.state_matrix(2 * v) - 2 * k.state_matrix(v)).max()
+        assert d <= 1e-13 * abs(k.state_matrix(v)).max()
 
     def test_dimension_mismatch(self, tube_spaces):
         k = ConvectionKernel(tube_spaces)
@@ -235,7 +231,7 @@ class TestConvection:
             w[boundary] = 0.0
             w /= np.sqrt(w @ (model.operators.X_v @ w))
             k = ConvectionKernel(model.spaces)
-            vals.append(abs(k.trilinear(v, w, w)))
+            vals.append(abs(w @ (k.state_matrix(v) @ w)))
         assert vals[1] <= 0.55 / 0.3 ** 1 * vals[0] * 0.7  # clear decay
 
 

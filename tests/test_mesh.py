@@ -112,20 +112,19 @@ class TestGenerateGraft:
 
 class TestCenterlineQuery:
     def test_on_axis(self, tube_mesh):
-        r, R, t, branch = centerline_query(tube_mesh, np.array([0.0, 0.0, 3.0]))
-        assert r <= 1e-12 and abs(R - 1.0) <= 1e-12 and branch == 0
-        assert np.allclose(np.abs(t), [0, 0, 1])
+        r, R, t, branch = centerline_query(tube_mesh, np.array([[0.0, 0.0, 3.0]]))
+        assert r[0] <= 1e-12 and abs(R[0] - 1.0) <= 1e-12 and branch[0] == 0
+        assert np.allclose(np.abs(t[0]), [0, 0, 1])
 
     def test_at_wall(self, tube_mesh):
-        r, R, t, _ = centerline_query(tube_mesh, np.array([1.0, 0.0, 3.0]))
-        assert abs(r - 1.0) <= 1e-12 and abs(R - 1.0) <= 1e-12
+        r, R, t, _ = centerline_query(tube_mesh, np.array([[1.0, 0.0, 3.0]]))
+        assert abs(r[0] - 1.0) <= 1e-12 and abs(R[0] - 1.0) <= 1e-12
 
     def test_unit_tangent(self, tube_mesh):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = rng.uniform([-1, -1, 0], [1, 1, 6])
-            _, _, t, _ = centerline_query(tube_mesh, x)
-            assert abs(np.linalg.norm(t) - 1.0) <= 1e-12
+        x = rng.uniform([-1, -1, 0], [1, 1, 6], size=(20, 3))
+        _, _, t, _ = centerline_query(tube_mesh, x)
+        assert np.abs(np.linalg.norm(t, axis=1) - 1.0).max() <= 1e-12
 
     def test_brute_force_oracle(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 2.0], [2.0, 2.0, 4.0],
@@ -143,19 +142,20 @@ class TestCenterlineQuery:
             for a, b in zip(pts[:-1], pts[1:])
         ])
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            x = rng.uniform(-1, 5, size=3)
-            r, _, _, _ = centerline_query(mesh, x)
-            brute = np.linalg.norm(dense - x, axis=1).min()
-            assert abs(r - brute) <= 1e-6
+        x = rng.uniform(-1, 5, size=(25, 3))
+        r, _, _, _ = centerline_query(mesh, x)
+        assert r.shape == (25,)
+        for k in range(25):
+            brute = np.linalg.norm(dense - x[k], axis=1).min()
+            assert abs(r[k] - brute) <= 1e-6
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 9)))
     def test_query_lower_bounds_all_points(self, tube_mesh, xyz):
         x = np.array(xyz)
-        r, _, _, _ = centerline_query(tube_mesh, x)
+        r, _, _, _ = centerline_query(tube_mesh, x[None])
         cl = tube_mesh.centerlines[0]
-        assert r <= np.linalg.norm(cl.points - x, axis=1).min() + 1e-12
+        assert r[0] <= np.linalg.norm(cl.points - x, axis=1).min() + 1e-12
 
 
 SINGLE_TET = """ocrom-mesh 1

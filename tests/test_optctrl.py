@@ -292,6 +292,19 @@ class TestNavierStokesSolve:
         assert sol.kkt_residual <= 1e-8
         assert 1 <= sol.newton_iterations <= 10
 
+    def test_one_residual_per_newton_iterate(self, ns_model, monkeypatch):
+        """The Stokes start and each Newton iterate get one KKT residual."""
+        calls = []
+        residual = ns_model.kkt_residual
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(ns_model, "kkt_residual", counted)
+        sol = ns_model.solve_ocp(np.array([80.0]))
+        assert len(calls) == sol.newton_iterations + 1
+
     def test_state_feasibility(self, ns_model):
         mu = np.array([80.0])
         sol = ns_model.solve_ocp(mu)

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ocrom import rom
 from ocrom.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -18,6 +20,7 @@ from ocrom.rom import (
     ReducedOperators,
     SnapshotSet,
     _reduced_system,
+    _unpack,
     _tensor_convection,
     build_offline,
     build_reduced_spaces,
@@ -291,7 +294,7 @@ class TestReducedSolve:
         snaps, _, ops = stokes_offline
         for mu in snaps.parameters:
             full = stokes_model.solve_ocp(mu)
-            red = solve_reduced(ops, mu, model=stokes_model)
+            red = solve_reduced(ops, mu)
             rep = compute_errors(full, red, stokes_model.operators)
             assert rep.e_total_rel <= 1e-8
             assert red.newton_iterations == 0
@@ -302,7 +305,7 @@ class TestReducedSolve:
         _, _, ops = stokes_offline
         mu = np.array([53.7])
         full = stokes_model.solve_ocp(mu)
-        red = solve_reduced(ops, mu, model=stokes_model)
+        red = solve_reduced(ops, mu)
         rep = compute_errors(full, red, stokes_model.operators)
         assert rep.e_total_rel <= 1e-8
 
@@ -328,7 +331,7 @@ class TestReducedSolve:
             _, basis, ops = build_offline(stokes_model, ts, 2, with_tensor=False)
         ops.equation = "navier-stokes"
         with pytest.raises(MissingArtifact):
-            solve_reduced(ops, np.array([50.0]), mode="tensor")
+            solve_reduced(ops, np.array([50.0]))
 
 
 def _random_reduced_operators(rng, nv=3, np_=2, nu=2, nl=1):
@@ -444,6 +447,45 @@ class TestArtifact:
         with pytest.raises(ParseError):
             load_artifact(tmp_path / "cut.bin")
 
+    @pytest.mark.parametrize("corrupt", [
+        "trailing_bytes", "equation", "non_finite", "singular_m", "a", "m", "b",
+        "c", "n_ctrl", "h", "tensor", "domain_lo", "domain_hi", "dropped_array",
+        "flat_y_v", "lifting_rows", "partial_eigenvalues", "training_parameters",
+    ])
+    def test_malformed_payload(self, stokes_offline, tmp_path, monkeypatch, corrupt):
+        """A well-framed file whose content is inconsistent is rejected."""
+        _, _, ops = stokes_offline
+        bad = copy.copy(ops)  # copy.copy skips __post_init__
+        n = ops.n_extended
+        if corrupt == "equation":
+            bad.equation = "euler"
+        elif corrupt == "non_finite":
+            bad.h = ops.h.copy()
+            bad.h[0] = np.nan
+        elif corrupt == "singular_m":
+            bad.m = np.zeros_like(ops.m)
+        elif corrupt == "tensor":
+            bad.tensor = np.zeros((n - 1, n, n))
+        elif corrupt == "dropped_array":
+            monkeypatch.setattr(rom, "_ARRAY_FIELDS", rom._ARRAY_FIELDS[:-1])
+        elif corrupt == "flat_y_v":
+            bad.y_v = ops.y_v[:, 0]
+        elif corrupt == "lifting_rows":
+            bad.lifting = ops.lifting[:-1]
+        elif corrupt == "partial_eigenvalues":
+            monkeypatch.setattr(rom, "FIELDS", FIELDS[:1])
+        elif corrupt == "training_parameters":
+            bad.training_parameters = np.hstack([ops.training_parameters] * 2)
+        elif corrupt != "trailing_bytes":
+            setattr(bad, corrupt, getattr(ops, corrupt)[:-1])
+        path = tmp_path / "rom.bin"
+        save_artifact(path, bad)
+        monkeypatch.undo()
+        if corrupt == "trailing_bytes":
+            path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ParseError):
+            load_artifact(path)
+
 
 @pytest.fixture(scope="module")
 def ns_offline(ns_model):
@@ -468,7 +510,36 @@ class TestNavierStokesRom:
     def test_tensor_and_reassembly_agree(self, ns_model, ns_offline):
         _, ops = ns_offline
         mu = np.array([45.0])
-        a = solve_reduced(ops, mu, mode="tensor")
-        b = solve_reduced(ops, mu, mode="reassemble", model=ns_model)
-        assert np.abs(a.v_N - b.v_N).max() <= 1e-9 * max(np.abs(a.v_N).max(), 1.0)
-        assert abs(a.objective - b.objective) <= 1e-9 * max(a.objective, 1.0)
+        a = solve_reduced(ops, mu)
+        x, objective, _ = oracles.reassembled_reduced_solve(ops, ns_model, mu)
+        v_n = _unpack(ops, x)[0]
+        assert np.abs(a.v_N - v_n).max() <= 1e-9 * max(np.abs(a.v_N).max(), 1.0)
+        assert abs(a.objective - objective) <= 1e-9 * max(a.objective, 1.0)
+
+
+def _assert_identical(name, x, y):
+    if isinstance(x, dict):
+        assert isinstance(y, dict) and x.keys() == y.keys(), name
+        for k in x:
+            _assert_identical(f"{name}[{k}]", x[k], y[k])
+    elif isinstance(x, np.ndarray):
+        assert (isinstance(y, np.ndarray) and x.dtype == y.dtype
+                and x.shape == y.shape and x.tobytes() == y.tobytes()), name
+    else:
+        assert type(x) is type(y) and x == y, name
+
+
+@pytest.mark.parametrize("offline", ["stokes_offline", "ns_offline"])
+def test_query_leaves_loaded_operators_unchanged(offline, request, tmp_path):
+    """A served reduced model is read-only: every attribute of a loaded
+    model is bit-identical before and after a query."""
+    built = request.getfixturevalue(offline)
+    snaps, ops = built[0], built[-1]
+    path = tmp_path / "rom.bin"
+    save_artifact(path, ops)
+    loaded = load_artifact(path)
+    before = copy.deepcopy(vars(loaded))
+    solve_reduced(loaded, snaps.parameters[0])
+    assert vars(loaded).keys() == before.keys()
+    for name, value in before.items():
+        _assert_identical(name, value, vars(loaded)[name])
