@@ -50,7 +50,15 @@ class ParameterOutOfDomain(OcromError):
 
 
 class NewtonDiverged(OcromError):
-    pass
+    """A Newton loop stopped without converging.
+
+    ``residual_norms`` holds the residual norm at the starting point and
+    after every step taken, in order.
+    """
+
+    def __init__(self, message, residual_norms=()):
+        super().__init__(message)
+        self.residual_norms = [float(r) for r in residual_norms]
 
 
 class SolverFailure(OcromError):

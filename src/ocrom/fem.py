@@ -24,6 +24,9 @@ from .quadrature import tet_rule, tri_rule
 _TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _TRI_EDGES = [(0, 1), (0, 2), (1, 2)]
 _CHUNK = 1024
+# Convection elements per chunk: its temporaries (about 7 kB per element
+# each) are allocated at every Newton step while a factorization is held.
+_CONVECTION_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +187,16 @@ def _tet_geometry(mesh, cells):
     return gradlam, np.abs(detJ)
 
 
-def _chunks(n):
-    for s in range(0, n, _CHUNK):
-        yield np.arange(s, min(s + _CHUNK, n))
+def _chunks(n, size=_CHUNK):
+    for s in range(0, n, size):
+        yield np.arange(s, min(s + size, n))
+
+
+def _tested(x):
+    """sum_q N_i(q) x[e, q, ...] for every element e, as one GEMM: (m, 10, ...)."""
+    m, nq = x.shape[:2]
+    y = _TET_N.T @ np.moveaxis(x, 1, 0).reshape(nq, -1)
+    return np.moveaxis(y.reshape((10, m) + x.shape[2:]), 0, 1)
 
 
 def _grad_shapes(gradlam):
@@ -314,84 +324,154 @@ def assemble_operators(spaces, viscosity):
 class ConvectionKernel:
     """Element data for the trilinear form e(a, b, c) = integral (a.grad b).c.
 
-    Exposes the matrices needed by the KKT residual and its Jacobian:
+    Exposes the matrices needed by the state and adjoint sub-solves and the
+    reduced tensor:
 
     * ``state_matrix(a)``: entries e(a, phi_j, phi_i) (the advection operator
       linearized in its second slot), block diagonal over components.
     * ``first_slot_matrix(a)``: entries e(phi_j, a, phi_i).
     * ``test_slot_matrix(a)``: entries e(phi_i, phi_j, a).
+
+    and the same forms without a sparse matrix, for the Navier-Stokes Newton
+    loop: ``residual_terms`` evaluates them on vectors at the quadrature
+    points, and ``jacobian_values`` sums the element blocks into bins the
+    caller maps onto a fixed sparsity pattern.  An element block is
+    (m, 10, 3, 10, 3): entry (i, c, j, d) is row ``3 cells10[e, i] + c``
+    and column ``3 cells10[e, j] + d``, in ``element_dofs()`` order.
+
+    The element geometry does not depend on the fields; it is computed on
+    first use and kept (gradients of the barycentric coordinates and the
+    quadrature weights times |det J|, 312 bytes per element).
     """
 
     def __init__(self, spaces):
         self.spaces = spaces
+        self._geometry = None
 
-    def _field_at_qp(self, a, cells, gN):
-        ent = self.spaces.cells10[cells]
-        coeff = a[(3 * ent[:, :, None] + np.arange(3)).transpose(0, 2, 1)]  # (m,3,10)
-        vals = np.einsum("qi,mci->mqc", _TET_N, coeff, optimize=True)  # (m, nq, 3)
-        grads = np.einsum("mci,mqid->mqcd", coeff, gN, optimize=True)  # d a_c / d x_d
-        return vals, grads
+    def element_dofs(self):
+        """Velocity dofs per element, (m, 30) in (i, c) order."""
+        ent = self.spaces.cells10
+        return (3 * ent[:, :, None] + np.arange(3)).reshape(ent.shape[0], 30)
 
-    def _assemble(self, a, which):
+    def _quadrature(self, *fields):
+        """Per chunk of elements: (cells, wdet, gNt, [(value, gradient) of
+        each field at the quadrature points]).  gNt[e, q, d, j] = d N_j / d x_d
+        and gradient[e, q, d, c] = d a_c / d x_d."""
         spaces = self.spaces
-        if a.shape[0] != spaces.n_velocity:
-            raise DimensionMismatch("velocity coefficient length mismatch")
-        mesh = spaces.mesh
-        ns = spaces.n_scalar
-        rows, cols, vals = [], [], []
-        scalar = which == "state"
-        for cells in _chunks(mesh.tets.shape[0]):
-            gradlam, detJ = _tet_geometry(mesh, cells)
-            gN = _grad_shapes(gradlam)
-            wdet = _TET_WTS[None, :] * detJ[:, None]
-            aq, gaq = self._field_at_qp(a, cells, gN)
+        for a in fields:
+            if a.shape[0] != spaces.n_velocity:
+                raise DimensionMismatch("velocity coefficient length mismatch")
+        if self._geometry is None:
+            mesh = spaces.mesh
+            gradlam, detJ = _tet_geometry(mesh, np.arange(mesh.tets.shape[0]))
+            self._geometry = gradlam, _TET_WTS[None, :] * detJ[:, None]
+        gradlam, wdet = self._geometry
+        for cells in _chunks(gradlam.shape[0], _CONVECTION_CHUNK):
+            gNt = np.einsum("qia,mad->mqdi", _TET_DNDL, gradlam[cells], optimize=True)
             ent = spaces.cells10[cells]
-            if scalar:
-                adv = np.einsum("mqc,mqjc->mqj", aq, gN, optimize=True)
-                el = np.einsum("mq,qi,mqj->mij", wdet, _TET_N, adv, optimize=True)
-                rows.append(np.repeat(ent, 10, axis=1))
-                cols.append(np.tile(ent, (1, 10)))
-                vals.append(el)
-            elif which == "first_slot":
-                # e(phi_j, a, phi_i): (3i+c, 3j+d) -> int N_i N_j  d a_c/d x_d
-                m, nq = wdet.shape
-                nn = (_TET_N[:, :, None] * _TET_N[:, None, :]).reshape(nq, 100)
-                gq = (wdet[:, :, None] * gaq.reshape(m, nq, 9)).transpose(0, 2, 1)
-                el = (gq @ nn).reshape(m, 3, 3, 10, 10).transpose(0, 3, 4, 1, 2)
-                r = 3 * ent[:, :, None, None, None] + np.arange(3)[None, None, None, :, None]
-                c = 3 * ent[:, None, :, None, None] + np.arange(3)[None, None, None, None, :]
-                rows.append(np.broadcast_to(r, el.shape))
-                cols.append(np.broadcast_to(c, el.shape))
-                vals.append(el)
-            elif which == "test_slot":
-                # e(phi_i, phi_j, a): (3i+c, 3j+d) -> int N_i (d_c N_j) a_d
-                m, nq = wdet.shape
-                wn = wdet[:, :, None] * _TET_N[None, :, :]  # (m, nq, 10)
-                t = (gN[:, :, :, :, None] * aq[:, :, None, None, :]).reshape(m, nq, 90)
-                el = (wn.transpose(0, 2, 1) @ t).reshape(m, 10, 10, 3, 3)
-                r = 3 * ent[:, :, None, None, None] + np.arange(3)[None, None, None, :, None]
-                c = 3 * ent[:, None, :, None, None] + np.arange(3)[None, None, None, None, :]
-                rows.append(np.broadcast_to(r, el.shape))
-                cols.append(np.broadcast_to(c, el.shape))
-                vals.append(el)
-            else:
-                raise ValueError(which)
-        r = np.concatenate([x.ravel() for x in rows])
-        c = np.concatenate([x.ravel() for x in cols])
-        v = np.concatenate([x.ravel() for x in vals])
-        if scalar:
-            Es = _scatter(r, c, v, (ns, ns))
-            return sp.kron(Es, sp.identity(3, format="csr"), format="csr")
-        return _scatter(r, c, v, (spaces.n_velocity, spaces.n_velocity))
+            at_qp = []
+            for a in fields:
+                coeff = a[3 * ent[:, :, None] + np.arange(3)][:, None]  # (c, 1, 10, 3)
+                at_qp.append(((_TET_N @ coeff)[:, 0], gNt @ coeff))
+            yield cells, wdet[cells], gNt, at_qp
+
+    @staticmethod
+    def _state_block(wdet, gNt, aq):
+        """Scalar (c, 10, 10) block of e(a, N_j, N_i)."""
+        adv = (aq[:, :, None, :] @ gNt)[:, :, 0]  # a.grad N_j, (c, nq, 10)
+        return _tested(wdet[:, :, None] * adv)
+
+    @staticmethod
+    def _first_slot_block(wdet, gaq):
+        """(c, 10, 3, 10, 3) block of e(phi_j, a, phi_i): int N_i N_j d a_c/d x_d."""
+        m, nq = wdet.shape
+        nn = (_TET_N[:, :, None] * _TET_N[:, None, :]).reshape(nq, 100)
+        gq = (wdet[:, :, None, None] * gaq).transpose(1, 0, 2, 3).reshape(nq, -1)
+        return (nn.T @ gq).reshape(10, 10, m, 3, 3).transpose(2, 0, 4, 1, 3)
+
+    @staticmethod
+    def _test_slot_block(wdet, gNt, aq):
+        """(c, 10, 3, 10, 3) block of e(phi_i, phi_j, a): int N_i (d_c N_j) a_d."""
+        m, nq = wdet.shape
+        x = (wdet[:, :, None, None] * _TET_N[None, :, :, None] * aq[:, :, None, :])
+        g = x.reshape(m, nq, 30).transpose(0, 2, 1) @ gNt.reshape(m, nq, 30)
+        return g.reshape(m, 10, 3, 3, 10).transpose(0, 1, 3, 4, 2)
+
+    @classmethod
+    def _convection_block(cls, wdet, gNt, aq, gaq):
+        """(c, 10, 3, 10, 3) block of e(a, phi_j, phi_i) + e(phi_j, a, phi_i)."""
+        el = cls._first_slot_block(wdet, gaq)
+        e = cls._state_block(wdet, gNt, aq)
+        for c in range(3):
+            el[:, :, c, :, c] += e
+        return el
 
     def state_matrix(self, a):
-        return self._assemble(np.asarray(a, dtype=float), "state")
+        a = np.asarray(a, dtype=float)
+        ns = self.spaces.n_scalar
+        rows, cols, vals = [], [], []
+        for cells, wdet, gNt, [(aq, _)] in self._quadrature(a):
+            ent = self.spaces.cells10[cells]
+            rows.append(np.repeat(ent, 10, axis=1).ravel())
+            cols.append(np.tile(ent, (1, 10)).ravel())
+            vals.append(self._state_block(wdet, gNt, aq).ravel())
+        Es = _scatter(np.concatenate(rows), np.concatenate(cols),
+                      np.concatenate(vals), (ns, ns))
+        return sp.kron(Es, sp.identity(3, format="csr"), format="csr")
+
+    def _vector_matrix(self, a, first_slot):
+        n = self.spaces.n_velocity
+        dofs = self.element_dofs()
+        rows, cols, vals = [], [], []
+        for cells, wdet, gNt, [(aq, gaq)] in self._quadrature(np.asarray(a, dtype=float)):
+            if first_slot:
+                el = self._first_slot_block(wdet, gaq)
+            else:
+                el = self._test_slot_block(wdet, gNt, aq)
+            d = dofs[cells]
+            shape = (d.shape[0], 30, 30)
+            rows.append(np.broadcast_to(d[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(d[:, None, :], shape).ravel())
+            vals.append(el.ravel())
+        return _scatter(np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals), (n, n))
 
     def first_slot_matrix(self, a):
-        return self._assemble(np.asarray(a, dtype=float), "first_slot")
+        return self._vector_matrix(a, True)
 
     def test_slot_matrix(self, a):
-        return self._assemble(np.asarray(a, dtype=float), "test_slot")
+        return self._vector_matrix(a, False)
+
+    def residual_terms(self, v, w):
+        """(E(v)^T w + G(w) v, E(v) v) with E = state_matrix and
+        G = test_slot_matrix, evaluated without assembling either."""
+        n = self.spaces.n_velocity
+        dofs = self.element_dofs()
+        r_v, r_w = np.zeros(n), np.zeros(n)
+        for cells, wdet, gNt, [(vq, gv), (wq, _)] in self._quadrature(v, w):
+            m, nq = wdet.shape
+            ww = wdet[:, :, None] * wq
+            # tested with N_i: (v.grad) v and (grad v)^T w
+            conv = (wdet[:, :, None, None] * vq[:, :, None, :] @ gv)[:, :, 0]
+            gtw = (gv @ ww[..., None])[..., 0]
+            # w_c (v.grad N_j), summed over the points and d at once
+            vw = (vq[:, :, :, None] * ww[:, :, None, :]).reshape(m, 3 * nq, 3)
+            el_v = _tested(gtw) + gNt.reshape(m, 3 * nq, 10).transpose(0, 2, 1) @ vw
+            d = dofs[cells].ravel()
+            r_v += np.bincount(d, el_v.ravel(), n)
+            r_w += np.bincount(d, _tested(conv).ravel(), n)
+        return r_v, r_w
+
+    def jacobian_values(self, v, w, index, size):
+        """Element blocks of E(v) + F(v) and of G(w) (F = first_slot_matrix)
+        summed into ``size`` bins: entry k of element e's flattened block
+        goes to bin ``index[e, k]``.  Returns both sums."""
+        ef, g = np.zeros(size), np.zeros(size)
+        for cells, wdet, gNt, [(vq, gv), (wq, _)] in self._quadrature(v, w):
+            idx = index[cells].ravel().astype(np.intp)
+            ef += np.bincount(idx, self._convection_block(wdet, gNt, vq, gv).ravel(), size)
+            g += np.bincount(idx, self._test_slot_block(wdet, gNt, wq).ravel(), size)
+        return ef, g
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Sparse direct solves and dense symmetric eigendecomposition.
 
-Both routines are thin, contract-checked wrappers around SuperLU
-(``scipy.sparse.linalg.splu``) and LAPACK ``syevd`` (``numpy.linalg.eigh``).
-Eigenvalues are returned in descending order with a deterministic sign
+Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
+every solve is residual-checked.  A factorization also serves matrices
+near the one it was built from (successive Newton Jacobians): GMRES
+preconditioned by it, accepted only at the same residual bound, and
+otherwise reported so the caller can factor the new matrix instead.
+Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``);
+eigenvalues are returned in descending order with a deterministic sign
 convention on the eigenvectors, so repeated runs reproduce identical bases.
 """
 
@@ -15,6 +19,10 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceFailure, DimensionMismatch, NotSymmetric, SingularMatrix
 
 _LU_RTOL = 1e-10
+# GMRES on a nearby matrix: restart length, restart cycles, inner tolerance
+_GMRES_RESTART = 40
+_GMRES_CYCLES = 3
+_GMRES_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,35 @@ class LuFactor:
                 "relative residual %.3e exceeds %.0e; matrix is singular or "
                 "severely ill-conditioned" % (np.linalg.norm(r) / bnorm, _LU_RTOL)
             )
+        return x
+
+    def solve_near(self, A, b):
+        """Solve ``A x = b`` for a matrix of the factored one's size that is
+        close to it, by GMRES preconditioned with this factorization.
+
+        The result is returned only if its relative residual is at most
+        1e-10, the bound ``solve`` enforces; otherwise
+        :class:`ConvergenceFailure` is raised and the caller should
+        factorize ``A`` itself.
+        """
+        b = np.asarray(b, dtype=float)
+        if A.shape != self._A.shape or b.shape[0] != A.shape[0]:
+            raise DimensionMismatch(
+                f"system {A.shape} / rhs {b.shape[0]} vs factor {self._A.shape}")
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return np.zeros_like(b)
+        x = np.zeros_like(b)
+        with np.errstate(all="ignore"):
+            if _GMRES_CYCLES > 0:  # scipy's gmres fails on maxiter=0
+                M = spla.LinearOperator(A.shape, matvec=self._raw_solve, dtype=float)
+                x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
+                                  restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
+            rel = np.linalg.norm(b - A @ x) / bnorm
+        if not rel <= _LU_RTOL:  # NaN included
+            raise ConvergenceFailure(
+                "preconditioned GMRES reached relative residual %.3e, above %.0e"
+                % (rel, _LU_RTOL))
         return x
 
 

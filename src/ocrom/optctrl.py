@@ -13,6 +13,15 @@ unknowns live in the homogeneous velocity space.
 The monolithic unknown ordering is (v, p, u, w, q); block rows follow the
 same order as the assembled optimality matrix: adjoint momentum, adjoint
 continuity, optimality, state momentum, state continuity.
+
+Stokes is one sparse LU solve, with the factorization kept by the model.
+Navier-Stokes is Newton from the Stokes solution.  Its Jacobians share one
+sparsity pattern, built on the first Navier-Stokes Jacobian of a model: an
+assembly adds the element convection blocks to the constant Stokes values
+in place, and the residual's convection terms are evaluated element-wise
+without a matrix.  Each solve factorizes its first Jacobian only; later
+steps run GMRES preconditioned by that factorization, and a step it does
+not solve to the LU residual bound is solved by a fresh factorization.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +31,7 @@ import scipy.sparse as sp
 
 from . import numerics
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NewtonDiverged,
     ParameterOutOfDomain,
@@ -70,6 +80,20 @@ class OcpSolution:
     objective: float
     kkt_residual: float
     newton_iterations: int
+
+
+@dataclass
+class _JacobianPattern:
+    """CSC pattern shared by a model's Navier-Stokes Jacobians."""
+
+    data0: np.ndarray  # the Stokes matrix's values, zero elsewhere
+    indices: np.ndarray  # int32 CSC row indices
+    indptr: np.ndarray  # int32 CSC column pointers
+    index: np.ndarray  # (m, 900) int32 coupling bin of each element block entry
+    j11: np.ndarray  # int32 position in .data of each coupling in J11
+    j11t: np.ndarray  # ... of its transposed position in J11
+    j41: np.ndarray  # ... in J41
+    j14: np.ndarray  # ... of its transposed position, in J14 = J41^T
 
 
 def build_target(mesh, spaces, v_const):
@@ -162,6 +186,7 @@ class FullOrderModel:
         self._pressure_pin = sp.diags(pin).tocsr()
         self.liftings = [self._lifting(tag) for tag in self.inlet_tags]
         self._stokes_lu = None
+        self._ns_pattern = None  # built by the first Navier-Stokes Jacobian
 
     # -- parameter handling ------------------------------------------------
 
@@ -210,38 +235,91 @@ class FullOrderModel:
 
     # -- KKT assembly --------------------------------------------------------
 
-    def _blocks(self, linearization=None):
-        """Free-restricted Jacobian blocks of the optimality system.
-
-        ``linearization`` is a pair (v_total, w_total) of full velocity
-        vectors, or None for the Stokes system.
-        """
-        f = self.free
-        alpha = self.config.alpha
-        B_f, C_f = self._B_f, self._C_f
-        if linearization is None:
-            J11 = self._M_ff
-            J14 = J41 = self._A_ff
-        else:
-            v_t, w_t = linearization
-            E = self.kernel.state_matrix(v_t)
-            F = self.kernel.first_slot_matrix(v_t)
-            G = self.kernel.test_slot_matrix(w_t)
-            J11 = self._M_ff + (G + G.T)[f][:, f]
-            J41 = self._A_ff + (E + F)[f][:, f]
-            J14 = J41.T
-        pin = self._pressure_pin
-        K = sp.bmat(
+    def _stokes_matrix(self):
+        """Free-restricted Stokes optimality matrix (CSC)."""
+        B_f, C_f, pin = self._B_f, self._C_f, self._pressure_pin
+        return sp.bmat(
             [
-                [J11, None, None, J14, B_f.T],
+                [self._M_ff, None, None, self._A_ff, B_f.T],
                 [None, pin, None, B_f, None],
-                [None, None, alpha * self.operators.N_c, C_f.T, None],
-                [J41, B_f.T, C_f, None, None],
+                [None, None, self.config.alpha * self.operators.N_c, C_f.T, None],
+                [self._A_ff, B_f.T, C_f, None, None],
                 [B_f, None, None, None, pin],
             ],
             format="csc",
         )
-        return K
+
+    def _build_ns_pattern(self):
+        """Fixed CSC pattern of the Navier-Stokes Jacobians.
+
+        It is the union of the Stokes matrix and the free-free velocity
+        couplings of the elements in the blocks J11 (rows v, columns v),
+        J41 (rows w, columns v) and J14 = J41^T.  Every element block entry
+        gets the int32 bin of its coupling; entries in a constrained row or
+        column go to one last bin that is dropped.  A coupling's E + F sum
+        goes to its position in J41 and its transposed one in J14, and its
+        G sum to its position and its transposed one in J11 (G + G^T).
+        """
+        f = self.free
+        nf, npr, nu = f.shape[0], self.spaces.n_pressure, self.spaces.n_control
+        n = 2 * nf + 2 * npr + nu
+        o_w = nf + npr + nu
+        ent, ns = self.spaces.cells10, self.spaces.n_scalar
+        S = sp.csr_matrix(
+            (np.ones(ent.shape[0] * 100),
+             (np.repeat(ent, 10, axis=1).ravel(), np.tile(ent, (1, 10)).ravel())),
+            shape=(ns, ns),
+        )
+        P = sp.kron(S, np.ones((3, 3)), format="csr")[f][:, f].tocoo()
+        couplings = np.sort(P.row.astype(np.int64) * nf + P.col)
+        n_bins = couplings.shape[0]
+        local = np.full(self.spaces.n_velocity, -1, dtype=np.int64)
+        local[f] = np.arange(nf)
+        dofs = local[self.kernel.element_dofs()]
+        index = np.empty((dofs.shape[0], 900), dtype=np.int32)
+        for start in range(0, dofs.shape[0], 1024):
+            rows = dofs[start : start + 1024, :, None]
+            cols = dofs[start : start + 1024, None, :]
+            bins = np.searchsorted(couplings, rows * nf + cols)
+            bins[(rows < 0) | (cols < 0)] = n_bins
+            index[start : start + 1024] = bins.reshape(-1, 900)
+        r, c = couplings // nf, couplings % nf
+        stokes = self._stokes_matrix().tocoo()
+        keys = [  # column-major, the CSC order
+            stokes.col.astype(np.int64) * n + stokes.row,
+            c * n + r,  # J11
+            r * n + c,  # J11, transposed
+            c * n + (o_w + r),  # J41
+            (o_w + r) * n + c,  # J14 = J41^T
+        ]
+        pattern = np.sort(np.concatenate(keys))
+        pattern = pattern[np.concatenate([[True], pattern[1:] != pattern[:-1]])]
+        data0 = np.zeros(pattern.shape[0])
+        data0[np.searchsorted(pattern, keys[0])] = stokes.data
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(np.bincount(pattern // n, minlength=n))
+        j11, j11t, j41, j14 = (np.searchsorted(pattern, k).astype(np.int32)
+                               for k in keys[1:])
+        self._ns_pattern = _JacobianPattern(
+            data0=data0, indices=(pattern % n).astype(np.int32), indptr=indptr,
+            index=index, j11=j11, j11t=j11t, j41=j41, j14=j14,
+        )
+
+    def _ns_jacobian(self, v_t, w_t):
+        """Navier-Stokes Jacobian at full velocity vectors (v_total, w_total):
+        J11 = M + G(w) + G(w)^T, J41 = A + E(v) + F(v), J14 = J41^T."""
+        if self._ns_pattern is None:
+            self._build_ns_pattern()
+        pat = self._ns_pattern
+        bins = pat.j11.shape[0]
+        ef, g = self.kernel.jacobian_values(v_t, w_t, pat.index, bins + 1)
+        data = pat.data0.copy()
+        data[pat.j11] += g[:bins]
+        data[pat.j11t] += g[:bins]
+        data[pat.j41] += ef[:bins]
+        data[pat.j14] += ef[:bins]
+        n = pat.indptr.shape[0] - 1
+        return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
 
     def _stokes_rhs(self, mu):
         ops = self.operators
@@ -264,7 +342,12 @@ class FullOrderModel:
         Stokes form (the Newton driver works with residuals directly).
         """
         self.check_mu(mu)
-        return self._blocks(linearization), self._stokes_rhs(mu)
+        if linearization is None:
+            K = self._stokes_matrix()
+        else:
+            v_t, w_t = (np.asarray(a, dtype=float) for a in linearization)
+            K = self._ns_jacobian(v_t, w_t)
+        return K, self._stokes_rhs(mu)
 
     # -- residuals -----------------------------------------------------------
 
@@ -290,10 +373,9 @@ class FullOrderModel:
         r_v = (ops.M @ (v_t - self.target) + ops.A @ w_t + ops.B.T @ q)[f]
         r_w = (ops.A @ v_t + ops.B.T @ p)[f] + (ops.C @ u)[f]
         if nonlinear:
-            E = self.kernel.state_matrix(v_t)
-            G = self.kernel.test_slot_matrix(w_t)
-            r_v = r_v + (G @ v_t + E.T @ w_t)[f]
-            r_w = r_w + (E @ v_t)[f]
+            c_v, c_w = self.kernel.residual_terms(v_t, w_t)
+            r_v = r_v + c_v[f]
+            r_w = r_w + c_w[f]
         r_p = ops.B @ w_t
         r_u = alpha * (ops.N_c @ u) + ops.C.T @ w_t
         r_q = ops.B @ v_t
@@ -331,7 +413,7 @@ class FullOrderModel:
         """Stokes optimality solution vector and right-hand side at ``mu``;
         the matrix is factorized once per model."""
         if self._stokes_lu is None:
-            self._stokes_lu = numerics.factorize(self._blocks(None))
+            self._stokes_lu = numerics.factorize(self._stokes_matrix())
         rhs = self._stokes_rhs(mu)
         return self._stokes_lu.solve(rhs), rhs
 
@@ -342,32 +424,46 @@ class FullOrderModel:
         return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
 
     def solve_navier_stokes_ocp(self, mu):
-        """Newton iteration on the coupled optimality system, Stokes warm start."""
+        """Newton iteration on the coupled optimality system, Stokes warm start.
+
+        The first Jacobian is factorized; later steps are solved by GMRES
+        preconditioned with that factor, or by a fresh factorization when
+        GMRES does not reach the LU residual bound.
+        """
         mu = self.check_mu(mu)
         cfg = self.config
         x, rhs = self._stokes_solve(mu)
         vL = self.lifting_field(mu)
         res = self.kkt_residual(x, mu, True)
-        norm0 = np.linalg.norm(res)
-        if norm0 <= cfg.newton_tol_abs:
+        norms = [np.linalg.norm(res)]
+        if norms[0] <= cfg.newton_tol_abs:
             return self._pack_solution(x, mu, 0, res, rhs)
         growth = 0
-        prev = norm0
+        lu = None
         for it in range(1, cfg.newton_max_iter + 1):
             v_f, _, _, w_f, _ = self._split(x)
-            K = self._blocks((self._expand(v_f) + vL, self._expand(w_f)))
-            x = x + numerics.sparse_lu_solve(K, -res)
+            K = self._ns_jacobian(self._expand(v_f) + vL, self._expand(w_f))
+            step = None
+            if lu is not None:
+                try:
+                    step = lu.solve_near(K, -res)
+                except ConvergenceFailure:
+                    pass
+            if step is None:
+                lu = numerics.factorize(K)
+                step = lu.solve(-res)
+            x = x + step
             res = self.kkt_residual(x, mu, True)
             norm = np.linalg.norm(res)
-            if norm <= cfg.newton_tol_rel * norm0 or norm <= cfg.newton_tol_abs:
+            norms.append(norm)
+            if norm <= cfg.newton_tol_rel * norms[0] or norm <= cfg.newton_tol_abs:
                 return self._pack_solution(x, mu, it, res, rhs)
-            growth = growth + 1 if norm > prev else 0
+            growth = growth + 1 if norm > norms[-2] else 0
             if growth >= 3:
                 raise NewtonDiverged(
-                    f"residual grew for 3 consecutive iterations (now {norm:.3e})"
+                    f"residual grew for 3 consecutive iterations (now {norm:.3e})", norms
                 )
-            prev = norm
-        raise NewtonDiverged(f"no convergence in {cfg.newton_max_iter} iterations")
+        raise NewtonDiverged(f"no convergence in {cfg.newton_max_iter} iterations", norms)
 
     def solve_ocp(self, mu):
         if self.config.equation == "navier-stokes":
@@ -389,6 +485,7 @@ class FullOrderModel:
         v_f = np.zeros(f.shape[0])
         p = np.zeros(self.spaces.n_pressure)
         tol = None
+        norms = []
         for it in range(cfg.newton_max_iter + 1):
             convect = it > 0 and cfg.equation == "navier-stokes"
             v_t = self._expand(v_f) + vL
@@ -401,6 +498,7 @@ class FullOrderModel:
             r_p[locked] = p[locked]
             res = np.concatenate([r_v[f], r_p])
             norm = np.linalg.norm(res)
+            norms.append(norm)
             if tol is None:
                 tol = max(cfg.newton_tol_rel * norm, cfg.newton_tol_abs)
             elif norm <= tol:
@@ -411,7 +509,7 @@ class FullOrderModel:
             dv, dp = self._saddle_solve(X_ff, -res)
             v_f = v_f + dv
             p = p + dp
-        raise NewtonDiverged("state solve did not converge")
+        raise NewtonDiverged("state solve did not converge", norms)
 
     def solve_adjoint(self, mu, v_total):
         """Adjoint solve at a given state; returns (w_total, q)."""

@@ -558,19 +558,22 @@ def solve_reduced_coefficients(ops, mu):
         raise MissingArtifact("reduced convection tensor not available")
     conv = _tensor_convection(ops)
     res, jac, _ = _reduced_system(ops, mu, x, conv)
-    norm0 = max(np.linalg.norm(res), NEWTON_TOL_ABS)
-    prev, growth = norm0, 0
+    norms = [np.linalg.norm(res)]
+    norm0 = max(norms[0], NEWTON_TOL_ABS)
+    growth = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
         x = x + np.linalg.solve(jac, -res)
         res, jac, (v_ext, u_n) = _reduced_system(ops, mu, x, conv)
         norm = np.linalg.norm(res)
+        norms.append(norm)
         if norm <= NEWTON_TOL_REL * norm0 or norm <= NEWTON_TOL_ABS:
             return x, _reduced_objective(ops, v_ext, u_n), it
-        growth = growth + 1 if norm > prev else 0
+        growth = growth + 1 if norm > norms[-2] else 0
         if growth >= 3:
-            raise NewtonDiverged(f"reduced residual grew 3 times (now {norm:.3e})")
-        prev = norm
-    raise NewtonDiverged(f"reduced Newton: no convergence in {NEWTON_MAX_ITER} iterations")
+            raise NewtonDiverged(f"reduced residual grew 3 times (now {norm:.3e})", norms)
+    raise NewtonDiverged(
+        f"reduced Newton: no convergence in {NEWTON_MAX_ITER} iterations", norms
+    )
 
 
 def _unpack(ops, x):

@@ -3,12 +3,16 @@
 The finite-element oracles are written from the quadratic-tetrahedron
 definitions directly (shape functions, geometric mapping, Gauss rules),
 deliberately not sharing assembly code with the package under test.  The
-reduced Navier-Stokes reference at the end instead reassembles the
-full-order convection matrices at every Newton iterate, the path the
-precomputed reduced tensor replaces.
+Navier-Stokes references at the end instead build on the assembled sparse
+convection matrices: the full-order KKT Jacobian and residual as a
+``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
+fixed-pattern Jacobian and the element-wise residual replace), and a
+reduced Newton that reassembles the full-order matrices at every iterate
+(the path the precomputed reduced tensor replaces).
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from ocrom import rom
 from ocrom.errors import NewtonDiverged
@@ -208,3 +212,49 @@ def reassembled_reduced_solve(ops, model, mu):
     raise NewtonDiverged(
         f"reassembled reduced Newton: no convergence in {rom.NEWTON_MAX_ITER} iterations"
     )
+
+
+def bmat_jacobian(model, v_total, w_total):
+    """Navier-Stokes KKT Jacobian at full velocity vectors, from the
+    assembled convection matrices sliced to the free dofs and ``sp.bmat``."""
+    f = model.free
+    kernel = model.kernel
+    E = kernel.state_matrix(v_total)
+    F = kernel.first_slot_matrix(v_total)
+    G = kernel.test_slot_matrix(w_total)
+    J11 = model._M_ff + (G + G.T)[f][:, f]
+    J41 = model._A_ff + (E + F)[f][:, f]
+    B_f, C_f, pin = model._B_f, model._C_f, model._pressure_pin
+    return sp.bmat(
+        [
+            [J11, None, None, J41.T, B_f.T],
+            [None, pin, None, B_f, None],
+            [None, None, model.config.alpha * model.operators.N_c, C_f.T, None],
+            [J41, B_f.T, C_f, None, None],
+            [B_f, None, None, None, pin],
+        ],
+        format="csc",
+    )
+
+
+def matrix_kkt_residual(model, x, mu, nonlinear):
+    """KKT residual with the convection terms as products of the assembled
+    matrices E(v) and G(w)."""
+    ops = model.operators
+    f = model.free
+    v_f, p, u, w_f, q = model._split(x)
+    v_t = model._expand(v_f) + model.lifting_field(mu)
+    w_t = model._expand(w_f)
+    r_v = (ops.M @ (v_t - model.target) + ops.A @ w_t + ops.B.T @ q)[f]
+    r_w = (ops.A @ v_t + ops.B.T @ p)[f] + (ops.C @ u)[f]
+    if nonlinear:
+        E = model.kernel.state_matrix(v_t)
+        G = model.kernel.test_slot_matrix(w_t)
+        r_v = r_v + (G @ v_t + E.T @ w_t)[f]
+        r_w = r_w + (E @ v_t)[f]
+    r_p = ops.B @ w_t
+    r_u = model.config.alpha * (ops.N_c @ u) + ops.C.T @ w_t
+    r_q = ops.B @ v_t
+    r_p[model.locked_pressure] = p[model.locked_pressure]
+    r_q[model.locked_pressure] = q[model.locked_pressure]
+    return np.concatenate([r_v, r_p, r_u, r_w, r_q])

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from ocrom.errors import DimensionMismatch, NotSymmetric, SingularMatrix
+from ocrom import numerics
+from ocrom.errors import ConvergenceFailure, DimensionMismatch, NotSymmetric, SingularMatrix
 from ocrom.numerics import factorize, sparse_lu_solve, symmetric_eig
 
 from oracles import gauss_solve
@@ -60,6 +61,52 @@ class TestSparseLuSolve:
             b = rng.standard_normal(25)
             x = lu.solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+def _laplacian_2d(n):
+    """5-point Laplacian on an n x n grid (Dirichlet), CSC."""
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    return (sp.kron(t, sp.identity(n)) + sp.kron(sp.identity(n), t)).tocsc()
+
+
+class TestSolveNear:
+    """GMRES preconditioned by a factorization of a nearby matrix."""
+
+    def _perturbed(self, scale, seed=0):
+        a0 = _laplacian_2d(30)
+        rng = np.random.default_rng(seed)
+        # a nonsymmetric perturbation on the matrix's own pattern
+        d = a0.copy()
+        d.data = scale * rng.standard_normal(d.nnz)
+        return a0, (a0 + d).tocsc(), rng.standard_normal(a0.shape[0])
+
+    def test_near_matrix_solved_to_lu_bound(self):
+        a0, a, b = self._perturbed(0.05)
+        x = factorize(a0).solve_near(a, b)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_far_matrix_raises(self):
+        a0, a, b = self._perturbed(3.0, seed=1)
+        with pytest.raises(ConvergenceFailure):
+            factorize(a0).solve_near(a, b)
+
+    def test_no_budget_raises(self, monkeypatch):
+        a0, a, b = self._perturbed(0.05)
+        monkeypatch.setattr(numerics, "_GMRES_CYCLES", 0)
+        with pytest.raises(ConvergenceFailure):
+            factorize(a0).solve_near(a, b)
+
+    def test_zero_rhs(self):
+        a0, a, _ = self._perturbed(0.05)
+        x = factorize(a0).solve_near(a, np.zeros(a.shape[0]))
+        assert np.array_equal(x, np.zeros(a.shape[0]))
+
+    def test_dimension_mismatch(self):
+        lu = factorize(_laplacian_2d(4))
+        with pytest.raises(DimensionMismatch):
+            lu.solve_near(_laplacian_2d(5), np.ones(25))
+        with pytest.raises(DimensionMismatch):
+            lu.solve_near(_laplacian_2d(4), np.ones(25))
 
 
 class TestSymmetricEig:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from ocrom import numerics
 from ocrom.errors import (
     DimensionMismatch,
+    NewtonDiverged,
     ParameterOutOfDomain,
     UnknownTag,
 )
-from ocrom.mesh import Mesh, centerline_query
+from ocrom.mesh import Mesh, centerline_query, generate_graft
 from ocrom.optctrl import (
     FullOrderModel,
     OcpConfig,
@@ -15,6 +17,7 @@ from ocrom.optctrl import (
     evaluate_objective,
     inlet_geometry,
 )
+from ocrom.study import graft_geometry
 
 import oracles
 from conftest import straight_tube
@@ -330,6 +333,101 @@ class TestNavierStokesSolve:
         j_zero = ns_model.objective_of_control(
             mu, np.zeros(ns_model.spaces.n_control))
         assert sol.objective <= j_zero
+
+
+@pytest.fixture(scope="module")
+def graft_ns_model():
+    """The coarsest two-inlet graft the generator accepts."""
+    mesh = generate_graft(graft_geometry(host_length=2.5, host_radius=1.0,
+                                         graft_radius=0.7, angle_deg=35.0,
+                                         attach=1.6, resolution=0.68))
+    return FullOrderModel(mesh, OcpConfig(equation="navier-stokes"))
+
+
+def _linearization_point(model, rng):
+    """A Navier-Stokes solution with random velocities added, as a KKT
+    vector and as full velocity vectors."""
+    mu = np.full(len(model.inlet_tags), 25.0)
+    sol = model.solve_ocp(mu)
+    f = model.free
+    x = np.concatenate([sol.v_hom[f], sol.p, sol.u, sol.w[f], sol.q])
+    x = x + rng.standard_normal(x.shape) * np.abs(x).max() * 1e-2
+    v_f, _, _, w_f, _ = model._split(x)
+    return mu, x, model._expand(v_f) + model.lifting_field(mu), model._expand(w_f)
+
+
+class TestNavierStokesJacobian:
+    @pytest.mark.parametrize("name", ["ns_model", "graft_ns_model"])
+    def test_assembly_matches_bmat_oracle(self, name, request):
+        model = request.getfixturevalue(name)
+        mu, x, v, w = _linearization_point(model, np.random.default_rng(7))
+        K, rhs = model.assemble_kkt(mu, (v, w))
+        K_ref = oracles.bmat_jacobian(model, v, w)
+        assert K.format == "csc" and K.shape == K_ref.shape
+        assert abs(K - K_ref).max() <= 1e-14 * abs(K_ref).max()
+        assert np.array_equal(rhs, model._stokes_rhs(mu))
+        res = model.kkt_residual(x, mu, True)
+        res_ref = oracles.matrix_kkt_residual(model, x, mu, True)
+        assert np.linalg.norm(res - res_ref) <= 1e-11 * np.linalg.norm(res_ref)
+
+    def test_one_factorization_per_solve(self, ns_model, monkeypatch):
+        """Only the first Jacobian of a solve is factorized, not one per
+        Newton step."""
+        mu = np.array([80.0])
+        ns_model.solve_ocp(mu)  # warm-up: the Stokes factorization is cached
+        calls = []
+        factorize = numerics.factorize
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(numerics, "factorize", counted)
+        sol = ns_model.solve_ocp(mu)
+        assert sol.newton_iterations >= 2
+        assert len(calls) == 1
+
+    def test_refactorization_fallback_matches(self, ns_model, monkeypatch):
+        """Without a GMRES budget every step falls back to a fresh
+        factorization, and the solve takes the same steps."""
+        mu = np.array([80.0])
+        ref = ns_model.solve_ocp(mu)
+        calls = []
+        factorize = numerics.factorize
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(numerics, "_GMRES_CYCLES", 0)
+        monkeypatch.setattr(numerics, "factorize", counted)
+        sol = ns_model.solve_ocp(mu)
+        assert sol.newton_iterations == ref.newton_iterations
+        assert len(calls) == sol.newton_iterations
+        assert np.abs(sol.v - ref.v).max() <= 1e-10 * np.abs(ref.v).max()
+        assert sol.kkt_residual <= 1e-8
+
+    def test_repeated_solve_bit_identical(self, graft_ns_model):
+        mu = np.array([27.0, 22.0])
+        a = graft_ns_model.solve_ocp(mu)
+        b = graft_ns_model.solve_ocp(mu)
+        assert np.array_equal(a.v, b.v) and np.array_equal(a.u, b.u)
+
+    def test_stokes_builds_no_convection_cache(self, tube_mesh):
+        model = FullOrderModel(tube_mesh, OcpConfig(equation="stokes",
+                                                    domain={2: (0.0, 200.0)}))
+        model.solve_ocp(np.array([80.0]))
+        assert model._ns_pattern is None
+        assert model.kernel._geometry is None
+
+    def test_divergence_carries_residual_history(self, tube_mesh):
+        cfg = OcpConfig(equation="navier-stokes", newton_max_iter=1,
+                        domain={2: (0.0, 200.0)})
+        with pytest.raises(NewtonDiverged, match="no convergence in 1 iterations") as info:
+            FullOrderModel(tube_mesh, cfg).solve_ocp(np.array([80.0]))
+        norms = info.value.residual_norms
+        assert len(norms) == 2 and all(np.isfinite(norms))
+        assert norms[1] < norms[0]
 
 
 class TestRenumberingInvariance:

@@ -11,6 +11,7 @@ from ocrom.errors import (
     DimensionMismatch,
     InvariantViolation,
     MissingArtifact,
+    NewtonDiverged,
     ParseError,
     RankDeficiency,
 )
@@ -515,6 +516,18 @@ class TestNavierStokesRom:
         v_n = _unpack(ops, x)[0]
         assert np.abs(a.v_N - v_n).max() <= 1e-9 * max(np.abs(a.v_N).max(), 1.0)
         assert abs(a.objective - objective) <= 1e-9 * max(a.objective, 1.0)
+
+    def test_divergence_carries_residual_history(self, ns_offline, monkeypatch):
+        _, ops = ns_offline
+        mu = np.array([45.0])
+        iterations = solve_reduced(ops, mu).newton_iterations
+        assert iterations >= 2
+        monkeypatch.setattr(rom, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NewtonDiverged, match="no convergence in 1 iterations") as info:
+            solve_reduced(ops, mu)
+        norms = info.value.residual_norms
+        assert len(norms) == 2 and all(np.isfinite(norms))
+        assert norms[1] < norms[0]
 
 
 def _assert_identical(name, x, y):
