@@ -237,60 +237,37 @@ def assemble_operators(spaces, viscosity):
     ns = spaces.n_scalar
     m = mesh.tets.shape[0]
 
-    Krows, Kcols, Kvals = [], [], []
-    Mvals = []
-    Brows, Bcols, Bvals = [], [], []
+    # element values per chunk; the index arrays below span the whole mesh in
+    # the same element-major order
+    Kvals, Mvals, Bvals, Pvals = [], [], [], []
     for cells in _chunks(m):
         gradlam, detJ = _tet_geometry(mesh, cells)
         gN = _grad_shapes(gradlam)  # (c, nq, 10, 3)
         wdet = _TET_WTS[None, :] * detJ[:, None]  # (c, nq)
-        elK = np.einsum("mq,mqid,mqjd->mij", wdet, gN, gN, optimize=True)
-        elM = np.einsum("mq,qi,qj->mij", wdet, _TET_N, _TET_N, optimize=True)
-        ent = spaces.cells10[cells]
-        Krows.append(np.repeat(ent, 10, axis=1))
-        Kcols.append(np.tile(ent, (1, 10)))
-        Kvals.append(elK)
-        Mvals.append(elM)
+        Kvals.append(np.einsum("mq,mqid,mqjd->mij", wdet, gN, gN, optimize=True))
+        Mvals.append(np.einsum("mq,qi,qj->mij", wdet, _TET_N, _TET_N, optimize=True))
         # divergence: rows pressure vertex, cols velocity dof 3*entity+c
-        elB = -np.einsum("mq,qk,mqjd->mkjd", wdet, _TET_LAM, gN, optimize=True)  # (c,4,10,3)
-        verts = mesh.tets[cells]
-        vdofs = 3 * ent[:, None, :, None] + np.arange(3)[None, None, None, :]
-        prows = np.broadcast_to(verts[:, :, None, None], elB.shape)
-        Brows.append(prows)
-        Bcols.append(np.broadcast_to(vdofs, elB.shape))
-        Bvals.append(elB)
+        Bvals.append(-np.einsum("mq,qk,mqjd->mkjd", wdet, _TET_LAM, gN, optimize=True))
+        # P1 pressure mass
+        Pvals.append(np.einsum("mq,qi,qj->mij", wdet, _TET_LAM, _TET_LAM, optimize=True))
 
-    K_s = _scatter(np.concatenate([r.ravel() for r in Krows]),
-                   np.concatenate([c.ravel() for c in Kcols]),
-                   np.concatenate([v.ravel() for v in Kvals]), (ns, ns))
-    M_s = _scatter(np.concatenate([r.ravel() for r in Krows]),
-                   np.concatenate([c.ravel() for c in Kcols]),
-                   np.concatenate([v.ravel() for v in Mvals]), (ns, ns))
-    B = _scatter(np.concatenate([r.ravel() for r in Brows]),
-                 np.concatenate([c.ravel() for c in Bcols]),
-                 np.concatenate([v.ravel() for v in Bvals]),
+    ent = spaces.cells10
+    rows, cols = np.repeat(ent, 10, axis=1).ravel(), np.tile(ent, (1, 10)).ravel()
+    K_s = _scatter(rows, cols, np.concatenate(Kvals, axis=None), (ns, ns))
+    M_s = _scatter(rows, cols, np.concatenate(Mvals, axis=None), (ns, ns))
+    del rows, cols  # not held while B's larger index arrays exist
+    b_shape = (m, 4, 10, 3)
+    vdofs = 3 * ent[:, None, :, None] + np.arange(3)[None, None, None, :]
+    B = _scatter(np.broadcast_to(mesh.tets[:, :, None, None], b_shape).ravel(),
+                 np.broadcast_to(vdofs, b_shape).ravel(), np.concatenate(Bvals, axis=None),
                  (spaces.n_pressure, spaces.n_velocity))
+    X_p = _scatter(np.repeat(mesh.tets, 4, axis=1).ravel(), np.tile(mesh.tets, (1, 4)).ravel(),
+                   np.concatenate(Pvals, axis=None), (spaces.n_pressure, spaces.n_pressure))
 
     I3 = sp.identity(3, format="csr")
     A = viscosity * sp.kron(K_s, I3, format="csr")
     M = sp.kron(M_s, I3, format="csr")
     X_v = sp.kron((K_s + M_s).tocsr(), I3, format="csr")
-
-    # P1 pressure mass
-    Pvals = []
-    Prows, Pcols = [], []
-    for cells in _chunks(m):
-        _, detJ = _tet_geometry(mesh, cells)
-        wdet = _TET_WTS[None, :] * detJ[:, None]
-        elP = np.einsum("mq,qi,qj->mij", wdet, _TET_LAM, _TET_LAM, optimize=True)
-        verts = mesh.tets[cells]
-        Prows.append(np.repeat(verts, 4, axis=1))
-        Pcols.append(np.tile(verts, (1, 4)))
-        Pvals.append(elP)
-    X_p = _scatter(np.concatenate([r.ravel() for r in Prows]),
-                   np.concatenate([c.ravel() for c in Pcols]),
-                   np.concatenate([v.ravel() for v in Pvals]),
-                   (spaces.n_pressure, spaces.n_pressure))
 
     # surface mass on outlet triangles
     outlet = mesh.boundary_tags >= FIRST_OUTLET_TAG

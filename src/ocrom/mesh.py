@@ -42,9 +42,11 @@ class Centerline:
             raise InvariantViolation("centerline needs >= 2 points in 3D")
         if rad.shape != (pts.shape[0],):
             raise InvariantViolation("one radius per centerline point required")
+        if not np.isfinite(pts).all():
+            raise InvariantViolation("non-finite centerline point")
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) == 0.0):
             raise InvariantViolation("consecutive centerline points must be distinct")
-        if np.any(rad <= 0.0):
+        if not np.all(rad > 0.0):  # NaN included
             raise InvariantViolation("centerline radii must be positive")
 
     def tangents(self):
@@ -126,6 +128,8 @@ class Mesh:
 
     def validate(self):
         n = self.nodes.shape[0]
+        if not np.isfinite(self.nodes).all():
+            raise InvariantViolation("non-finite node coordinate")
         if self.tets.size and (self.tets.min() < 0 or self.tets.max() >= n):
             raise InvariantViolation("tet node index out of range")
         if self.boundary_tris.size and (
@@ -507,59 +511,61 @@ def load_mesh(path):
     def fail(msg, ln):
         raise ParseError(msg, line=ln + 1)
 
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line:
+    try:
+        while i < len(lines):
+            line = lines[i].strip()
+            if not line:
+                i += 1
+                continue
+            if not line.startswith("$"):
+                fail(f"expected section marker, got {line!r}", i)
+            if line == "$end":
+                ended = True
+                i += 1
+                break
+            parts = line.split()
+            if parts[0] == "$nodes":
+                count = _parse_count(parts, 2, i)
+                for k in range(count):
+                    i += 1
+                    toks = _tokens(lines, i, 4)
+                    if int(toks[0]) != k:
+                        fail(f"node id {toks[0]} out of order", i)
+                    nodes.append([float(toks[1]), float(toks[2]), float(toks[3])])
+            elif parts[0] == "$tets":
+                count = _parse_count(parts, 2, i)
+                for k in range(count):
+                    i += 1
+                    toks = _tokens(lines, i, 5)
+                    if int(toks[0]) != k:
+                        fail(f"tet id {toks[0]} out of order", i)
+                    tets.append([int(t) for t in toks[1:]])
+            elif parts[0] == "$btris":
+                count = _parse_count(parts, 2, i)
+                for k in range(count):
+                    i += 1
+                    toks = _tokens(lines, i, 5)
+                    if int(toks[0]) != k:
+                        fail(f"btri id {toks[0]} out of order", i)
+                    btris.append([int(t) for t in toks[1:4]])
+                    tags.append(int(toks[4]))
+            elif parts[0] == "$centerline":
+                count = _parse_count(parts, 3, i)
+                bid = int(parts[1])
+                if bid != len(centerlines):
+                    fail(f"centerline branch id {bid} out of order", i)
+                pts, rad = [], []
+                for _ in range(count):
+                    i += 1
+                    toks = _tokens(lines, i, 4)
+                    pts.append([float(toks[0]), float(toks[1]), float(toks[2])])
+                    rad.append(float(toks[3]))
+                centerlines.append(Centerline(points=np.array(pts), radii=np.array(rad)))
+            else:
+                fail(f"unknown section {parts[0]!r}", i)
             i += 1
-            continue
-        if not line.startswith("$"):
-            fail(f"expected section marker, got {line!r}", i)
-        if line == "$end":
-            ended = True
-            i += 1
-            break
-        parts = line.split()
-        if parts[0] == "$nodes":
-            count = _parse_count(parts, 2, i)
-            for k in range(count):
-                i += 1
-                toks = _tokens(lines, i, 4)
-                if int(toks[0]) != k:
-                    fail(f"node id {toks[0]} out of order", i)
-                nodes.append([float(toks[1]), float(toks[2]), float(toks[3])])
-        elif parts[0] == "$tets":
-            count = _parse_count(parts, 2, i)
-            for k in range(count):
-                i += 1
-                toks = _tokens(lines, i, 5)
-                if int(toks[0]) != k:
-                    fail(f"tet id {toks[0]} out of order", i)
-                tets.append([int(t) for t in toks[1:]])
-        elif parts[0] == "$btris":
-            count = _parse_count(parts, 2, i)
-            for k in range(count):
-                i += 1
-                toks = _tokens(lines, i, 5)
-                if int(toks[0]) != k:
-                    fail(f"btri id {toks[0]} out of order", i)
-                btris.append([int(t) for t in toks[1:4]])
-                tags.append(int(toks[4]))
-        elif parts[0] == "$centerline":
-            if len(parts) != 3:
-                fail("$centerline takes branch id and point count", i)
-            bid, count = int(parts[1]), int(parts[2])
-            if bid != len(centerlines):
-                fail(f"centerline branch id {bid} out of order", i)
-            pts, rad = [], []
-            for _ in range(count):
-                i += 1
-                toks = _tokens(lines, i, 4)
-                pts.append([float(toks[0]), float(toks[1]), float(toks[2])])
-                rad.append(float(toks[3]))
-            centerlines.append(Centerline(points=np.array(pts), radii=np.array(rad)))
-        else:
-            fail(f"unknown section {parts[0]!r}", i)
-        i += 1
+    except ValueError as exc:  # a token that is not a number
+        raise ParseError(str(exc), line=i + 1) from exc
 
     if not ended:
         raise ParseError("missing $end", line=len(lines))
@@ -580,7 +586,10 @@ def load_mesh(path):
 def _parse_count(parts, expected_len, lineno):
     if len(parts) != expected_len:
         raise ParseError(f"malformed section header {' '.join(parts)!r}", line=lineno + 1)
-    return int(parts[1])
+    count = int(parts[-1])
+    if count < 0:
+        raise ParseError(f"negative count {count}", line=lineno + 1)
+    return count
 
 
 def _tokens(lines, i, n):

@@ -46,14 +46,7 @@ def sparse_lu_solve(A, b):
     Performs iterative refinement until the relative residual drops below
     1e-10 and raises :class:`SingularMatrix` if that cannot be achieved.
     """
-    A = sp.csc_matrix(A)
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[1]}, not square")
-    if b.shape[0] != A.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != {A.shape[0]}")
-    lu = factorize(A)
-    return lu.solve(b)
+    return factorize(A).solve(b)
 
 
 _RCM_THRESHOLD = 20000

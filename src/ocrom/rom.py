@@ -13,12 +13,15 @@ Inflow lifting fields enter the reduced velocity basis as fixed trailing
 columns whose coefficients are pinned to the parameter values; they are kept
 out of the orthonormalized block so that pinning stays exact.
 
-Online: a dense KKT solve (Stokes) or dense Newton iteration (Navier-Stokes)
-of dimension 13*N + liftings.
+Online: the reduced system of dimension 13*N is precomputed as one constant
+KKT matrix plus terms affine in the parameters.  A Stokes query is a single
+matrix-vector product; a Navier-Stokes query is dense Newton that adds only
+the tensor's convection blocks to that matrix.
 """
 
 import io
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -331,10 +334,13 @@ class ReducedOperators:
     state-velocity coefficient vectors carry the parameter values in their
     trailing ``n_lift`` slots.
 
-    ``g_target`` (reduced coefficients of the M-orthogonal target
-    projection) and ``j_perp`` (half the squared M-norm of the out-of-span
-    remainder) are derived from ``m``, ``h`` and ``j_const`` on
-    construction, so queries only read the operators.
+    The online system is precomputed on construction, so queries only read
+    it: ``g_target``/``j_perp`` (the M-orthogonal target projection and half
+    the squared M-norm of its remainder), ``blocks`` (slices of the
+    (v, p, u, w, q) coefficients), the constant KKT matrix ``K`` and the
+    affine right-hand side ``R`` (residual ``K x + R [1; mu]`` plus
+    convection), and for Stokes ``X = -K^{-1} R``, so that a query is the
+    matrix-vector product ``X [1; mu]``.
     """
 
     y_v: np.ndarray
@@ -359,6 +365,28 @@ class ReducedOperators:
     def __post_init__(self):
         self.g_target = np.linalg.solve(self.m, self.h)
         self.j_perp = max(self.j_const - 0.5 * self.g_target @ (self.m @ self.g_target), 0.0)
+        nv, n_p, nu = self.n_velocity_modes, self.y_p.shape[1], self.y_u.shape[1]
+        ends = np.cumsum([0, nv, n_p, nu, nv, n_p]).tolist()
+        self.blocks = tuple(slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
+        sv, sp_, su, sw, sq = self.blocks
+        a, b, c = self.a[:nv, :nv], self.b[:, :nv], self.c[:nv]
+        K = self.K = np.zeros((ends[-1], ends[-1]))
+        K[sv, sv] = self.m[:nv, :nv]
+        K[sv, sw] = a
+        K[sv, sq] = b.T
+        K[sp_, sw] = b
+        K[su, su] = self.alpha * self.n_ctrl
+        K[su, sw] = c.T
+        K[sw, sv] = a
+        K[sw, sp_] = b.T
+        K[sw, su] = c
+        K[sq, sv] = b
+        R = self.R = np.zeros((ends[-1], 1 + self.n_lift))
+        R[sv, 0] = -self.h[:nv]
+        R[sv, 1:] = self.m[:nv, nv:]
+        R[sw, 1:] = self.a[:nv, nv:]
+        R[sq, 1:] = self.b[:, nv:]
+        self.X = -np.linalg.solve(K, R) if self.equation == "stokes" else None
 
     @property
     def n_velocity_modes(self):
@@ -374,7 +402,7 @@ class ReducedOperators:
 
     def dimension(self):
         """Reduced system size: velocity + pressure blocks twice, control once."""
-        return 2 * self.y_v.shape[1] + 2 * self.y_p.shape[1] + self.y_u.shape[1]
+        return self.blocks[-1].stop
 
     def check_mu(self, mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -479,44 +507,24 @@ def _reduced_objective(ops, v_ext, u_n):
 def _reduced_system(ops, mu, x, conv):
     """Residual and Jacobian of the reduced optimality system at ``x``.
 
-    ``conv`` supplies the convection contributions (the precomputed tensor
-    contraction); it is None for Stokes.
+    The residual is ``K x + R [1; mu]`` plus the convection terms; ``conv``
+    supplies those (the precomputed tensor contraction) and is None for
+    Stokes, whose Jacobian is ``ops.K`` itself.
     """
-    nv, np_, nu = ops.n_velocity_modes, ops.y_p.shape[1], ops.y_u.shape[1]
-    sv = slice(0, nv)
-    sp_ = slice(nv, nv + np_)
-    su = slice(nv + np_, nv + np_ + nu)
-    sw = slice(nv + np_ + nu, 2 * nv + np_ + nu)
-    sq = slice(2 * nv + np_ + nu, 2 * nv + 2 * np_ + nu)
+    sv, _, su, sw, _ = ops.blocks
     v_ext = np.concatenate([x[sv], mu])
-    w_ext = np.concatenate([x[sw], np.zeros(ops.n_lift)])
-    u_n = x[su]
-    r_v = (ops.m @ v_ext - ops.h + ops.a @ w_ext)[:nv] + ops.b.T[:nv] @ x[sq]
-    r_p = ops.b @ w_ext
-    r_u = ops.alpha * (ops.n_ctrl @ u_n) + ops.c.T @ w_ext
-    r_w = (ops.a @ v_ext)[:nv] + ops.b.T[:nv] @ x[sp_] + (ops.c @ u_n)[:nv]
-    r_q = ops.b @ v_ext
-    n = 2 * nv + 2 * np_ + nu
-    jac = np.zeros((n, n))
-    jac[sv, sv] = ops.m[:nv, :nv]
-    jac[sv, sw] = ops.a[:nv, :nv]
-    jac[sv, sq] = ops.b.T[:nv]
-    jac[sp_, sw] = ops.b[:, :nv]
-    jac[su, su] = ops.alpha * ops.n_ctrl
-    jac[su, sw] = ops.c.T[:, :nv]
-    jac[sw, sv] = ops.a[:nv, :nv]
-    jac[sw, sp_] = ops.b.T[:nv]
-    jac[sw, su] = ops.c[:nv]
-    jac[sq, sv] = ops.b[:, :nv]
+    res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
+    jac = ops.K
     if conv is not None:
-        cv, cw, d_vv, d_vw, d_wv = conv(v_ext, w_ext)
-        r_v += cv[:nv]
-        r_w += cw[:nv]
+        nv = ops.n_velocity_modes
+        cv, cw, d_vv, d_vw, d_wv = conv(v_ext, np.concatenate([x[sw], np.zeros(ops.n_lift)]))
+        res[sv] += cv[:nv]
+        res[sw] += cw[:nv]
+        jac = jac.copy()
         jac[sv, sv] += d_vv[:nv, :nv]
         jac[sv, sw] += d_vw[:nv, :nv]
         jac[sw, sv] += d_wv[:nv, :nv]
-    res = np.concatenate([r_v, r_p, r_u, r_w, r_q])
-    return res, jac, (v_ext, u_n)
+    return res, jac, (v_ext, x[su])
 
 
 def _tensor_convection(ops):
@@ -546,17 +554,19 @@ NEWTON_MAX_ITER = 30
 
 
 def solve_reduced_coefficients(ops, mu):
-    """Dense reduced KKT solve; returns (coefficients, objective, iterations)."""
-    mu = ops.check_mu(mu)
-    x = np.zeros(ops.dimension())
+    """Reduced optimality solve; returns (coefficients, objective, iterations)."""
+    return _solve_coefficients(ops, ops.check_mu(mu))
+
+
+def _solve_coefficients(ops, mu):
     if ops.equation == "stokes":
-        res, jac, _ = _reduced_system(ops, mu, x, None)
-        x = np.linalg.solve(jac, -res)
-        v_n, _, u_n, _, _ = _unpack(ops, x)
-        return x, _reduced_objective(ops, np.concatenate([v_n, mu]), u_n), 0
+        x = ops.X @ np.concatenate([[1.0], mu])
+        sv, _, su, _, _ = ops.blocks
+        return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), 0
     if ops.tensor is None:
         raise MissingArtifact("reduced convection tensor not available")
     conv = _tensor_convection(ops)
+    x = np.zeros(ops.dimension())
     res, jac, _ = _reduced_system(ops, mu, x, conv)
     norms = [np.linalg.norm(res)]
     norm0 = max(norms[0], NEWTON_TOL_ABS)
@@ -577,15 +587,13 @@ def solve_reduced_coefficients(ops, mu):
 
 
 def _unpack(ops, x):
-    nv, np_, nu = ops.n_velocity_modes, ops.y_p.shape[1], ops.y_u.shape[1]
-    o = np.cumsum([nv, np_, nu, nv, np_])
-    return x[: o[0]], x[o[0] : o[1]], x[o[1] : o[2]], x[o[2] : o[3]], x[o[3] :]
+    return tuple(x[s] for s in ops.blocks)
 
 
 def solve_reduced(ops, mu):
     """Online reduced solve lifted back to full-order coefficients."""
     mu = ops.check_mu(mu)
-    x, objective, iters = solve_reduced_coefficients(ops, mu)
+    x, objective, iters = _solve_coefficients(ops, mu)
     v_n, p_n, u_n, w_n, q_n = _unpack(ops, x)
     return ReducedSolution(
         mu=mu, v_N=v_n, p_N=p_n, u_N=u_n, w_N=w_n, q_N=q_n,
@@ -705,23 +713,28 @@ def load_artifact(path):
     if not data.startswith(_MAGIC):
         raise ParseError(f"{path}: not an 'ocrom-rb 1' artifact")
     buf = io.BytesIO(data[len(_MAGIC) :])
-    (blob_len,) = struct.unpack("<Q", buf.read(8))
-    index = json.loads(buf.read(blob_len).decode())
-    arrays = {}
-    for rec in index["arrays"]:
-        shape = tuple(rec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = buf.read(8 * count)
-        if len(raw) != 8 * count:
-            raise ParseError(f"{path}: truncated payload for array {rec['name']}")
-        arrays[rec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    try:
+        (blob_len,) = struct.unpack("<Q", buf.read(8))
+        index = json.loads(buf.read(blob_len).decode())
+        arrays = {}
+        for rec in index["arrays"]:
+            name, shape = rec["name"], tuple(rec["shape"])
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise ParseError(f"{path}: array {name} has invalid shape {list(shape)}")
+            count = math.prod(shape)
+            raw = buf.read(8 * count)
+            if len(raw) != 8 * count:
+                raise ParseError(f"{path}: truncated payload for array {name}")
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        scal = index["scalars"]
+        alpha, j_const, equation = float(scal["alpha"]), float(scal["j_const"]), scal["equation"]
+    except (struct.error, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed artifact frame: {exc!r}") from exc
     if buf.read(1):
         raise ParseError(f"{path}: trailing bytes after the last array")
-    scal = index["scalars"]
-    if scal["equation"] not in ("stokes", "navier-stokes"):
-        raise ParseError(f"{path}: unknown equation {scal['equation']!r}")
-    values = [scal["alpha"], scal["j_const"]] + list(arrays.values())
-    if not all(np.isfinite(v).all() for v in values):
+    if equation not in ("stokes", "navier-stokes"):
+        raise ParseError(f"{path}: unknown equation {equation!r}")
+    if not all(np.isfinite(v).all() for v in [alpha, j_const, *arrays.values()]):
         raise ParseError(f"{path}: non-finite values")
     _check_shapes(path, arrays)
     eigenvalues = None
@@ -732,14 +745,14 @@ def load_artifact(path):
             y_v=arrays["y_v"], y_p=arrays["y_p"], y_u=arrays["y_u"],
             lifting=arrays["lifting"], a=arrays["a"], m=arrays["m"], b=arrays["b"],
             c=arrays["c"], n_ctrl=arrays["n_ctrl"], h=arrays["h"],
-            j_const=scal["j_const"], alpha=scal["alpha"], equation=scal["equation"],
+            j_const=j_const, alpha=alpha, equation=equation,
             domain_lo=arrays["domain_lo"], domain_hi=arrays["domain_hi"],
             tensor=arrays.get("tensor"),
             training_parameters=arrays.get("training_parameters"),
             eigenvalues=eigenvalues,
         )
     except np.linalg.LinAlgError as exc:
-        raise ParseError(f"{path}: singular reduced mass matrix: {exc}") from exc
+        raise ParseError(f"{path}: singular reduced operators: {exc}") from exc
 
 
 def _check_shapes(path, arrays):

@@ -8,7 +8,9 @@ convection matrices: the full-order KKT Jacobian and residual as a
 ``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
 fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
-(the path the precomputed reduced tensor replaces).
+(the path the precomputed reduced tensor replaces) on a reduced system
+assembled block by block from the projected operators (the path the
+precomputed constant KKT matrix and affine right-hand side replace).
 """
 
 import numpy as np
@@ -175,9 +177,50 @@ def gauss_solve(a, b):
     return x
 
 
+def blockwise_reduced_system(ops, mu, x, conv):
+    """Residual and Jacobian of the reduced optimality system at ``x``,
+    assembled slice by slice from the projected operators, in the form
+    ``rom._reduced_system`` returns."""
+    nv, np_, nu = ops.n_velocity_modes, ops.y_p.shape[1], ops.y_u.shape[1]
+    sv = slice(0, nv)
+    sp_ = slice(nv, nv + np_)
+    su = slice(nv + np_, nv + np_ + nu)
+    sw = slice(nv + np_ + nu, 2 * nv + np_ + nu)
+    sq = slice(2 * nv + np_ + nu, 2 * nv + 2 * np_ + nu)
+    v_ext = np.concatenate([x[sv], mu])
+    w_ext = np.concatenate([x[sw], np.zeros(ops.n_lift)])
+    u_n = x[su]
+    r_v = (ops.m @ v_ext - ops.h + ops.a @ w_ext)[:nv] + ops.b.T[:nv] @ x[sq]
+    r_p = ops.b @ w_ext
+    r_u = ops.alpha * (ops.n_ctrl @ u_n) + ops.c.T @ w_ext
+    r_w = (ops.a @ v_ext)[:nv] + ops.b.T[:nv] @ x[sp_] + (ops.c @ u_n)[:nv]
+    r_q = ops.b @ v_ext
+    n = 2 * nv + 2 * np_ + nu
+    jac = np.zeros((n, n))
+    jac[sv, sv] = ops.m[:nv, :nv]
+    jac[sv, sw] = ops.a[:nv, :nv]
+    jac[sv, sq] = ops.b.T[:nv]
+    jac[sp_, sw] = ops.b[:, :nv]
+    jac[su, su] = ops.alpha * ops.n_ctrl
+    jac[su, sw] = ops.c.T[:, :nv]
+    jac[sw, sv] = ops.a[:nv, :nv]
+    jac[sw, sp_] = ops.b.T[:nv]
+    jac[sw, su] = ops.c[:nv]
+    jac[sq, sv] = ops.b[:, :nv]
+    if conv is not None:
+        cv, cw, d_vv, d_vw, d_wv = conv(v_ext, w_ext)
+        r_v += cv[:nv]
+        r_w += cw[:nv]
+        jac[sv, sv] += d_vv[:nv, :nv]
+        jac[sv, sw] += d_vw[:nv, :nv]
+        jac[sw, sv] += d_wv[:nv, :nv]
+    res = np.concatenate([r_v, r_p, r_u, r_w, r_q])
+    return res, jac, (v_ext, u_n)
+
+
 def reassembled_convection(ops, model):
     """Reduced convection terms from freshly assembled full-order matrices,
-    in the ``conv`` form ``rom._reduced_system`` takes."""
+    in the ``conv`` form ``blockwise_reduced_system`` takes."""
     y_ext = np.column_stack([ops.y_v, ops.lifting])
 
     def conv(v_ext, w_ext):
@@ -197,15 +240,16 @@ def reassembled_convection(ops, model):
 
 def reassembled_reduced_solve(ops, model, mu):
     """Reduced Navier-Stokes Newton with per-iteration reassembly of the
-    convection terms; returns (coefficients, objective, iterations)."""
+    convection terms on the block-by-block reduced system; returns
+    (coefficients, objective, iterations)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     conv = reassembled_convection(ops, model)
     x = np.zeros(ops.dimension())
-    res, jac, _ = rom._reduced_system(ops, mu, x, conv)
+    res, jac, _ = blockwise_reduced_system(ops, mu, x, conv)
     norm0 = max(np.linalg.norm(res), rom.NEWTON_TOL_ABS)
     for it in range(1, rom.NEWTON_MAX_ITER + 1):
         x = x + np.linalg.solve(jac, -res)
-        res, jac, (v_ext, u_n) = rom._reduced_system(ops, mu, x, conv)
+        res, jac, (v_ext, u_n) = blockwise_reduced_system(ops, mu, x, conv)
         norm = np.linalg.norm(res)
         if norm <= rom.NEWTON_TOL_REL * norm0 or norm <= rom.NEWTON_TOL_ABS:
             return x, rom._reduced_objective(ops, v_ext, u_n), it

@@ -225,6 +225,34 @@ class TestMeshFormat:
         with pytest.raises(ParseError):
             load_mesh(str(p))
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("1 1.0 0.0 0.0", "1 x 0.0 0.0", 4),
+        ("0 0 1 2 3", "0 0 1 2.5 3", 8),
+        ("3 1 2 3 1", "3 1 2 3 wall", 13),
+        ("$tets 1", "$tets one", 7),
+        ("$tets 1", "$tets -1", 7),
+        ("$centerline 0 2", "$centerline 0 -2", 14),
+        ("0.0 0.0 1.0 1.0", "0.0 0.0 1.0 1,0", 16),
+    ])
+    def test_malformed_number(self, tmp_path, old, new, line):
+        p = tmp_path / "bad.mesh"
+        p.write_text(SINGLE_TET.replace(old, new))
+        with pytest.raises(ParseError) as exc:
+            load_mesh(str(p))
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("old, new", [
+        ("3 0.0 0.0 1.0", "3 0.0 0.0 nan"),
+        ("1 1.0 0.0 0.0", "1 inf 0.0 0.0"),
+        ("0.0 0.0 1.0 1.0", "0.0 0.0 1.0 nan"),
+        ("0.0 0.0 1.0 1.0", "0.0 nan 1.0 1.0"),
+    ])
+    def test_non_finite_coordinate(self, tmp_path, old, new):
+        p = tmp_path / "bad.mesh"
+        p.write_text(SINGLE_TET.replace(old, new))
+        with pytest.raises(InvariantViolation):
+            load_mesh(str(p))
+
 
 def test_centerline_invariants():
     with pytest.raises(Exception):

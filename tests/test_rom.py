@@ -1,8 +1,11 @@
 import copy
+import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -402,6 +405,44 @@ class TestErrors:
         )) <= 1e-15
 
 
+def _reframe(data, index_bytes):
+    """Artifact bytes with the JSON index replaced, payload kept."""
+    start = len(rom._MAGIC) + 8
+    (n,) = struct.unpack("<Q", data[len(rom._MAGIC) : start])
+    index = json.loads(data[start : start + n])
+    blob = index_bytes(index)
+    return rom._MAGIC + struct.pack("<Q", len(blob)) + blob + data[start + n :]
+
+
+def _edited(edit):
+    def index_bytes(index):
+        edit(index)
+        return json.dumps(index).encode()
+
+    return index_bytes
+
+
+def _y_v_shape(index, shape):
+    rec = next(r for r in index["arrays"] if r["name"] == "y_v")
+    rec["shape"] = shape(rec["shape"])
+
+
+_BROKEN_INDEX = {
+    "non_json": lambda index: b"{not json",
+    "non_utf8": lambda index: b"\xff\xfe\xfd",
+    "not_an_object": lambda index: b"[1, 2]",
+    "no_arrays": _edited(lambda index: index.pop("arrays")),
+    "no_scalars": _edited(lambda index: index.pop("scalars")),
+    "no_alpha": _edited(lambda index: index["scalars"].pop("alpha")),
+    "text_alpha": _edited(lambda index: index["scalars"].update(alpha="small")),
+    "record_without_shape": _edited(lambda index: index["arrays"][0].pop("shape")),
+    "negative_shape": _edited(lambda index: _y_v_shape(index, lambda s: [-d for d in s])),
+    "fractional_shape": _edited(lambda index: _y_v_shape(index, lambda s: [d + 0.5 for d in s])),
+    "float_shape": _edited(lambda index: _y_v_shape(index, lambda s: [float(d) for d in s])),
+    "huge_shape": _edited(lambda index: _y_v_shape(index, lambda s: [2**62, 2**62])),
+}
+
+
 class TestArtifact:
     def test_round_trip_bit_exact(self, stokes_offline, tmp_path):
         _, _, ops = stokes_offline
@@ -487,6 +528,69 @@ class TestArtifact:
         with pytest.raises(ParseError):
             load_artifact(path)
 
+    # broken framing: length prefix, JSON index, array records
+
+    @pytest.mark.parametrize("cut", [len(rom._MAGIC), len(rom._MAGIC) + 3])
+    def test_cut_short_after_magic(self, stokes_offline, tmp_path, cut):
+        path = tmp_path / "rom.bin"
+        save_artifact(path, stokes_offline[-1])
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError):
+            load_artifact(path)
+
+    def test_huge_length_prefix(self, stokes_offline, tmp_path):
+        path = tmp_path / "rom.bin"
+        save_artifact(path, stokes_offline[-1])
+        data = path.read_bytes()
+        n = len(rom._MAGIC)
+        path.write_bytes(data[:n] + struct.pack("<Q", 2**64 - 1) + data[n + 8 :])
+        with pytest.raises(ParseError):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("broken", sorted(_BROKEN_INDEX))
+    def test_broken_index(self, stokes_offline, tmp_path, broken):
+        path = tmp_path / "rom.bin"
+        save_artifact(path, stokes_offline[-1])
+        path.write_bytes(_reframe(path.read_bytes(), _BROKEN_INDEX[broken]))
+        with pytest.raises(ParseError):
+            load_artifact(path)
+
+    def test_reframed_intact_index_loads(self, stokes_offline, tmp_path):
+        """The re-framing helper itself keeps a valid file valid."""
+        path = tmp_path / "rom.bin"
+        save_artifact(path, stokes_offline[-1])
+        path.write_bytes(_reframe(path.read_bytes(), _edited(lambda index: None)))
+        assert load_artifact(path).equation == "stokes"
+
+
+@pytest.fixture(scope="module")
+def artifact_bytes(stokes_offline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifact") / "rom.bin"
+    save_artifact(path, stokes_offline[-1])
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_artifact_loads_or_raises_parse_error(artifact_bytes, tmp_path, data):
+    """Truncating a valid artifact or flipping some of its bytes yields
+    either a model or ParseError, never another exception."""
+    raw = bytearray(artifact_bytes)
+    n = len(rom._MAGIC)
+    header = n + 8 + struct.unpack("<Q", raw[n : n + 8])[0]
+    position = st.one_of(st.integers(0, header), st.integers(0, len(raw) - 1))
+    for pos, mask in data.draw(st.lists(st.tuples(position, st.integers(1, 255)), max_size=4)):
+        raw[pos] ^= mask
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+    path = tmp_path / "rom.bin"
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        ops = load_artifact(path)
+    except ParseError:
+        return
+    assert isinstance(ops, ReducedOperators)
+
 
 @pytest.fixture(scope="module")
 def ns_offline(ns_model):
@@ -556,3 +660,55 @@ def test_query_leaves_loaded_operators_unchanged(offline, request, tmp_path):
     assert vars(loaded).keys() == before.keys()
     for name, value in before.items():
         _assert_identical(name, value, vars(loaded)[name])
+
+
+@pytest.mark.parametrize("offline", ["stokes_offline", "ns_offline"])
+def test_precomputed_system_matches_blockwise_oracle(offline, request):
+    """The constant KKT matrix plus the affine right-hand side reproduce the
+    reduced residual and Jacobian assembled block by block, at random
+    coefficients and parameters."""
+    ops = request.getfixturevalue(offline)[-1]
+    conv = None if ops.tensor is None else _tensor_convection(ops)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.standard_normal(ops.dimension())
+        mu = rng.uniform(ops.domain_lo, ops.domain_hi)
+        res, jac, _ = _reduced_system(ops, mu, x, conv)
+        ref_res, ref_jac, _ = oracles.blockwise_reduced_system(ops, mu, x, conv)
+        assert np.abs(res - ref_res).max() <= 1e-14 * np.abs(ref_res).max()
+        assert np.abs(jac - ref_jac).max() <= 1e-14 * np.abs(ref_jac).max()
+
+
+@pytest.mark.parametrize("offline", ["stokes_offline", "ns_offline"])
+def test_query_checks_mu_once(offline, request, monkeypatch):
+    built = request.getfixturevalue(offline)
+    snaps, ops = built[0], built[-1]
+    calls = []
+    check_mu = ReducedOperators.check_mu
+    monkeypatch.setattr(ReducedOperators, "check_mu",
+                        lambda self, mu: calls.append(mu) or check_mu(self, mu))
+    solve_reduced(ops, snaps.parameters[0])
+    assert len(calls) == 1
+    rom.solve_reduced_coefficients(ops, snaps.parameters[0])
+    assert len(calls) == 2
+
+
+def test_stokes_query_is_a_matvec(stokes_offline, monkeypatch):
+    """A Stokes query solves no linear system, and its coefficients match a
+    dense solve of the block-by-block oracle system."""
+    _, _, ops = stokes_offline
+    mus = [np.array([m]) for m in (40.0, 53.7, 66.0, 80.0)]
+    refs = []
+    for mu in mus:
+        res, jac, _ = oracles.blockwise_reduced_system(
+            ops, mu, np.zeros(ops.dimension()), None)
+        refs.append(np.linalg.solve(jac, -res))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("linear solve in a Stokes query")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for mu, ref in zip(mus, refs):
+        sol = solve_reduced(ops, mu)
+        x = np.concatenate([sol.v_N, sol.p_N, sol.u_N, sol.w_N, sol.q_N])
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -252,6 +252,24 @@ class TestCli:
     def test_mesh_check_missing(self, tmp_path):
         assert main(["mesh", "check", str(tmp_path / "no.mesh")]) == 4
 
+    @pytest.mark.parametrize("old, new, code", [
+        ("1 1.0 0.0 0.0", "1 x 0.0 0.0", 2),  # not a number: parse error
+        ("3 0.0 0.0 1.0", "3 0.0 0.0 nan", 3),  # mesh invariant violated
+    ])
+    def test_mesh_check_malformed(self, tmp_path, capsys, old, new, code):
+        from test_mesh import SINGLE_TET
+
+        path = tmp_path / "bad.mesh"
+        path.write_text(SINGLE_TET.replace(old, new))
+        assert main(["mesh", "check", str(path)]) == code
+        assert "error" in capsys.readouterr().err
+
+    def test_online_broken_artifact(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"ocrom-rb 1\n\x01\x02")
+        assert main(["online", "--artifact", str(path), "--mu", "50.0"]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_solve_summary(self, config_file, tmp_path, capsys):
         out = tmp_path / "sol.json"
         assert main(["solve", "--config", str(config_file),
