@@ -118,8 +118,10 @@ def _cmd_mesh(args):
               f"{mesh.tets.shape[0]} tets, tags "
               f"{sorted(int(t) for t in set(mesh.boundary_tags))}")
     else:
-        mesh = load_mesh(args.path)
-        mesh.validate()
+        try:
+            mesh = load_mesh(args.path).validate()
+        except InvariantViolation as exc:  # the file is at fault, not a solver
+            raise ParseError(f"{args.path}: {exc}") from exc
         print(f"{args.path}: OK ({mesh.nodes.shape[0]} nodes, "
               f"{mesh.tets.shape[0]} tets, volume {mesh.volume():.6g})")
     return 0

@@ -165,10 +165,6 @@ class Mesh:
         tags = np.unique(self.boundary_tags)
         return [int(t) for t in tags if FIRST_INLET_TAG <= t < FIRST_OUTLET_TAG]
 
-    def outlet_tags(self):
-        tags = np.unique(self.boundary_tags)
-        return [int(t) for t in tags if t >= FIRST_OUTLET_TAG]
-
     def volume(self):
         return float(tet_volumes(self.nodes, self.tets).sum())
 
@@ -287,7 +283,7 @@ def _split_prism(v):
     return tets
 
 
-def _tube_points(centerline_pts, radii, h, n_rings):
+def _tube_points(centerline_pts, radii, n_rings):
     """Structured node cloud for a tube swept along a centerline.
 
     Returns (points array, per-node layer index, per-node rim flag,
@@ -321,7 +317,7 @@ def generate_tube(spec):
         )
     cpts, crad = _resample_polyline(ctrl_pts, ctrl_rad, h)
     n_rings = max(2, int(round(float(np.min(crad)) / h)))
-    nodes, layer, disk, disk_tris, rim = _tube_points(cpts, crad, h, n_rings)
+    nodes, layer, disk, disk_tris, rim = _tube_points(cpts, crad, n_rings)
     per_layer = disk.shape[0]
     n_layers = cpts.shape[0]
 
@@ -396,8 +392,8 @@ def generate_graft(spec):
         )
 
     n_rings = max(2, int(round(min(float(np.min(host.radii)), float(np.min(graft.radii))) / h)))
-    host_nodes, host_layer, disk, _, _ = _tube_points(host.points, host.radii, h, n_rings)
-    graft_nodes, graft_layer, _, _, _ = _tube_points(graft.points, graft.radii, h, n_rings)
+    host_nodes, host_layer, disk, _, _ = _tube_points(host.points, host.radii, n_rings)
+    graft_nodes, graft_layer, _, _, _ = _tube_points(graft.points, graft.radii, n_rings)
 
     # keep graft nodes outside the host lumen and away from host nodes
     keep = ~_inside_union(graft_nodes, [host], shrink=0.25 * h)

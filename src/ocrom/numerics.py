@@ -1,4 +1,5 @@
-"""Sparse direct solves and dense symmetric eigendecomposition.
+"""Sparse direct solves, dense symmetric eigendecomposition and the Newton
+driver.
 
 Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
 every solve is residual-checked.  A factorization also serves matrices
@@ -8,6 +9,10 @@ otherwise reported so the caller can factor the new matrix instead.
 Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``);
 eigenvalues are returned in descending order with a deterministic sign
 convention on the eigenvectors, so repeated runs reproduce identical bases.
+
+``newton`` is the one Newton loop of the package: the full-order, state and
+reduced optimality solves supply a residual and a step solver, and the
+driver owns the stop test and the divergence rule.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotSymmetric, SingularMatrix
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    NewtonDiverged,
+    NotSymmetric,
+    SingularMatrix,
+)
 
 _LU_RTOL = 1e-10
 # GMRES on a nearby matrix: restart length, restart cycles, inner tolerance
@@ -173,3 +184,32 @@ def symmetric_eig(C, rtol_sym=1e-12):
     signs[signs == 0] = 1.0
     V = V * signs
     return EigenDecomposition(eigenvalues=w, eigenvectors=V)
+
+
+def newton(system, x, tol_rel, tol_abs, max_iter):
+    """Newton iteration from ``x``; returns (x, residual, iterations).
+
+    ``system(x)`` returns the residual at ``x`` and a function that solves
+    the Jacobian system at ``x`` for a given right-hand side.  The loop
+    stops when ||r|| <= ``tol_abs``, or after a step when
+    ||r|| <= ``tol_rel`` ||r_0||.  It raises :class:`NewtonDiverged`, with
+    the residual norms at the start and after every step, when the residual
+    grows three steps in a row or ``max_iter`` steps do not converge.
+    """
+    res, solve = system(x)
+    norms = [np.linalg.norm(res)]
+    if norms[0] <= tol_abs:
+        return x, res, 0
+    growth = 0
+    for it in range(1, max_iter + 1):
+        x = x + solve(-res)
+        res, solve = system(x)
+        norm = np.linalg.norm(res)
+        norms.append(norm)
+        if norm <= tol_rel * norms[0] or norm <= tol_abs:
+            return x, res, it
+        growth = growth + 1 if norm > norms[-2] else 0
+        if growth >= 3:
+            raise NewtonDiverged(
+                f"residual grew for 3 consecutive iterations (now {norm:.3e})", norms)
+    raise NewtonDiverged(f"no convergence in {max_iter} iterations", norms)

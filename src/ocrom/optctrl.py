@@ -15,13 +15,15 @@ same order as the assembled optimality matrix: adjoint momentum, adjoint
 continuity, optimality, state momentum, state continuity.
 
 Stokes is one sparse LU solve, with the factorization kept by the model.
-Navier-Stokes is Newton from the Stokes solution.  Its Jacobians share one
-sparsity pattern, built on the first Navier-Stokes Jacobian of a model: an
-assembly adds the element convection blocks to the constant Stokes values
-in place, and the residual's convection terms are evaluated element-wise
-without a matrix.  Each solve factorizes its first Jacobian only; later
-steps run GMRES preconditioned by that factorization, and a step it does
-not solve to the LU residual bound is solved by a fresh factorization.
+Navier-Stokes is Newton from the Stokes solution, run like the state
+sub-solve by the one driver ``numerics.newton`` with this module's
+``NEWTON_*`` settings.  Its Jacobians share one sparsity pattern, built on
+the first Navier-Stokes Jacobian of a model: an assembly adds the element
+convection blocks to the constant Stokes values in place, and the
+residual's convection terms are evaluated element-wise without a matrix.
+Each solve factorizes its first Jacobian only; later steps run GMRES
+preconditioned by that factorization, and a step it does not solve to the
+LU residual bound is solved by a fresh factorization.
 """
 
 from dataclasses import dataclass, field
@@ -33,26 +35,26 @@ from . import numerics
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    NewtonDiverged,
     ParameterOutOfDomain,
     UnknownTag,
 )
 from .fem import ConvectionKernel, assemble_operators, build_spaces
 from .mesh import centerline_query
 
+NEWTON_TOL_REL = 1e-9
+NEWTON_TOL_ABS = 1e-12
+NEWTON_MAX_ITER = 25
+
 
 @dataclass
 class OcpConfig:
-    """Physical and algorithmic settings of the control problem."""
+    """Physical settings and parameter domain of the control problem."""
 
     equation: str = "stokes"  # "stokes" | "navier-stokes"
     viscosity: float = 3.6  # mm^2/s
     v_const: float = 350.0  # mm/s
     alpha: float = 1e-2
     domain: dict = field(default_factory=dict)  # inlet tag -> (Re_min, Re_max)
-    newton_tol_rel: float = 1e-9
-    newton_tol_abs: float = 1e-12
-    newton_max_iter: int = 25
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -409,107 +411,72 @@ class FullOrderModel:
             newton_iterations=iters,
         )
 
-    def _stokes_solve(self, mu):
-        """Stokes optimality solution vector and right-hand side at ``mu``;
-        the matrix is factorized once per model."""
+    def solve_ocp(self, mu):
+        """Solve the optimality system at ``mu``: Stokes with the model's
+        factorization, Navier-Stokes by Newton from that solution."""
+        mu = self.check_mu(mu)
         if self._stokes_lu is None:
             self._stokes_lu = numerics.factorize(self._stokes_matrix())
         rhs = self._stokes_rhs(mu)
-        return self._stokes_lu.solve(rhs), rhs
-
-    def solve_stokes_ocp(self, mu):
-        """One-shot sparse LU solve of the Stokes optimality system."""
-        mu = self.check_mu(mu)
-        x, rhs = self._stokes_solve(mu)
-        return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
-
-    def solve_navier_stokes_ocp(self, mu):
-        """Newton iteration on the coupled optimality system, Stokes warm start.
-
-        The first Jacobian is factorized; later steps are solved by GMRES
-        preconditioned with that factor, or by a fresh factorization when
-        GMRES does not reach the LU residual bound.
-        """
-        mu = self.check_mu(mu)
-        cfg = self.config
-        x, rhs = self._stokes_solve(mu)
+        x = self._stokes_lu.solve(rhs)
+        if self.config.equation == "stokes":
+            return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
         vL = self.lifting_field(mu)
-        res = self.kkt_residual(x, mu, True)
-        norms = [np.linalg.norm(res)]
-        if norms[0] <= cfg.newton_tol_abs:
-            return self._pack_solution(x, mu, 0, res, rhs)
-        growth = 0
         lu = None
-        for it in range(1, cfg.newton_max_iter + 1):
-            v_f, _, _, w_f, _ = self._split(x)
-            K = self._ns_jacobian(self._expand(v_f) + vL, self._expand(w_f))
-            step = None
-            if lu is not None:
-                try:
-                    step = lu.solve_near(K, -res)
-                except ConvergenceFailure:
-                    pass
-            if step is None:
-                lu = numerics.factorize(K)
-                step = lu.solve(-res)
-            x = x + step
-            res = self.kkt_residual(x, mu, True)
-            norm = np.linalg.norm(res)
-            norms.append(norm)
-            if norm <= cfg.newton_tol_rel * norms[0] or norm <= cfg.newton_tol_abs:
-                return self._pack_solution(x, mu, it, res, rhs)
-            growth = growth + 1 if norm > norms[-2] else 0
-            if growth >= 3:
-                raise NewtonDiverged(
-                    f"residual grew for 3 consecutive iterations (now {norm:.3e})", norms
-                )
-        raise NewtonDiverged(f"no convergence in {cfg.newton_max_iter} iterations", norms)
 
-    def solve_ocp(self, mu):
-        if self.config.equation == "navier-stokes":
-            return self.solve_navier_stokes_ocp(mu)
-        return self.solve_stokes_ocp(mu)
+        def system(x):
+            def solve(b):
+                nonlocal lu
+                v_f, _, _, w_f, _ = self._split(x)
+                K = self._ns_jacobian(self._expand(v_f) + vL, self._expand(w_f))
+                if lu is not None:
+                    try:
+                        return lu.solve_near(K, b)
+                    except ConvergenceFailure:
+                        pass
+                lu = numerics.factorize(K)
+                return lu.solve(b)
+
+            return self.kkt_residual(x, mu, True), solve
+
+        x, res, iters = numerics.newton(
+            system, x, NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+        return self._pack_solution(x, mu, iters, res, rhs)
 
     # -- state / adjoint sub-solves (gradient checks, feasible points) -----
 
     def solve_state(self, mu, u):
         """Flow solve at fixed control; returns (v_total, p).
 
-        Newton on the state equations from zero: the first step leaves out
-        convection, so it is the Stokes solve (and for Stokes the last).
+        One Stokes saddle solve; for Navier-Stokes, Newton from there.
         """
         mu = self.check_mu(mu)
-        ops, f, cfg = self.operators, self.free, self.config
-        vL = self.lifting_field(mu)
+        ops, f, nf = self.operators, self.free, self.free.shape[0]
         locked = self.locked_pressure
-        v_f = np.zeros(f.shape[0])
-        p = np.zeros(self.spaces.n_pressure)
-        tol = None
-        norms = []
-        for it in range(cfg.newton_max_iter + 1):
-            convect = it > 0 and cfg.equation == "navier-stokes"
-            v_t = self._expand(v_f) + vL
-            r_v = ops.A @ v_t
-            if convect:
-                E = self.kernel.state_matrix(v_t)
-                r_v = r_v + E @ v_t
-            r_v = r_v + ops.B.T @ p + ops.C @ u
-            r_p = ops.B @ v_t
-            r_p[locked] = p[locked]
-            res = np.concatenate([r_v[f], r_p])
-            norm = np.linalg.norm(res)
-            norms.append(norm)
-            if tol is None:
-                tol = max(cfg.newton_tol_rel * norm, cfg.newton_tol_abs)
-            elif norm <= tol:
-                return v_t, p
-            X_ff = self._A_ff
-            if convect:
-                X_ff = X_ff + (E + self.kernel.first_slot_matrix(v_t))[f][:, f]
-            dv, dp = self._saddle_solve(X_ff, -res)
-            v_f = v_f + dv
-            p = p + dp
-        raise NewtonDiverged("state solve did not converge", norms)
+        vL = self.lifting_field(mu)
+        r_cont = -(ops.B @ vL)
+        r_cont[locked] = 0.0
+        x = np.concatenate(self._saddle_solve(
+            self._A_ff, np.concatenate([-(ops.A @ vL + ops.C @ u)[f], r_cont])))
+        if self.config.equation == "navier-stokes":
+            zero = np.zeros(self.spaces.n_velocity)
+
+            def system(x):
+                v_t, p = self._expand(x[:nf]) + vL, x[nf:]
+                r_v = ops.A @ v_t + self.kernel.residual_terms(v_t, zero)[1]
+                r_v = r_v + ops.B.T @ p + ops.C @ u
+                r_p = ops.B @ v_t
+                r_p[locked] = p[locked]
+
+                def solve(b):
+                    EF = self.kernel.state_matrix(v_t) + self.kernel.first_slot_matrix(v_t)
+                    return np.concatenate(self._saddle_solve(self._A_ff + EF[f][:, f], b))
+
+                return np.concatenate([r_v[f], r_p]), solve
+
+            x, _, _ = numerics.newton(
+                system, x, NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+        return self._expand(x[:nf]) + vL, x[nf:]
 
     def solve_adjoint(self, mu, v_total):
         """Adjoint solve at a given state; returns (w_total, q)."""

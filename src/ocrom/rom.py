@@ -15,8 +15,9 @@ out of the orthonormalized block so that pinning stays exact.
 
 Online: the reduced system of dimension 13*N is precomputed as one constant
 KKT matrix plus terms affine in the parameters.  A Stokes query is a single
-matrix-vector product; a Navier-Stokes query is dense Newton that adds only
-the tensor's convection blocks to that matrix.
+matrix-vector product; a Navier-Stokes query is dense Newton, run by the
+package's one driver ``numerics.newton``, that adds only the tensor's
+convection blocks to that matrix.
 """
 
 import io
@@ -25,6 +26,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .errors import (
     InvariantViolation,
     IoError,
     MissingArtifact,
-    NewtonDiverged,
     OcromError,
     ParameterOutOfDomain,
     ParseError,
@@ -167,7 +168,6 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
             cols.append(X @ eig.eigenvectors[:, n] / np.sqrt(n_snap * lam[n]))
         eigenvalues[f] = lam
         modes[f] = np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
-        energy[f] = float(lam[:keep].sum() / total) if total > 0 else 1.0
     n_keep = min(min(ranks), n_max)
     if min(ranks) < n_max:
         warnings.warn(
@@ -188,20 +188,18 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
     return basis
 
 
-def _mgs(columns, weight, against=None, drop_tol=1e-10):
+def _mgs(columns, weight, drop_tol=1e-10):
     """Modified Gram-Schmidt in the ``weight`` inner product.
 
-    Orthonormalizes ``columns`` (optionally also against the already
-    orthonormal ``against`` block); near-dependent columns are dropped.
+    Orthonormalizes ``columns``; near-dependent columns are dropped.
     """
     kept = []
-    base = [] if against is None else [against[:, j] for j in range(against.shape[1])]
     for j in range(columns.shape[1]):
         v = columns[:, j].copy()
         scale = np.sqrt(max(v @ (weight @ v), 0.0))
-        for b in base + kept:
+        for b in kept:
             v -= (b @ (weight @ v)) * b
-        for b in base + kept:  # second sweep for numerical orthogonality
+        for b in kept:  # second sweep for numerical orthogonality
             v -= (b @ (weight @ v)) * b
         nrm = np.sqrt(max(v @ (weight @ v), 0.0))
         if nrm <= drop_tol * max(scale, 1.0):
@@ -415,8 +413,11 @@ class ReducedOperators:
         return mu
 
 
-def project_operators(model, basis, with_tensor=None):
-    """Galerkin projection of every operator onto the aggregated spaces."""
+def project_operators(model, basis):
+    """Galerkin projection of every operator onto the aggregated spaces.
+
+    A Navier-Stokes model also gets the convection tensor.
+    """
     ops = model.operators
     cfg = model.config
     y_ext = np.column_stack([basis.y_v, basis.lifting])
@@ -427,10 +428,8 @@ def project_operators(model, basis, with_tensor=None):
     n_ctrl = basis.y_u.T @ (ops.N_c @ basis.y_u)
     h = y_ext.T @ (ops.M @ model.target)
     j_const = float(0.5 * model.target @ (ops.M @ model.target))
-    if with_tensor is None:
-        with_tensor = cfg.equation == "navier-stokes"
     tensor = None
-    if with_tensor:
+    if cfg.equation == "navier-stokes":
         n_ext = y_ext.shape[1]
         tensor = np.empty((n_ext, n_ext, n_ext))
         for j in range(n_ext):
@@ -560,30 +559,20 @@ def solve_reduced_coefficients(ops, mu):
 
 def _solve_coefficients(ops, mu):
     if ops.equation == "stokes":
-        x = ops.X @ np.concatenate([[1.0], mu])
-        sv, _, su, _, _ = ops.blocks
-        return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), 0
-    if ops.tensor is None:
+        x, iters = ops.X @ np.concatenate([[1.0], mu]), 0
+    elif ops.tensor is None:
         raise MissingArtifact("reduced convection tensor not available")
-    conv = _tensor_convection(ops)
-    x = np.zeros(ops.dimension())
-    res, jac, _ = _reduced_system(ops, mu, x, conv)
-    norms = [np.linalg.norm(res)]
-    norm0 = max(norms[0], NEWTON_TOL_ABS)
-    growth = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        x = x + np.linalg.solve(jac, -res)
-        res, jac, (v_ext, u_n) = _reduced_system(ops, mu, x, conv)
-        norm = np.linalg.norm(res)
-        norms.append(norm)
-        if norm <= NEWTON_TOL_REL * norm0 or norm <= NEWTON_TOL_ABS:
-            return x, _reduced_objective(ops, v_ext, u_n), it
-        growth = growth + 1 if norm > norms[-2] else 0
-        if growth >= 3:
-            raise NewtonDiverged(f"reduced residual grew 3 times (now {norm:.3e})", norms)
-    raise NewtonDiverged(
-        f"reduced Newton: no convergence in {NEWTON_MAX_ITER} iterations", norms
-    )
+    else:
+        conv = _tensor_convection(ops)
+
+        def system(x):
+            res, jac, _ = _reduced_system(ops, mu, x, conv)
+            return res, partial(np.linalg.solve, jac)
+
+        x, _, iters = numerics.newton(system, np.zeros(ops.dimension()),
+                                      NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+    sv, _, su, _, _ = ops.blocks
+    return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
 
 
 def _unpack(ops, x):
@@ -763,6 +752,8 @@ def _check_shapes(path, arrays):
     eigen = [f"eigenvalues_{f}" for f in FIELDS]
     if any(k in arrays for k in eigen) and not all(k in arrays for k in eigen):
         raise ParseError(f"{path}: eigenvalues stored for some fields only")
+    if any(arrays[k].ndim != 1 for k in eigen if k in arrays):
+        raise ParseError(f"{path}: eigenvalue arrays must be one-dimensional")
     if any(arrays[k].ndim != 2 for k in ("y_v", "y_p", "y_u", "lifting")):
         raise ParseError(f"{path}: basis arrays must be two-dimensional")
     if arrays["lifting"].shape[0] != arrays["y_v"].shape[0]:
@@ -784,11 +775,11 @@ def _check_shapes(path, arrays):
             )
 
 
-def build_offline(model, training, n_max, eps_tol=1e-4, with_tensor=None, enrich=True):
+def build_offline(model, training, n_max, eps_tol=1e-4, enrich=True):
     """Full offline phase: snapshots, POD, supremizers, aggregation, projection."""
     snapshots = collect_snapshots(model, training)
     basis = pod_compress(snapshots, inner_products_of(model), n_max, eps_tol)
     basis = build_reduced_spaces(model, basis, enrich=enrich)
-    ops = project_operators(model, basis, with_tensor=with_tensor)
+    ops = project_operators(model, basis)
     ops.training_parameters = snapshots.parameters
     return snapshots, basis, ops

@@ -167,7 +167,7 @@ def _synthetic_reduced_dimension(model, n_max, n_snap, seed):
         warnings.simplefilter("ignore", RankDeficiency)
         basis = rom.pod_compress(snaps, rom.inner_products_of(model), n_max)
         basis = rom.build_reduced_spaces(model, basis)
-        ops = rom.project_operators(model, basis, with_tensor=False)
+        ops = rom.project_operators(model, basis)
     return basis.reduced_dimension(), ops.dimension() + ops.n_lift
 
 
@@ -278,7 +278,7 @@ def test_acceptance_7_supremizer_necessity(decay_study):
         plain = rom.pod_compress(snaps, rom.inner_products_of(model),
                                  basis.n_max)
         plain = rom.build_reduced_spaces(model, plain, enrich=False)
-        ops_plain = rom.project_operators(model, plain, with_tensor=False)
+        ops_plain = rom.project_operators(model, plain)
     test = rom.training_random([(cfg.re_min, cfg.re_max)], 5, seed=21)
     ratios = []
     failed = False

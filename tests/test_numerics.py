@@ -4,8 +4,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from ocrom import numerics
-from ocrom.errors import ConvergenceFailure, DimensionMismatch, NotSymmetric, SingularMatrix
-from ocrom.numerics import factorize, sparse_lu_solve, symmetric_eig
+from ocrom.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    NewtonDiverged,
+    NotSymmetric,
+    SingularMatrix,
+)
+from ocrom.numerics import factorize, newton, sparse_lu_solve, symmetric_eig
 
 from oracles import gauss_solve
 
@@ -107,6 +113,45 @@ class TestSolveNear:
             lu.solve_near(_laplacian_2d(5), np.ones(25))
         with pytest.raises(DimensionMismatch):
             lu.solve_near(_laplacian_2d(4), np.ones(25))
+
+
+class TestNewton:
+    @staticmethod
+    def square_root_of_two(x):
+        """x^2 = 2: residual and the solve of its 1x1 Jacobian."""
+        return x**2 - 2.0, lambda b: b / (2.0 * x)
+
+    def test_scalar_square_root(self):
+        x, res, iterations = newton(self.square_root_of_two, np.array([1.0]),
+                                    tol_rel=1e-12, tol_abs=0.0, max_iter=20)
+        # residuals 1, 0.25, 6.9e-3, 6.0e-6, 4.5e-12, 4.4e-16
+        assert iterations == 5
+        assert abs(x[0] - np.sqrt(2.0)) <= 1e-15
+        assert np.array_equal(res, x**2 - 2.0)
+
+    def test_converged_start_takes_no_step(self):
+        def system(x):
+            def solve(b):
+                raise AssertionError("no step expected")
+            return x**2 - 2.0, solve
+
+        start = np.array([np.sqrt(2.0)])
+        x, res, iterations = newton(system, start, 1e-12, 1e-12, 20)
+        assert iterations == 0 and x is start
+        assert abs(res[0]) <= 1e-12
+
+    def test_iteration_limit_carries_norms(self):
+        with pytest.raises(NewtonDiverged, match="no convergence in 2 iterations") as info:
+            newton(self.square_root_of_two, np.array([1.0]), 1e-12, 0.0, 2)
+        assert np.allclose(info.value.residual_norms, [1.0, 0.25, 1.0 / 144.0])
+
+    def test_three_growths_carry_norms(self):
+        def system(x):  # each step triples x and so the residual
+            return x, lambda b: -2.0 * b
+
+        with pytest.raises(NewtonDiverged, match="3 consecutive") as info:
+            newton(system, np.array([1.0]), 1e-12, 0.0, 20)
+        assert info.value.residual_norms == [1.0, 3.0, 9.0, 27.0]
 
 
 class TestSymmetricEig:

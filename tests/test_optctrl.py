@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocrom import numerics
+from ocrom import numerics, optctrl
 from ocrom.errors import (
     DimensionMismatch,
     NewtonDiverged,
@@ -420,9 +420,9 @@ class TestNavierStokesJacobian:
         assert model._ns_pattern is None
         assert model.kernel._geometry is None
 
-    def test_divergence_carries_residual_history(self, tube_mesh):
-        cfg = OcpConfig(equation="navier-stokes", newton_max_iter=1,
-                        domain={2: (0.0, 200.0)})
+    def test_divergence_carries_residual_history(self, tube_mesh, monkeypatch):
+        monkeypatch.setattr(optctrl, "NEWTON_MAX_ITER", 1)
+        cfg = OcpConfig(equation="navier-stokes", domain={2: (0.0, 200.0)})
         with pytest.raises(NewtonDiverged, match="no convergence in 1 iterations") as info:
             FullOrderModel(tube_mesh, cfg).solve_ocp(np.array([80.0]))
         norms = info.value.residual_norms

@@ -223,7 +223,7 @@ def stokes_offline(stokes_model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiency)
         snaps, basis, ops = build_offline(
-            stokes_model, ts, n_max=2, with_tensor=False)
+            stokes_model, ts, n_max=2)
     ops.training_parameters = snaps.parameters
     return snaps, basis, ops
 
@@ -268,10 +268,10 @@ class TestReducedSpaces:
             snaps = collect_snapshots(stokes_model, ts)
             basis = pod_compress(snaps, inner_products_of(stokes_model), 2)
             enriched = build_reduced_spaces(stokes_model, basis, enrich=True)
-            ops_en = project_operators(stokes_model, enriched, with_tensor=False)
+            ops_en = project_operators(stokes_model, enriched)
             basis2 = pod_compress(snaps, inner_products_of(stokes_model), 2)
             plain = build_reduced_spaces(stokes_model, basis2, enrich=False)
-            ops_pl = project_operators(stokes_model, plain, with_tensor=False)
+            ops_pl = project_operators(stokes_model, plain)
         beta_en = reduced_inf_sup(ops_en)
         beta_pl = reduced_inf_sup(ops_pl)
         assert beta_en > 1e-3
@@ -279,16 +279,15 @@ class TestReducedSpaces:
 
 
 class TestReducedTensor:
-    def test_matches_trilinear_quadrature(self, stokes_model, stokes_offline):
-        _, basis, _ = stokes_offline
-        ops = project_operators(stokes_model, basis, with_tensor=True)
+    def test_matches_trilinear_quadrature(self, ns_model, ns_offline):
+        _, ops = ns_offline
         y_ext = np.column_stack([ops.y_v, ops.lifting])
         rng = np.random.default_rng(3)
         n = ops.n_extended
         scale = np.abs(ops.tensor).max()
         for i, j, k in rng.integers(0, n, size=(4, 3)):
             direct = oracles.trilinear_quadrature(
-                stokes_model.mesh, stokes_model.spaces,
+                ns_model.mesh, ns_model.spaces,
                 y_ext[:, j], y_ext[:, k], y_ext[:, i])
             assert abs(ops.tensor[i, j, k] - direct) <= 1e-9 * max(scale, 1.0)
 
@@ -332,7 +331,7 @@ class TestReducedSolve:
         ts = training_grid([(40.0, 80.0)], 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiency)
-            _, basis, ops = build_offline(stokes_model, ts, 2, with_tensor=False)
+            _, basis, ops = build_offline(stokes_model, ts, 2)
         ops.equation = "navier-stokes"
         with pytest.raises(MissingArtifact):
             solve_reduced(ops, np.array([50.0]))
@@ -493,6 +492,7 @@ class TestArtifact:
         "trailing_bytes", "equation", "non_finite", "singular_m", "a", "m", "b",
         "c", "n_ctrl", "h", "tensor", "domain_lo", "domain_hi", "dropped_array",
         "flat_y_v", "lifting_rows", "partial_eigenvalues", "training_parameters",
+        "eigenvalues_2d",
     ])
     def test_malformed_payload(self, stokes_offline, tmp_path, monkeypatch, corrupt):
         """A well-framed file whose content is inconsistent is rejected."""
@@ -518,6 +518,8 @@ class TestArtifact:
             monkeypatch.setattr(rom, "FIELDS", FIELDS[:1])
         elif corrupt == "training_parameters":
             bad.training_parameters = np.hstack([ops.training_parameters] * 2)
+        elif corrupt == "eigenvalues_2d":
+            bad.eigenvalues = {**ops.eigenvalues, "v": ops.eigenvalues["v"][None, :]}
         elif corrupt != "trailing_bytes":
             setattr(bad, corrupt, getattr(ops, corrupt)[:-1])
         path = tmp_path / "rom.bin"

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ocrom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ocrom"
+PROJECT = [ROOT / d for d in ("src", "tests", "demos", "perfbench")]
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -29,3 +32,53 @@ def test_checker_flags_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source):
+    """Functions, methods and classes a module defines, dunders excluded."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, _DEFINITIONS)
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def references(source):
+    """Names a module reads, imports or spells as a string, leaving out the
+    uses of a name inside its own definition (recursion is not a caller)."""
+    found = set()
+
+    def visit(node, enclosing):
+        name = None
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_checker_flags_unreferenced_definition():
+    source = ("def a():\n    return a()\n\n"
+              "class B:\n    def __init__(self):\n        pass\n\n"
+              "    def c(self):\n        pass\n\n"
+              "def d():\n    return B().c\n")
+    assert sorted(definitions(source) - references(source)) == ["a", "d"]
+
+
+def test_every_definition_is_named_elsewhere():
+    used = set()
+    for path in (p for d in PROJECT for p in d.rglob("*.py")):
+        used |= references(path.read_text())
+    unused = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
+                    for name in definitions(path.read_text()) - used)
+    assert unused == []

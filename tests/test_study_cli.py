@@ -254,7 +254,8 @@ class TestCli:
 
     @pytest.mark.parametrize("old, new, code", [
         ("1 1.0 0.0 0.0", "1 x 0.0 0.0", 2),  # not a number: parse error
-        ("3 0.0 0.0 1.0", "3 0.0 0.0 nan", 3),  # mesh invariant violated
+        ("3 0.0 0.0 1.0", "3 0.0 0.0 nan", 2),  # mesh invariant violated
+        ("3 1 2 3 1", "3 0 2 1 1", 2),  # face 0 again: duplicate boundary face
     ])
     def test_mesh_check_malformed(self, tmp_path, capsys, old, new, code):
         from test_mesh import SINGLE_TET
