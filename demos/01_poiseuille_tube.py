@@ -41,7 +41,7 @@ def solve_poiseuille(resolution):
     B_f = ops.B[:, f]
     K = sp.bmat([[ops.A[f][:, f], B_f.T], [B_f, None]], format="csc")
     rhs = np.concatenate([-(ops.A @ g)[f], -(ops.B @ g)])
-    sol = numerics.sparse_lu_solve(K, rhs)
+    sol = numerics.factorize(K).solve(rhs)
     v = g.copy()
     v[f] += sol[: f.shape[0]]
 

@@ -36,7 +36,6 @@ from .errors import (
     ParameterOutOfDomain,
     ParseError,
     SingularMatrix,
-    SolverFailure,
     UnknownTag,
 )
 from .mesh import load_mesh, save_mesh
@@ -53,7 +52,6 @@ _CONFIG_ERRORS = (
 _SOLVER_ERRORS = (
     NewtonDiverged,
     SingularMatrix,
-    SolverFailure,
     ConvergenceFailure,
     AllSnapshotsFailed,
     NotSymmetric,
@@ -112,16 +110,12 @@ def _cmd_mesh(args):
     if args.action == "gen":
         cfg = study.load_config(args.config)
         mesh = study.build_mesh(cfg.mesh)
-        mesh.validate()
         save_mesh(mesh, args.output)
         print(f"wrote {args.output}: {mesh.nodes.shape[0]} nodes, "
               f"{mesh.tets.shape[0]} tets, tags "
               f"{sorted(int(t) for t in set(mesh.boundary_tags))}")
     else:
-        try:
-            mesh = load_mesh(args.path).validate()
-        except InvariantViolation as exc:  # the file is at fault, not a solver
-            raise ParseError(f"{args.path}: {exc}") from exc
+        mesh = load_mesh(args.path)
         print(f"{args.path}: OK ({mesh.nodes.shape[0]} nodes, "
               f"{mesh.tets.shape[0]} tets, volume {mesh.volume():.6g})")
     return 0
@@ -196,10 +190,12 @@ def _cmd_export(args):
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {args.json}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ParseError(f"{args.json}: {exc}") from exc
-    report = study.StudyReport(**data)
-    study.export(report, "csv", args.csv)
+    try:
+        study.export(study.StudyReport(**data), "csv", args.csv)
+    except (TypeError, KeyError, ValueError) as exc:  # not a study report's layout
+        raise ParseError(f"{args.json}: malformed study report: {exc!r}") from exc
     print(f"wrote {args.csv}")
     return 0
 

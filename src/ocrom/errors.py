@@ -61,10 +61,6 @@ class NewtonDiverged(OcromError):
         self.residual_norms = [float(r) for r in residual_norms]
 
 
-class SolverFailure(OcromError):
-    pass
-
-
 class AllSnapshotsFailed(OcromError):
     pass
 

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 
-from . import numerics
-from .errors import DimensionMismatch, SolverFailure
+from .errors import DimensionMismatch
 from .mesh import FIRST_OUTLET_TAG, WALL_TAG
 from .quadrature import tet_rule, tri_rule
 
@@ -77,21 +75,16 @@ class FunctionSpaces:
     """Dof maps and Dirichlet sets for the Taylor-Hood + boundary-control pair."""
 
     mesh: object
-    edges: np.ndarray  # (ne, 2) sorted node pairs, lexicographic order
     cells10: np.ndarray  # (m, 10) scalar entity per tet (4 verts, 6 edges)
     entity_coords: np.ndarray  # (n_scalar, 3) vertex coords then edge midpoints
     btri_entities: np.ndarray  # (k, 6) scalar entity per boundary triangle
     control_entities: np.ndarray  # scalar entities on outlet triangles, ascending
-    n_vertices: int
     n_scalar: int
     n_velocity: int
     n_pressure: int
     n_control: int
-    control_to_velocity: np.ndarray  # (n_control,) velocity dof per control dof
     inlet_dofs: dict  # tag -> velocity dof array
-    wall_dofs: np.ndarray
     free_velocity: np.ndarray  # velocity dofs without Dirichlet data
-    constrained_velocity: np.ndarray
 
     def total_dofs(self):
         """Full KKT dimension: v, p, u, w, q."""
@@ -133,41 +126,31 @@ def build_spaces(mesh):
 
     outlet = mesh.boundary_tags >= FIRST_OUTLET_TAG
     control_entities = np.unique(btri_entities[outlet])
-    control_to_velocity = _entity_dofs(control_entities)
 
     inlet_dofs = {}
     for tag in mesh.inlet_tags():
         ents = np.unique(btri_entities[mesh.boundary_tags == tag])
         inlet_dofs[tag] = _entity_dofs(ents)
     wall_ents = np.unique(btri_entities[mesh.boundary_tags == WALL_TAG])
-    wall_dofs = _entity_dofs(wall_ents)
 
     n_scalar = nv + ne
     n_velocity = 3 * n_scalar
     constrained = np.unique(
-        np.concatenate([wall_dofs] + list(inlet_dofs.values()))
-        if inlet_dofs
-        else wall_dofs
-    )
+        np.concatenate([_entity_dofs(wall_ents)] + list(inlet_dofs.values())))
     free = np.setdiff1d(np.arange(n_velocity), constrained, assume_unique=False)
 
     return FunctionSpaces(
         mesh=mesh,
-        edges=edges,
         cells10=cells10,
         entity_coords=entity_coords,
         btri_entities=btri_entities,
         control_entities=control_entities,
-        n_vertices=nv,
         n_scalar=n_scalar,
         n_velocity=n_velocity,
         n_pressure=nv,
         n_control=3 * control_entities.shape[0],
-        control_to_velocity=control_to_velocity,
         inlet_dofs=inlet_dofs,
-        wall_dofs=wall_dofs,
         free_velocity=free,
-        constrained_velocity=constrained,
     )
 
 
@@ -449,33 +432,3 @@ class ConvectionKernel:
             ef += np.bincount(idx, self._convection_block(wdet, gNt, vq, gv).ravel(), size)
             g += np.bincount(idx, self._test_slot_block(wdet, gNt, wq).ravel(), size)
         return ef, g
-
-
-# ---------------------------------------------------------------------------
-# inf-sup diagnostic
-
-
-def inf_sup_constant(B, X_v, X_p, free_velocity):
-    """Smallest inf-sup constant of a divergence pairing.
-
-    beta^2 is the smallest eigenvalue of B Xv^-1 B^T q = beta^2 Xp q with the
-    velocity space restricted to ``free_velocity``.
-    """
-    Bf = sp.csr_matrix(B)[:, free_velocity]
-    Xf = sp.csr_matrix(X_v)[free_velocity][:, free_velocity]
-    try:
-        lu = numerics.factorize(Xf.tocsc())
-        Bt = Bf.T.toarray()
-        S = Bf @ np.column_stack([lu.solve(Bt[:, k]) for k in range(Bt.shape[1])])
-        w = eigh(0.5 * (S + S.T), np.asarray(X_p.todense()), eigvals_only=True)
-    except Exception as exc:
-        raise SolverFailure(str(exc)) from exc
-    lam = max(float(w[0]), 0.0)
-    return float(np.sqrt(lam))
-
-
-def lbb_constant(operators, spaces):
-    """LBB constant of the assembled Taylor-Hood pair on the free dofs."""
-    return inf_sup_constant(
-        operators.B, operators.X_v, operators.X_p, spaces.free_velocity
-    )

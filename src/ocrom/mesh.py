@@ -15,6 +15,7 @@ from scipy.spatial import Delaunay, cKDTree
 from .errors import (
     DegenerateGeometry,
     InvariantViolation,
+    IoError,
     NonIntersectingBranches,
     ParseError,
 )
@@ -238,7 +239,7 @@ def _frames(points):
         n = n - (n @ t) * t
         n /= np.linalg.norm(n)
         frames.append((n, np.cross(t, n)))
-    return mids, frames
+    return frames
 
 
 def _disk_template(n_rings):
@@ -290,7 +291,7 @@ def _tube_points(centerline_pts, radii, n_rings):
     disk template data) with one disk of nodes per centerline vertex.
     """
     disk, disk_tris, rim = _disk_template(n_rings)
-    tangents, frames = _frames(centerline_pts)
+    frames = _frames(centerline_pts)
     pts = []
     layer = []
     for k, c in enumerate(centerline_pts):
@@ -493,9 +494,19 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Strict parser for the OCROM-MESH format; validates all mesh invariants."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    """Strict parser for the OCROM-MESH format; validates all mesh invariants.
+
+    An unreadable file raises :class:`IoError`.  Bytes that are not text,
+    malformed content and broken mesh or centerline invariants all raise
+    :class:`ParseError`: the file is at fault.
+    """
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as exc:
+        raise IoError(f"cannot read mesh {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from exc
     if not lines or lines[0].strip() != "ocrom-mesh 1":
         raise ParseError("missing 'ocrom-mesh 1' header", line=1)
 
@@ -562,6 +573,8 @@ def load_mesh(path):
             i += 1
     except ValueError as exc:  # a token that is not a number
         raise ParseError(str(exc), line=i + 1) from exc
+    except InvariantViolation as exc:  # a centerline's own checks
+        raise ParseError(f"{path}: {exc}", line=i + 1) from exc
 
     if not ended:
         raise ParseError("missing $end", line=len(lines))
@@ -576,7 +589,10 @@ def load_mesh(path):
         boundary_tags=np.array(tags, dtype=np.int64),
         centerlines=centerlines,
     )
-    return mesh.validate()
+    try:
+        return mesh.validate()
+    except InvariantViolation as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_count(parts, expected_len, lineno):

@@ -30,6 +30,7 @@ from .errors import (
 )
 
 _LU_RTOL = 1e-10
+_SYM_RTOL = 1e-12  # largest relative asymmetry symmetric_eig accepts
 # GMRES on a nearby matrix: restart length, restart cycles, inner tolerance
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 3
@@ -49,15 +50,6 @@ class EigenDecomposition:
     def __post_init__(self):
         if self.eigenvectors.shape[1] != self.eigenvalues.shape[0]:
             raise DimensionMismatch("eigenvector/eigenvalue count mismatch")
-
-
-def sparse_lu_solve(A, b):
-    """Solve ``A x = b`` by sparse LU with partial pivoting.
-
-    Performs iterative refinement until the relative residual drops below
-    1e-10 and raises :class:`SingularMatrix` if that cannot be achieved.
-    """
-    return factorize(A).solve(b)
 
 
 _RCM_THRESHOLD = 20000
@@ -156,7 +148,7 @@ def factorize(A):
     return LuFactor(A)
 
 
-def symmetric_eig(C, rtol_sym=1e-12):
+def symmetric_eig(C):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Eigenvector signs are fixed so the first entry of largest magnitude is
@@ -166,10 +158,10 @@ def symmetric_eig(C, rtol_sym=1e-12):
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DimensionMismatch("matrix must be square")
     scale = np.max(np.abs(C)) or 1.0
-    if np.max(np.abs(C - C.T)) > rtol_sym * scale:
+    if np.max(np.abs(C - C.T)) > _SYM_RTOL * scale:
         raise NotSymmetric(
             "relative asymmetry %.3e exceeds %.0e"
-            % (np.max(np.abs(C - C.T)) / scale, rtol_sym)
+            % (np.max(np.abs(C - C.T)) / scale, _SYM_RTOL)
         )
     try:
         w, V = np.linalg.eigh(0.5 * (C + C.T))

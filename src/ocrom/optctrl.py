@@ -172,7 +172,6 @@ class FullOrderModel:
                 f"domain tags {sorted(config.domain)} != mesh inlets {self.inlet_tags}"
             )
         self.free = self.spaces.free_velocity
-        self.constrained = self.spaces.constrained_velocity
         ops, f = self.operators, self.free
         self._A_ff = ops.A[f][:, f]
         self._M_ff = ops.M[f][:, f]
@@ -214,7 +213,7 @@ class FullOrderModel:
     def _saddle_solve(self, X_ff, rhs):
         """Solve [[X_ff, B_f^T], [B_f, pin]] (v_f, p) = rhs; returns (v_f, p)."""
         K = sp.bmat([[X_ff, self._B_f.T], [self._B_f, self._pressure_pin]], format="csc")
-        sol = numerics.sparse_lu_solve(K, rhs)
+        sol = numerics.factorize(K).solve(rhs)
         nf = self.free.shape[0]
         return sol[:nf], sol[nf:]
 
@@ -443,7 +442,7 @@ class FullOrderModel:
             system, x, NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
         return self._pack_solution(x, mu, iters, res, rhs)
 
-    # -- state / adjoint sub-solves (gradient checks, feasible points) -----
+    # -- state sub-solve (uncontrolled flow, feasibility checks) -----------
 
     def solve_state(self, mu, u):
         """Flow solve at fixed control; returns (v_total, p).
@@ -477,28 +476,3 @@ class FullOrderModel:
             x, _, _ = numerics.newton(
                 system, x, NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
         return self._expand(x[:nf]) + vL, x[nf:]
-
-    def solve_adjoint(self, mu, v_total):
-        """Adjoint solve at a given state; returns (w_total, q)."""
-        self.check_mu(mu)
-        ops = self.operators
-        f = self.free
-        rhs = np.concatenate([-(ops.M @ (v_total - self.target))[f],
-                              np.zeros(self.spaces.n_pressure)])
-        X_ff = self._A_ff
-        if self.config.equation == "navier-stokes":
-            E = self.kernel.state_matrix(v_total)
-            F = self.kernel.first_slot_matrix(v_total)
-            X_ff = X_ff + (E + F).T[f][:, f]
-        w_f, q = self._saddle_solve(X_ff, rhs)
-        return self._expand(w_f), q
-
-    def reduced_gradient(self, mu, u):
-        """Gradient of J(u) via one state and one adjoint solve."""
-        v_t, _ = self.solve_state(mu, u)
-        w_t, _ = self.solve_adjoint(mu, v_t)
-        return self.config.alpha * (self.operators.N_c @ u) + self.operators.C.T @ w_t
-
-    def objective_of_control(self, mu, u):
-        v_t, _ = self.solve_state(mu, u)
-        return evaluate_objective(v_t, u, self.target, self.operators, self.config.alpha)

@@ -45,14 +45,15 @@ from .errors import (
 
 FIELDS = ("v", "p", "u", "w", "q")
 
+_MGS_DROP_TOL = 1e-10  # relative remainder below which _mgs drops a column
+_ORTH_TOL = 1e-10  # largest |Y^T W Y - I| entry check_pod_invariants accepts
+
 
 @dataclass
 class TrainingSet:
     """Parameter samples for snapshot collection."""
 
     parameters: np.ndarray  # shape (size, n_parameters)
-    mode: str = "grid"
-    seed: int | None = None
 
     def __post_init__(self):
         self.parameters = np.atleast_2d(np.asarray(self.parameters, dtype=float))
@@ -69,7 +70,7 @@ def training_grid(bounds, size):
     axes = [np.linspace(lo, hi, size) for lo, hi in bounds]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    return TrainingSet(pts, mode="grid")
+    return TrainingSet(pts)
 
 
 def training_random(bounds, size, seed):
@@ -77,7 +78,7 @@ def training_random(bounds, size, seed):
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(bounds[:, 0], bounds[:, 1], size=(size, bounds.shape[0]))
-    return TrainingSet(pts, mode="random", seed=seed)
+    return TrainingSet(pts)
 
 
 @dataclass
@@ -136,10 +137,6 @@ class PodBasis:
     y_p: np.ndarray | None = None  # aggregated pressure basis (2*n_max cols)
     y_u: np.ndarray | None = None  # control basis (n_max cols)
 
-    def reduced_dimension(self):
-        n_lift = 0 if self.lifting is None else self.lifting.shape[1]
-        return 13 * self.n_max + n_lift
-
 
 def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
     """X-weighted correlation-matrix POD of every snapshot field.
@@ -188,7 +185,7 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
     return basis
 
 
-def _mgs(columns, weight, drop_tol=1e-10):
+def _mgs(columns, weight):
     """Modified Gram-Schmidt in the ``weight`` inner product.
 
     Orthonormalizes ``columns``; near-dependent columns are dropped.
@@ -202,7 +199,7 @@ def _mgs(columns, weight, drop_tol=1e-10):
         for b in kept:  # second sweep for numerical orthogonality
             v -= (b @ (weight @ v)) * b
         nrm = np.sqrt(max(v @ (weight @ v), 0.0))
-        if nrm <= drop_tol * max(scale, 1.0):
+        if nrm <= _MGS_DROP_TOL * max(scale, 1.0):
             continue
         kept.append(v / nrm)
     if not kept:
@@ -298,7 +295,7 @@ def truncate_basis(model, basis, n):
     return _aggregate(model, small)
 
 
-def check_pod_invariants(model, basis, eps_tol=1e-4, orth_tol=1e-10):
+def check_pod_invariants(model, basis, eps_tol=1e-4):
     """Assert eigenvalue monotonicity, non-negativity and orthonormality.
 
     ``eps_tol`` is not enforced here: rank-limited energy retention is
@@ -320,7 +317,7 @@ def check_pod_invariants(model, basis, eps_tol=1e-4, orth_tol=1e-10):
             continue
         gram = y.T @ (w @ y)
         err = np.abs(gram - np.eye(y.shape[1])).max()
-        if err > orth_tol:
+        if err > _ORTH_TOL:
             raise InvariantViolation(f"{name} basis orthonormality error {err:.2e}")
 
 
@@ -504,26 +501,22 @@ def _reduced_objective(ops, v_ext, u_n):
 
 
 def _reduced_system(ops, mu, x, conv):
-    """Residual and Jacobian of the reduced optimality system at ``x``.
-
-    The residual is ``K x + R [1; mu]`` plus the convection terms; ``conv``
-    supplies those (the precomputed tensor contraction) and is None for
-    Stokes, whose Jacobian is ``ops.K`` itself.
+    """Residual and Jacobian of the reduced Navier-Stokes optimality system
+    at ``x``: ``K x + R [1; mu]`` and ``K``, plus the convection terms that
+    ``conv`` (the precomputed tensor contraction) supplies.
     """
-    sv, _, su, sw, _ = ops.blocks
-    v_ext = np.concatenate([x[sv], mu])
+    sv, _, _, sw, _ = ops.blocks
+    nv = ops.n_velocity_modes
     res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
-    jac = ops.K
-    if conv is not None:
-        nv = ops.n_velocity_modes
-        cv, cw, d_vv, d_vw, d_wv = conv(v_ext, np.concatenate([x[sw], np.zeros(ops.n_lift)]))
-        res[sv] += cv[:nv]
-        res[sw] += cw[:nv]
-        jac = jac.copy()
-        jac[sv, sv] += d_vv[:nv, :nv]
-        jac[sv, sw] += d_vw[:nv, :nv]
-        jac[sw, sv] += d_wv[:nv, :nv]
-    return res, jac, (v_ext, x[su])
+    cv, cw, d_vv, d_vw, d_wv = conv(np.concatenate([x[sv], mu]),
+                                    np.concatenate([x[sw], np.zeros(ops.n_lift)]))
+    res[sv] += cv[:nv]
+    res[sw] += cw[:nv]
+    jac = ops.K.copy()
+    jac[sv, sv] += d_vv[:nv, :nv]
+    jac[sv, sw] += d_vw[:nv, :nv]
+    jac[sw, sv] += d_wv[:nv, :nv]
+    return res, jac
 
 
 def _tensor_convection(ops):
@@ -566,7 +559,7 @@ def _solve_coefficients(ops, mu):
         conv = _tensor_convection(ops)
 
         def system(x):
-            res, jac, _ = _reduced_system(ops, mu, x, conv)
+            res, jac = _reduced_system(ops, mu, x, conv)
             return res, partial(np.linalg.solve, jac)
 
         x, _, iters = numerics.newton(system, np.zeros(ops.dimension()),
@@ -575,15 +568,11 @@ def _solve_coefficients(ops, mu):
     return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
 
 
-def _unpack(ops, x):
-    return tuple(x[s] for s in ops.blocks)
-
-
 def solve_reduced(ops, mu):
     """Online reduced solve lifted back to full-order coefficients."""
     mu = ops.check_mu(mu)
     x, objective, iters = _solve_coefficients(ops, mu)
-    v_n, p_n, u_n, w_n, q_n = _unpack(ops, x)
+    v_n, p_n, u_n, w_n, q_n = (x[s] for s in ops.blocks)
     return ReducedSolution(
         mu=mu, v_N=v_n, p_N=p_n, u_N=u_n, w_N=w_n, q_N=q_n,
         objective=objective, newton_iterations=iters,
@@ -606,9 +595,6 @@ class ErrorReport:
     e_total: float
     e_total_rel: float
     e_objective: float
-    e_state_rel: float = 0.0
-    e_adjoint_rel: float = 0.0
-    e_control_rel: float = 0.0
 
 
 def compute_errors(full, reduced, operators):
@@ -640,9 +626,6 @@ def compute_errors(full, reduced, operators):
         e_state=float(e_s), e_adjoint=float(e_z), e_total=e_t,
         e_total_rel=e_t / ref_t if ref_t > 0 else 0.0,
         e_objective=abs(full.objective - reduced.objective),
-        e_state_rel=float(e_s / ref_s) if ref_s > 0 else 0.0,
-        e_adjoint_rel=float(e_z / ref_z) if ref_z > 0 else 0.0,
-        e_control_rel=float(diffs["u"] / refs["u"]) if refs["u"] > 0 else 0.0,
     )
 
 

@@ -278,10 +278,10 @@ def run_speedup_study(config, mu_list, model=None):
         cold.solve_ocp(mu)
         full_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        x, j_red, _ = rom.solve_reduced_coefficients(ops, mu)
+        rom.solve_reduced_coefficients(ops, mu)
         coeff_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        red = rom.solve_reduced(ops, mu)
+        rom.solve_reduced(ops, mu)
         online_times.append(time.perf_counter() - t0)
     full_times = np.array(full_times)
     online_times = np.array(online_times)

@@ -3,8 +3,12 @@
 The finite-element oracles are written from the quadratic-tetrahedron
 definitions directly (shape functions, geometric mapping, Gauss rules),
 deliberately not sharing assembly code with the package under test.  The
-Navier-Stokes references at the end instead build on the assembled sparse
-convection matrices: the full-order KKT Jacobian and residual as a
+inf-sup reference solves the dense generalized eigenproblem of a
+velocity-pressure pairing.  The gradient references take a full-order
+model: J(u) at the state a control drives, and its adjoint gradient from
+one state and one adjoint solve, for the optimality and finite-difference
+checks.  The Navier-Stokes references at the end build on the assembled
+sparse convection matrices: the full-order KKT Jacobian and residual as a
 ``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
 fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
@@ -15,9 +19,11 @@ precomputed constant KKT matrix and affine right-hand side replace).
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
-from ocrom import rom
+from ocrom import numerics, rom
 from ocrom.errors import NewtonDiverged
+from ocrom.optctrl import evaluate_objective
 from ocrom.quadrature import tet_rule, tri_rule
 
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -177,10 +183,64 @@ def gauss_solve(a, b):
     return x
 
 
+def inf_sup_constant(B, X_v, X_p, free_velocity):
+    """Smallest inf-sup constant of a divergence pairing.
+
+    beta^2 is the smallest eigenvalue of B Xv^-1 B^T q = beta^2 Xp q with the
+    velocity space restricted to ``free_velocity``.
+    """
+    Bf = sp.csr_matrix(B)[:, free_velocity]
+    Xf = sp.csr_matrix(X_v)[free_velocity][:, free_velocity]
+    lu = numerics.factorize(Xf.tocsc())
+    Bt = Bf.T.toarray()
+    S = Bf @ np.column_stack([lu.solve(Bt[:, k]) for k in range(Bt.shape[1])])
+    w = eigh(0.5 * (S + S.T), np.asarray(X_p.todense()), eigvals_only=True)
+    return float(np.sqrt(max(float(w[0]), 0.0)))
+
+
+def solve_adjoint(model, mu, v_total):
+    """Adjoint solve of a full-order model at a given state; returns
+    (w_total, q)."""
+    model.check_mu(mu)
+    ops = model.operators
+    f = model.free
+    rhs = np.concatenate([-(ops.M @ (v_total - model.target))[f],
+                          np.zeros(model.spaces.n_pressure)])
+    X_ff = model._A_ff
+    if model.config.equation == "navier-stokes":
+        E = model.kernel.state_matrix(v_total)
+        F = model.kernel.first_slot_matrix(v_total)
+        X_ff = X_ff + (E + F).T[f][:, f]
+    w_f, q = model._saddle_solve(X_ff, rhs)
+    return model._expand(w_f), q
+
+
+def reduced_gradient(model, mu, u):
+    """Gradient of J(u) via one state and one adjoint solve."""
+    v_t, _ = model.solve_state(mu, u)
+    w_t, _ = solve_adjoint(model, mu, v_t)
+    return model.config.alpha * (model.operators.N_c @ u) + model.operators.C.T @ w_t
+
+
+def objective_of_control(model, mu, u):
+    """J(u): the objective at the state the control ``u`` drives."""
+    v_t, _ = model.solve_state(mu, u)
+    return evaluate_objective(v_t, u, model.target, model.operators, model.config.alpha)
+
+
+def reduced_dimension(basis):
+    """Reduced optimality-system size counted from the basis columns:
+    velocity and pressure twice (state and adjoint), control once, plus
+    the lifting columns."""
+    return (2 * basis.y_v.shape[1] + 2 * basis.y_p.shape[1] + basis.y_u.shape[1]
+            + basis.lifting.shape[1])
+
+
 def blockwise_reduced_system(ops, mu, x, conv):
     """Residual and Jacobian of the reduced optimality system at ``x``,
-    assembled slice by slice from the projected operators, in the form
-    ``rom._reduced_system`` returns."""
+    assembled slice by slice from the projected operators, as
+    ``rom._reduced_system`` returns them (``conv`` None for Stokes), plus
+    (v_ext, u_n)."""
     nv, np_, nu = ops.n_velocity_modes, ops.y_p.shape[1], ops.y_u.shape[1]
     sv = slice(0, nv)
     sp_ = slice(nv, nv + np_)

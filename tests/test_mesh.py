@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ocrom.errors import (
     DegenerateGeometry,
     InvariantViolation,
+    IoError,
     NonIntersectingBranches,
     ParseError,
 )
@@ -191,8 +192,9 @@ class TestMeshFormat:
             "3 1 2 3 1\n", "3 1 2 3 1\n4 1 2 3 1\n")
         p = tmp_path / "dup.mesh"
         p.write_text(bad)
-        with pytest.raises(InvariantViolation):
-            load_mesh(str(p)).validate()
+        with pytest.raises(ParseError, match="dup.mesh") as exc:
+            load_mesh(str(p))
+        assert isinstance(exc.value.__cause__, InvariantViolation)
 
     def test_round_trip(self, tmp_path, tube_mesh):
         p = tmp_path / "tube.mesh"
@@ -250,8 +252,13 @@ class TestMeshFormat:
     def test_non_finite_coordinate(self, tmp_path, old, new):
         p = tmp_path / "bad.mesh"
         p.write_text(SINGLE_TET.replace(old, new))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ParseError, match="bad.mesh") as exc:
             load_mesh(str(p))
+        assert isinstance(exc.value.__cause__, InvariantViolation)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoError):
+            load_mesh(str(tmp_path / "no.mesh"))
 
 
 def test_centerline_invariants():

@@ -265,6 +265,23 @@ class TestCli:
         assert main(["mesh", "check", str(path)]) == code
         assert "error" in capsys.readouterr().err
 
+    def test_mesh_check_binary_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.mesh"
+        path.write_bytes(b"ocrom-mesh 1\n" + bytes(range(128, 256)))
+        assert main(["mesh", "check", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_solve_broken_mesh_file(self, tmp_path, capsys):
+        from test_mesh import SINGLE_TET
+
+        mesh_path = tmp_path / "bad.mesh"
+        mesh_path.write_text(SINGLE_TET.replace("3 0.0 0.0 1.0", "3 0.0 0.0 nan"))
+        cfg_path = tmp_path / "s.ini"
+        cfg_path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out").replace(
+            "kind = tube", f"kind = file\npath = {mesh_path}"))
+        assert main(["solve", "--config", str(cfg_path), "--mu", "60.0"]) == 2
+        assert str(mesh_path) in capsys.readouterr().err
+
     def test_online_broken_artifact(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"ocrom-rb 1\n\x01\x02")
@@ -323,6 +340,20 @@ class TestCli:
                      "--csv", str(tmp_path / "cli.csv")]) == 0
         assert (tmp_path / "cli.csv").read_bytes() == \
             (tmp_path / "direct.csv").read_bytes()
+
+    @pytest.mark.parametrize("content", [
+        b"[]",
+        b'{"rows": [], "unknown": 1}',
+        b'{"rows": [{"n": 1, "E_v": 0.1}]}',
+        b"\xff\xfe",
+    ], ids=["list", "unknown-key", "missing-column", "not-text"])
+    def test_export_malformed_report(self, tmp_path, capsys, content):
+        report = tmp_path / "r.json"
+        report.write_bytes(content)
+        assert main(["export", "--json", str(report),
+                     "--csv", str(tmp_path / "r.csv")]) == 2
+        assert str(report) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
