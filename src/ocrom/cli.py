@@ -11,7 +11,9 @@ Verbs::
     ocrom study speedup --config FILE --mu RE [RE ...] [--json OUT]
     ocrom export --json REPORT --csv OUT
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
+Exit codes: 0 success, 2 input at fault (config, mesh, artifact or
+parameter), 3 solver failure, 4 I/O error; each ``OcromError`` class
+carries its code.
 """
 
 import argparse
@@ -21,43 +23,10 @@ import sys
 import numpy as np
 
 from . import rom, study
-from .errors import (
-    AllSnapshotsFailed,
-    ConfigError,
-    ConvergenceFailure,
-    DegenerateGeometry,
-    DimensionMismatch,
-    InvariantViolation,
-    IoError,
-    MissingArtifact,
-    NewtonDiverged,
-    NonIntersectingBranches,
-    NotSymmetric,
-    ParameterOutOfDomain,
-    ParseError,
-    SingularMatrix,
-    UnknownTag,
-)
+from .errors import IoError, OcromError, ParseError
 from .mesh import load_mesh, save_mesh
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    ParseError,
-    ParameterOutOfDomain,
-    UnknownTag,
-    DimensionMismatch,
-    DegenerateGeometry,
-    NonIntersectingBranches,
-)
-_SOLVER_ERRORS = (
-    NewtonDiverged,
-    SingularMatrix,
-    ConvergenceFailure,
-    AllSnapshotsFailed,
-    NotSymmetric,
-    InvariantViolation,
-)
-_IO_ERRORS = (IoError, MissingArtifact, OSError)
+_LABELS = {2: "error", 3: "solver error", 4: "i/o error"}  # by exit code
 
 
 def _parser():
@@ -212,15 +181,10 @@ def main(argv=None):
     }
     try:
         return handlers[args.verb](args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    except _IO_ERRORS as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except (OcromError, OSError) as exc:
+        code = getattr(exc, "exit_code", IoError.exit_code)
+        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,25 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the exit code the command-line interface returns for it
+as ``exit_code``: 2 when the input (config, mesh, artifact or parameter) is
+at fault, 3 for a solver failure, 4 for an I/O error.
+"""
 
 
 class OcromError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; a solver failure unless
+    a subclass says otherwise."""
+
+    exit_code = 3
 
 
-class DimensionMismatch(OcromError):
+class InputError(OcromError):
+    """The input (config, mesh, artifact or parameter) is at fault."""
+
+    exit_code = 2
+
+
+class DimensionMismatch(InputError):
     pass
 
 
@@ -21,7 +35,7 @@ class ConvergenceFailure(OcromError):
     pass
 
 
-class ParseError(OcromError):
+class ParseError(InputError):
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -33,19 +47,19 @@ class InvariantViolation(OcromError):
     pass
 
 
-class DegenerateGeometry(OcromError):
+class DegenerateGeometry(InputError):
     pass
 
 
-class NonIntersectingBranches(OcromError):
+class NonIntersectingBranches(InputError):
     pass
 
 
-class UnknownTag(OcromError):
+class UnknownTag(InputError):
     pass
 
 
-class ParameterOutOfDomain(OcromError):
+class ParameterOutOfDomain(InputError):
     pass
 
 
@@ -69,13 +83,13 @@ class RankDeficiency(Warning):
     """Snapshot set has lower numerical rank than the requested mode count."""
 
 
-class ConfigError(OcromError):
-    pass
-
-
-class MissingArtifact(OcromError):
+class ConfigError(InputError):
     pass
 
 
 class IoError(OcromError):
+    exit_code = 4
+
+
+class MissingArtifact(IoError):
     pass

@@ -97,16 +97,16 @@ class GeometrySpec:
     resolution: float
 
     def __post_init__(self):
-        if self.resolution <= 0.0:
-            raise InvariantViolation("resolution must be positive")
+        if not self.resolution > 0.0:  # NaN included
+            raise DegenerateGeometry("resolution must be positive")
         branches = tuple(
             (np.asarray(p, dtype=float), np.asarray(r, dtype=float))
             for p, r in self.branches
         )
         object.__setattr__(self, "branches", branches)
         for pts, rad in branches:
-            if np.any(rad <= 0.0):
-                raise InvariantViolation("radius profile must be positive")
+            if not np.all(rad > 0.0):
+                raise DegenerateGeometry("radius profile must be positive")
 
 
 @dataclass
@@ -493,6 +493,12 @@ def save_mesh(mesh, path):
         f.write("\n".join(lines) + "\n")
 
 
+# record sections: a header line "$section count", then one line per record,
+# its id (in order from 0) and ``width`` values of ``kind``; a boundary
+# triangle's values are its three nodes and its tag
+_RECORDS = {"$nodes": ("node", float, 3), "$tets": ("tet", int, 4), "$btris": ("btri", int, 4)}
+
+
 def load_mesh(path):
     """Strict parser for the OCROM-MESH format; validates all mesh invariants.
 
@@ -510,7 +516,7 @@ def load_mesh(path):
     if not lines or lines[0].strip() != "ocrom-mesh 1":
         raise ParseError("missing 'ocrom-mesh 1' header", line=1)
 
-    nodes, tets, btris, tags = [], [], [], []
+    records = {section: [] for section in _RECORDS}
     centerlines = []
     i = 1
     ended = False
@@ -531,31 +537,14 @@ def load_mesh(path):
                 i += 1
                 break
             parts = line.split()
-            if parts[0] == "$nodes":
-                count = _parse_count(parts, 2, i)
-                for k in range(count):
+            if parts[0] in _RECORDS:
+                name, kind, width = _RECORDS[parts[0]]
+                for k in range(_parse_count(parts, 2, i)):
                     i += 1
-                    toks = _tokens(lines, i, 4)
+                    toks = _tokens(lines, i, 1 + width)
                     if int(toks[0]) != k:
-                        fail(f"node id {toks[0]} out of order", i)
-                    nodes.append([float(toks[1]), float(toks[2]), float(toks[3])])
-            elif parts[0] == "$tets":
-                count = _parse_count(parts, 2, i)
-                for k in range(count):
-                    i += 1
-                    toks = _tokens(lines, i, 5)
-                    if int(toks[0]) != k:
-                        fail(f"tet id {toks[0]} out of order", i)
-                    tets.append([int(t) for t in toks[1:]])
-            elif parts[0] == "$btris":
-                count = _parse_count(parts, 2, i)
-                for k in range(count):
-                    i += 1
-                    toks = _tokens(lines, i, 5)
-                    if int(toks[0]) != k:
-                        fail(f"btri id {toks[0]} out of order", i)
-                    btris.append([int(t) for t in toks[1:4]])
-                    tags.append(int(toks[4]))
+                        fail(f"{name} id {toks[0]} out of order", i)
+                    records[parts[0]].append([kind(t) for t in toks[1:]])
             elif parts[0] == "$centerline":
                 count = _parse_count(parts, 3, i)
                 bid = int(parts[1])
@@ -582,11 +571,12 @@ def load_mesh(path):
         if lines[j].strip():
             raise ParseError("content after $end", line=j + 1)
 
+    btris = np.array(records["$btris"], dtype=np.int64).reshape(-1, 4)
     mesh = Mesh(
-        nodes=np.array(nodes, dtype=float).reshape(-1, 3),
-        tets=np.array(tets, dtype=np.int64).reshape(-1, 4),
-        boundary_tris=np.array(btris, dtype=np.int64).reshape(-1, 3),
-        boundary_tags=np.array(tags, dtype=np.int64),
+        nodes=np.array(records["$nodes"], dtype=float).reshape(-1, 3),
+        tets=np.array(records["$tets"], dtype=np.int64).reshape(-1, 4),
+        boundary_tris=btris[:, :3].copy(),
+        boundary_tags=btris[:, 3].copy(),
         centerlines=centerlines,
     )
     try:

@@ -27,6 +27,7 @@ LU residual bound is solved by a fresh factorization.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,6 +67,20 @@ class OcpConfig:
         for tag, (lo, hi) in self.domain.items():
             if lo > hi:
                 raise DimensionMismatch(f"domain interval for tag {tag} reversed")
+
+
+def check_parameters(mu, lo, hi):
+    """``mu`` as a float vector, checked against the box [lo, hi] (NaN is
+    outside it)."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.shape != lo.shape:
+        raise DimensionMismatch(f"expected {lo.size} parameter(s), got {mu.size}")
+    outside = ~((lo <= mu) & (mu <= hi))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ParameterOutOfDomain(
+            f"Re={mu[k]:g} outside [{lo[k]:g}, {hi[k]:g}] (parameter {k + 1})")
+    return mu
 
 
 @dataclass
@@ -155,7 +170,11 @@ def evaluate_objective(v, u, target, operators, alpha):
 
 
 class FullOrderModel:
-    """Mesh, spaces, operators, target and liftings bundled for many-query use."""
+    """Mesh, spaces, operators, target and liftings bundled for many-query use.
+
+    ``domain_lo``/``domain_hi`` bound the parameters, one entry per inlet in
+    tag order (unbounded when the configuration gives no domain).
+    """
 
     def __init__(self, mesh, config):
         self.mesh = mesh
@@ -165,13 +184,16 @@ class FullOrderModel:
         self.kernel = ConvectionKernel(self.spaces)
         self.target = build_target(mesh, self.spaces, config.v_const)
         self.inlet_tags = sorted(mesh.inlet_tags())
-        if not config.domain:
-            config.domain = {tag: (-np.inf, np.inf) for tag in self.inlet_tags}
-        if sorted(config.domain) != self.inlet_tags:
-            raise UnknownTag(
-                f"domain tags {sorted(config.domain)} != mesh inlets {self.inlet_tags}"
-            )
+        domain = config.domain or dict.fromkeys(self.inlet_tags, (-np.inf, np.inf))
+        if sorted(domain) != self.inlet_tags:
+            raise UnknownTag(f"domain tags {sorted(domain)} != mesh inlets {self.inlet_tags}")
+        self.domain_lo, self.domain_hi = np.array(
+            [domain[tag] for tag in self.inlet_tags], dtype=float).T.copy()
         self.free = self.spaces.free_velocity
+        # ends of the (v, p, u, w, q) blocks of a KKT vector
+        self._ends = np.cumsum([self.free.shape[0], self.spaces.n_pressure,
+                                self.spaces.n_control, self.free.shape[0],
+                                self.spaces.n_pressure]).tolist()
         ops, f = self.operators, self.free
         self._A_ff = ops.A[f][:, f]
         self._M_ff = ops.M[f][:, f]
@@ -185,30 +207,17 @@ class FullOrderModel:
         pin = np.zeros(self.spaces.n_pressure)
         pin[self.locked_pressure] = 1.0
         self._pressure_pin = sp.diags(pin).tocsr()
-        self.liftings = [self._lifting(tag) for tag in self.inlet_tags]
+        self.lifting = np.column_stack([self._lifting(tag) for tag in self.inlet_tags])
         self._stokes_lu = None
         self._ns_pattern = None  # built by the first Navier-Stokes Jacobian
 
     # -- parameter handling ------------------------------------------------
 
     def check_mu(self, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if mu.shape[0] != len(self.inlet_tags):
-            raise DimensionMismatch(
-                f"expected {len(self.inlet_tags)} parameter(s), got {mu.shape[0]}"
-            )
-        for tag, m in zip(self.inlet_tags, mu):
-            lo, hi = self.config.domain[tag]
-            if not (lo <= m <= hi):
-                raise ParameterOutOfDomain(f"Re={m:g} outside [{lo:g}, {hi:g}] (inlet {tag})")
-        return mu
+        return check_parameters(mu, self.domain_lo, self.domain_hi)
 
     def lifting_field(self, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        vL = np.zeros(self.spaces.n_velocity)
-        for m, lift in zip(mu, self.liftings):
-            vL += m * lift
-        return vL
+        return self.lifting @ np.atleast_1d(mu)
 
     def _saddle_solve(self, X_ff, rhs):
         """Solve [[X_ff, B_f^T], [B_f, pin]] (v_f, p) = rhs; returns (v_f, p)."""
@@ -236,8 +245,9 @@ class FullOrderModel:
 
     # -- KKT assembly --------------------------------------------------------
 
+    @cached_property
     def _stokes_matrix(self):
-        """Free-restricted Stokes optimality matrix (CSC)."""
+        """Free-restricted Stokes optimality matrix (CSC), built on first use."""
         B_f, C_f, pin = self._B_f, self._C_f, self._pressure_pin
         return sp.bmat(
             [
@@ -262,9 +272,7 @@ class FullOrderModel:
         G sum to its position and its transposed one in J11 (G + G^T).
         """
         f = self.free
-        nf, npr, nu = f.shape[0], self.spaces.n_pressure, self.spaces.n_control
-        n = 2 * nf + 2 * npr + nu
-        o_w = nf + npr + nu
+        nf, o_w, n = f.shape[0], self._ends[2], self._ends[-1]
         ent, ns = self.spaces.cells10, self.spaces.n_scalar
         S = sp.csr_matrix(
             (np.ones(ent.shape[0] * 100),
@@ -285,7 +293,7 @@ class FullOrderModel:
             bins[(rows < 0) | (cols < 0)] = n_bins
             index[start : start + 1024] = bins.reshape(-1, 900)
         r, c = couplings // nf, couplings % nf
-        stokes = self._stokes_matrix().tocoo()
+        stokes = self._stokes_matrix.tocoo()
         keys = [  # column-major, the CSC order
             stokes.col.astype(np.int64) * n + stokes.row,
             c * n + r,  # J11
@@ -323,16 +331,14 @@ class FullOrderModel:
         return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
 
     def _stokes_rhs(self, mu):
-        ops = self.operators
-        f = self.free
+        ops, f = self.operators, self.free
         vL = self.lifting_field(mu)
-        nf, npr, nu = f.shape[0], self.spaces.n_pressure, self.spaces.n_control
-        rhs = np.zeros(2 * nf + 2 * npr + nu)
-        rhs[:nf] = (ops.M @ (self.target - vL))[f]
-        rhs[nf + npr + nu : 2 * nf + npr + nu] = -(ops.A @ vL)[f]
-        r_cont = -(ops.B @ vL)
-        r_cont[self.locked_pressure] = 0.0
-        rhs[2 * nf + npr + nu :] = r_cont
+        rhs = np.zeros(self._ends[-1])
+        r_v, _, _, r_w, r_q = self._split(rhs)
+        r_v[:] = (ops.M @ (self.target - vL))[f]
+        r_w[:] = -(ops.A @ vL)[f]
+        r_q[:] = -(ops.B @ vL)
+        r_q[self.locked_pressure] = 0.0
         return rhs
 
     def assemble_kkt(self, mu, linearization=None):
@@ -340,11 +346,12 @@ class FullOrderModel:
 
         For Navier-Stokes pass the linearization point (v_total, w_total);
         the convection operators are inserted there and the rhs keeps its
-        Stokes form (the Newton driver works with residuals directly).
+        Stokes form (the Newton driver works with residuals directly).  The
+        Stokes matrix is the model's own: the same object on every call.
         """
         self.check_mu(mu)
         if linearization is None:
-            K = self._stokes_matrix()
+            K = self._stokes_matrix
         else:
             v_t, w_t = (np.asarray(a, dtype=float) for a in linearization)
             K = self._ns_jacobian(v_t, w_t)
@@ -353,9 +360,8 @@ class FullOrderModel:
     # -- residuals -----------------------------------------------------------
 
     def _split(self, x):
-        nf, npr, nu = self.free.shape[0], self.spaces.n_pressure, self.spaces.n_control
-        o = np.cumsum([nf, npr, nu, nf, npr])
-        return x[: o[0]], x[o[0] : o[1]], x[o[1] : o[2]], x[o[2] : o[3]], x[o[3] :]
+        """Views of the (v, p, u, w, q) blocks of a KKT vector."""
+        return np.split(x, self._ends[:-1])
 
     def _expand(self, free_values):
         full = np.zeros(self.spaces.n_velocity)
@@ -363,27 +369,18 @@ class FullOrderModel:
         return full
 
     def kkt_residual(self, x, mu, nonlinear):
-        """Residual of the coupled optimality system at unknown vector ``x``."""
-        ops = self.operators
-        f = self.free
-        alpha = self.config.alpha
-        v_f, p, u, w_f, q = self._split(x)
-        vL = self.lifting_field(mu)
-        v_t = self._expand(v_f) + vL
-        w_t = self._expand(w_f)
-        r_v = (ops.M @ (v_t - self.target) + ops.A @ w_t + ops.B.T @ q)[f]
-        r_w = (ops.A @ v_t + ops.B.T @ p)[f] + (ops.C @ u)[f]
+        """Residual of the coupled optimality system at unknown vector ``x``:
+        the Stokes system's, plus for Navier-Stokes the convection terms of
+        the v and w rows."""
+        res = self._stokes_matrix @ x - self._stokes_rhs(mu)
         if nonlinear:
-            c_v, c_w = self.kernel.residual_terms(v_t, w_t)
-            r_v = r_v + c_v[f]
-            r_w = r_w + c_w[f]
-        r_p = ops.B @ w_t
-        r_u = alpha * (ops.N_c @ u) + ops.C.T @ w_t
-        r_q = ops.B @ v_t
-        # pinned rows replace the (vacuous) continuity constraint there
-        r_p[self.locked_pressure] = p[self.locked_pressure]
-        r_q[self.locked_pressure] = q[self.locked_pressure]
-        return np.concatenate([r_v, r_p, r_u, r_w, r_q])
+            v_f, _, _, w_f, _ = self._split(x)
+            c_v, c_w = self.kernel.residual_terms(
+                self._expand(v_f) + self.lifting_field(mu), self._expand(w_f))
+            r_v, _, _, r_w, _ = self._split(res)
+            r_v += c_v[self.free]
+            r_w += c_w[self.free]
+        return res
 
     # -- solvers ---------------------------------------------------------
 
@@ -415,7 +412,7 @@ class FullOrderModel:
         factorization, Navier-Stokes by Newton from that solution."""
         mu = self.check_mu(mu)
         if self._stokes_lu is None:
-            self._stokes_lu = numerics.factorize(self._stokes_matrix())
+            self._stokes_lu = numerics.factorize(self._stokes_matrix)
         rhs = self._stokes_rhs(mu)
         x = self._stokes_lu.solve(rhs)
         if self.config.equation == "stokes":

@@ -38,10 +38,10 @@ from .errors import (
     IoError,
     MissingArtifact,
     OcromError,
-    ParameterOutOfDomain,
     ParseError,
     RankDeficiency,
 )
+from .optctrl import check_parameters
 
 FIELDS = ("v", "p", "u", "w", "q")
 
@@ -128,8 +128,8 @@ class PodBasis:
 
     eigenvalues: dict  # field -> descending eigenvalue array (full spectrum)
     modes: dict  # field -> (n_dof, n_retained) X-orthonormal columns
-    energy: dict  # field -> retained energy fraction
     n_max: int
+    energy: dict | None = None  # field -> retained energy fraction (POD only)
     supremizers_v: np.ndarray | None = None
     supremizers_w: np.ndarray | None = None
     lifting: np.ndarray | None = None  # (n_velocity, n_inlets) fixed columns
@@ -174,7 +174,7 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
         modes[f] = modes[f][:, :n_keep]
         lam = eigenvalues[f]
         energy[f] = float(lam[:n_keep].sum() / lam.sum()) if lam.sum() > 0 else 1.0
-    basis = PodBasis(eigenvalues, modes, energy, n_keep)
+    basis = PodBasis(eigenvalues, modes, n_keep, energy)
     for f in FIELDS:
         if basis.energy[f] < 1.0 - eps_tol and n_keep == n_max:
             warnings.warn(
@@ -257,7 +257,7 @@ def _aggregate(model, basis):
     basis.y_v = _mgs(agg_v, ops.X_v)
     basis.y_p = _mgs(np.column_stack([basis.modes["p"], basis.modes["q"]]), ops.X_p)
     basis.y_u = _mgs(basis.modes["u"], ops.N_c)
-    basis.lifting = np.column_stack(model.liftings)
+    basis.lifting = model.lifting
     if basis.y_v.shape[1] != agg_v.shape[1] or basis.y_p.shape[1] != 2 * basis.n_max:
         warnings.warn(
             RankDeficiency(
@@ -282,12 +282,6 @@ def truncate_basis(model, basis, n):
     small = PodBasis(
         eigenvalues={f: basis.eigenvalues[f].copy() for f in FIELDS},
         modes={f: basis.modes[f][:, :n] for f in FIELDS},
-        energy={
-            f: float(basis.eigenvalues[f][:n].sum() / basis.eigenvalues[f].sum())
-            if basis.eigenvalues[f].sum() > 0
-            else 1.0
-            for f in FIELDS
-        },
         n_max=n,
         supremizers_v=basis.supremizers_v[:, :n],
         supremizers_w=basis.supremizers_w[:, :n],
@@ -400,14 +394,7 @@ class ReducedOperators:
         return self.blocks[-1].stop
 
     def check_mu(self, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if mu.shape[0] != self.n_lift:
-            raise DimensionMismatch(
-                f"expected {self.n_lift} parameter(s), got {mu.shape[0]}"
-            )
-        if np.any(mu < self.domain_lo) or np.any(mu > self.domain_hi):
-            raise ParameterOutOfDomain(f"mu={mu} outside training domain")
-        return mu
+        return check_parameters(mu, self.domain_lo, self.domain_hi)
 
 
 def project_operators(model, basis):
@@ -432,8 +419,6 @@ def project_operators(model, basis):
         for j in range(n_ext):
             ej = model.kernel.state_matrix(y_ext[:, j])
             tensor[:, j, :] = y_ext.T @ (ej @ y_ext)
-    lo = np.array([cfg.domain[t][0] for t in model.inlet_tags])
-    hi = np.array([cfg.domain[t][1] for t in model.inlet_tags])
     return ReducedOperators(
         y_v=basis.y_v,
         y_p=basis.y_p,
@@ -448,8 +433,8 @@ def project_operators(model, basis):
         j_const=j_const,
         alpha=cfg.alpha,
         equation=cfg.equation,
-        domain_lo=lo,
-        domain_hi=hi,
+        domain_lo=model.domain_lo,
+        domain_hi=model.domain_hi,
         tensor=tensor,
         eigenvalues={f: basis.eigenvalues[f].copy() for f in FIELDS},
     )

@@ -55,16 +55,17 @@ class StudyConfig:
             raise ConfigError("sweep values must not exceed the training size")
         if self.n_max > self.training_size:
             raise ConfigError("n_max must not exceed the training size")
+        if min([self.training_size, self.test_size, self.n_max, *self.sweep]) < 1:
+            raise ConfigError("sizes, n_max and sweep values must be positive")
 
 
 def _get(parser, section, key, cast, default=None):
     try:
         if default is not None and not parser.has_option(section, key):
             return default
-        raw = parser.get(section, key)
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+            return parser.getboolean(section, key)
+        return cast(parser.get(section, key))
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -77,15 +78,12 @@ def load_config(path):
             parser.read_file(fh)
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not parser.has_section("mesh"):
         raise ConfigError(f"{path}: missing [mesh] section")
-    mesh = dict(parser.items("mesh"))
-    sweep_raw = _get(parser, "rom", "sweep", str, default="")
-    sweep = [int(s) for s in sweep_raw.replace(",", " ").split()] if sweep_raw else []
     return StudyConfig(
-        mesh=mesh,
+        mesh=dict(parser.items("mesh")),
         equation=_get(parser, "problem", "equation", str, default="stokes"),
         viscosity=_get(parser, "problem", "viscosity", float, default=3.6),
         v_const=_get(parser, "problem", "v_const", float, default=350.0),
@@ -98,7 +96,8 @@ def load_config(path):
         test_size=_get(parser, "test", "size", int, default=20),
         test_seed=_get(parser, "test", "seed", int, default=1),
         n_max=_get(parser, "rom", "n_max", int, default=6),
-        sweep=sweep,
+        sweep=_get(parser, "rom", "sweep",
+                   lambda raw: [int(n) for n in raw.replace(",", " ").split()], default=[]),
         eps_tol=_get(parser, "rom", "eps_tol", float, default=1e-4),
         supremizers=_get(parser, "rom", "supremizers", bool, default=True),
         output_dir=_get(parser, "output", "directory", str, default="."),

@@ -40,6 +40,16 @@ class TestConfig:
         with pytest.raises(UnknownTag):
             FullOrderModel(tube_mesh, OcpConfig(domain={3: (0.0, 1.0)}))
 
+    def test_default_domain_leaves_config_untouched(self, tube_mesh):
+        cfg = OcpConfig()
+        model = FullOrderModel(tube_mesh, cfg)
+        assert cfg.domain == {}
+        assert model.domain_lo.tolist() == [-np.inf]
+        assert model.domain_hi.tolist() == [np.inf]
+        assert model.check_mu(1e6).tolist() == [1e6]
+        with pytest.raises(ParameterOutOfDomain):
+            model.check_mu(np.nan)
+
 
 class TestTarget:
     def test_centerline_peak(self, tube_mesh, tube_spaces):
@@ -176,10 +186,18 @@ class TestKktAssembly:
             stokes_model.assemble_kkt(np.array([500.0]))
         with pytest.raises(ParameterOutOfDomain):
             stokes_model.solve_ocp(np.array([-1.0]))
+        with pytest.raises(ParameterOutOfDomain):
+            stokes_model.solve_ocp(np.array([np.nan]))
 
     def test_wrong_parameter_count(self, stokes_model):
         with pytest.raises(DimensionMismatch):
             stokes_model.solve_ocp(np.array([50.0, 50.0]))
+
+    def test_stokes_matrix_built_once(self, stokes_model):
+        K, rhs = stokes_model.assemble_kkt(np.array([50.0]))
+        K2, rhs2 = stokes_model.assemble_kkt(np.array([60.0]))
+        assert K2 is K
+        assert np.abs(rhs2 - rhs).max() > 0.0
 
 
 class TestStokesSolve:
@@ -366,9 +384,10 @@ class TestNavierStokesJacobian:
         assert K.format == "csc" and K.shape == K_ref.shape
         assert abs(K - K_ref).max() <= 1e-14 * abs(K_ref).max()
         assert np.array_equal(rhs, model._stokes_rhs(mu))
-        res = model.kkt_residual(x, mu, True)
-        res_ref = oracles.matrix_kkt_residual(model, x, mu, True)
-        assert np.linalg.norm(res - res_ref) <= 1e-11 * np.linalg.norm(res_ref)
+        for nonlinear in (True, False):
+            res = model.kkt_residual(x, mu, nonlinear)
+            res_ref = oracles.matrix_kkt_residual(model, x, mu, nonlinear)
+            assert np.linalg.norm(res - res_ref) <= 1e-11 * np.linalg.norm(res_ref)
 
     def test_one_factorization_per_solve(self, ns_model, monkeypatch):
         """Only the first Jacobian of a solve is factorized, not one per

@@ -15,6 +15,7 @@ from ocrom.errors import (
     InvariantViolation,
     MissingArtifact,
     NewtonDiverged,
+    ParameterOutOfDomain,
     ParseError,
     RankDeficiency,
 )
@@ -256,6 +257,7 @@ class TestReducedSpaces:
         _, basis, _ = stokes_offline
         small = truncate_basis(stokes_model, basis, 1)
         assert small.n_max == 1
+        assert small.energy is None and basis.energy is not None
         check_pod_invariants(stokes_model, small)
         with pytest.raises(DimensionMismatch):
             truncate_basis(stokes_model, basis, basis.n_max + 1)
@@ -325,6 +327,14 @@ class TestReducedSolve:
         from ocrom.errors import ParameterOutOfDomain
 
         assert isinstance(exc.value, ParameterOutOfDomain)
+
+    @pytest.mark.parametrize("mu", [np.nan, -np.inf, np.inf])
+    def test_non_finite_parameter(self, stokes_offline, mu):
+        _, _, ops = stokes_offline
+        with pytest.raises(ParameterOutOfDomain):
+            solve_reduced(ops, np.array([mu]))
+        with pytest.raises(ParameterOutOfDomain):
+            rom.solve_reduced_coefficients(ops, np.array([mu]))
 
     def test_tensor_mode_requires_tensor(self, stokes_model):
         ts = training_grid([(40.0, 80.0)], 3)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from ocrom import cli
 from ocrom.cli import main
-from ocrom.errors import ConfigError, IoError, MissingArtifact
+from ocrom.errors import ConfigError, IoError, MissingArtifact, OcromError
 from ocrom.study import (
     CSV_HEADER,
     StudyConfig,
@@ -100,6 +101,23 @@ class TestLoadConfig:
         config_file.write_text(text)
         with pytest.raises(ConfigError):
             load_config(config_file)
+
+    @pytest.mark.parametrize("old, new", [
+        ("[mesh]", "[mesh]\n# \xff\xfe"),
+        ("sweep = 1 2", "sweep = 1 x"),
+        ("supremizers = true", "supremizers = ture"),
+        ("[test]\nsize = 3", "[test]\nsize = -1"),
+        ("n_max = 2", "n_max = 0"),
+        ("sweep = 1 2", "sweep = 0 2"),
+    ], ids=["not-utf8", "sweep-token", "boolean", "test-size", "n-max", "sweep-value"])
+    def test_malformed_value(self, config_file, old, new):
+        """Every malformed value is a ConfigError, and the CLI exits 2."""
+        text = config_file.read_text()
+        assert old in text
+        config_file.write_bytes(text.replace(old, new).encode("latin-1"))
+        with pytest.raises(ConfigError):
+            load_config(config_file)
+        assert main(["offline", "--config", str(config_file)]) == 2
 
 
 class TestMeshAndSets:
@@ -249,6 +267,18 @@ class TestCli:
         assert main(["mesh", "check", str(mesh_path)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old, new", [
+        ("resolution = 0.55", "resolution = -0.5"),
+        ("resolution = 0.55", "resolution = nan"),
+        ("radius = 1.0", "radius = -1.0"),
+    ], ids=["resolution", "nan-resolution", "radius"])
+    def test_mesh_gen_bad_geometry(self, config_file, tmp_path, capsys, old, new):
+        config_file.write_text(config_file.read_text().replace(old, new))
+        assert main(["mesh", "gen", "--config", str(config_file),
+                     "--output", str(tmp_path / "m.mesh")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m.mesh").exists()
+
     def test_mesh_check_missing(self, tmp_path):
         assert main(["mesh", "check", str(tmp_path / "no.mesh")]) == 4
 
@@ -308,6 +338,14 @@ class TestCli:
         assert main(["online", "--artifact", artifact, "--mu", "66.0"]) == 0
         assert "J=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mu", ["nan", "500"])
+    def test_online_out_of_domain(self, study_run, capsys, mu):
+        cfg, _, _ = study_run
+        assert main(["online", "--artifact", f"{cfg.output_dir}/rom.bin",
+                     "--mu", mu]) == 2
+        captured = capsys.readouterr()
+        assert "J=" not in captured.out and "outside" in captured.err
+
     def test_online_missing_artifact(self, tmp_path):
         assert main(["online", "--artifact", str(tmp_path / "no.bin"),
                      "--mu", "50.0"]) == 4
@@ -359,3 +397,33 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[mesh]\nkind = sphere\n[problem]\nre_min = 1\nre_max = 2\n")
         assert main(["offline", "--config", str(path)]) == 2
+
+
+# the CLI's exit code of every error class: 2 input at fault, 3 solver
+# failure, 4 I/O error (OSError included)
+EXIT_CODES = {
+    **dict.fromkeys(["InputError", "ConfigError", "ParseError", "ParameterOutOfDomain",
+                     "UnknownTag", "DimensionMismatch", "DegenerateGeometry",
+                     "NonIntersectingBranches"], 2),
+    **dict.fromkeys(["NewtonDiverged", "SingularMatrix", "ConvergenceFailure",
+                     "AllSnapshotsFailed", "NotSymmetric", "InvariantViolation"], 3),
+    **dict.fromkeys(["IoError", "MissingArtifact", "OSError"], 4),
+}
+
+
+def _error_classes(cls=OcromError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", [*_error_classes(), OSError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_of_every_error_class(monkeypatch, capsys, error):
+    def handler(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_export", handler)
+    assert main(["export", "--json", "r.json", "--csv", "r.csv"]) == \
+        EXIT_CODES[error.__name__]
+    assert "error: boom" in capsys.readouterr().err
