@@ -29,6 +29,11 @@ from .mesh import load_mesh, save_mesh
 _LABELS = {2: "error", 3: "solver error", 4: "i/o error"}  # by exit code
 
 
+def parameter_vector(text):
+    """A comma-separated parameter vector such as ``75,72``."""
+    return np.array([float(x) for x in text.split(",")])
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="ocrom",
                                 description="Optimal flow control with "
@@ -65,7 +70,7 @@ def _parser():
     se.add_argument("--json")
     sp = ssub.add_parser("speedup")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--mu", required=True, nargs="+",
+    sp.add_argument("--mu", required=True, nargs="+", type=parameter_vector,
                     help="parameter values; comma-separated for multiple inlets")
     sp.add_argument("--json")
 
@@ -143,8 +148,7 @@ def _cmd_study(args):
         if args.json:
             study.export(report, "json", args.json)
     else:
-        mus = [np.array([float(x) for x in m.split(",")]) for m in args.mu]
-        report = study.run_speedup_study(cfg, mus)
+        report = study.run_speedup_study(cfg, args.mu)
         t = report.timing
         print(f"speedup mean={t['speedup_mean']:.1f} max={t['speedup_max']:.1f} "
               f"objective mean={t['objective_speedup_mean']:.1f}")

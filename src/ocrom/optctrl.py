@@ -11,8 +11,11 @@ per-inlet lifting fields (each a divergence-free auxiliary Stokes solve), so
 unknowns live in the homogeneous velocity space.
 
 The monolithic unknown ordering is (v, p, u, w, q); block rows follow the
-same order as the assembled optimality matrix: adjoint momentum, adjoint
-continuity, optimality, state momentum, state continuity.
+same order: adjoint momentum, adjoint continuity, optimality, state
+momentum, state continuity.  ``optimality_matrix`` and ``affine_rhs`` build
+the system ``K x + R [1; mu] = 0``, affine in the parameters, at both orders
+(here and in ``rom``); the state equations are its w and q rows on the v
+and p columns.
 
 Stokes is one sparse LU solve, with the factorization kept by the model.
 Navier-Stokes is Newton from the Stokes solution, run like the state
@@ -27,7 +30,7 @@ LU residual bound is solved by a fresh factorization.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,6 +116,30 @@ class _JacobianPattern:
     j14: np.ndarray  # ... of its transposed position, in J14 = J41^T
 
 
+def optimality_matrix(m, a, b, c, n_ctrl, alpha, pin=None):
+    """The optimality matrix K in the (v, p, u, w, q) layout from its
+    blocks: mass ``m``, stiffness ``a``, divergence ``b``, control ``c``,
+    control mass ``n_ctrl``, and ``pin`` on the two pressure diagonals."""
+    return sp.bmat([[m, None, None, a, b.T],
+                    [None, pin, None, b, None],
+                    [None, None, alpha * n_ctrl, c.T, None],
+                    [a, b.T, c, None, None],
+                    [b, None, None, None, pin]], format="csc")
+
+
+def affine_rhs(ends, h, m_lift, a_lift, b_lift):
+    """R of ``K x + R [1; mu]`` for (v, p, u, w, q) block ``ends``: column 0
+    is minus the target load ``h`` in the v rows, column k the k-th lifting's
+    mass, stiffness and divergence terms in the v, w and q rows."""
+    R = np.zeros((ends[-1], 1 + m_lift.shape[1]))
+    r_v, _, _, r_w, r_q = np.split(R, ends[:-1])
+    r_v[:, 0] = -h
+    r_v[:, 1:] = m_lift
+    r_w[:, 1:] = a_lift
+    r_q[:, 1:] = b_lift
+    return R
+
+
 def build_target(mesh, spaces, v_const):
     """Parabolic target velocity along the centerlines, interpolated at dofs.
 
@@ -180,36 +207,43 @@ class FullOrderModel:
         self.mesh = mesh
         self.config = config
         self.spaces = build_spaces(mesh)
-        self.operators = assemble_operators(self.spaces, config.viscosity)
+        self.operators = ops = assemble_operators(self.spaces, config.viscosity)
         self.kernel = ConvectionKernel(self.spaces)
-        self.target = build_target(mesh, self.spaces, config.v_const)
+        self._target = build_target(mesh, self.spaces, config.v_const)
+        self._target.flags.writeable = False
         self.inlet_tags = sorted(mesh.inlet_tags())
         domain = config.domain or dict.fromkeys(self.inlet_tags, (-np.inf, np.inf))
         if sorted(domain) != self.inlet_tags:
             raise UnknownTag(f"domain tags {sorted(domain)} != mesh inlets {self.inlet_tags}")
         self.domain_lo, self.domain_hi = np.array(
             [domain[tag] for tag in self.inlet_tags], dtype=float).T.copy()
-        self.free = self.spaces.free_velocity
+        self.free = f = self.spaces.free_velocity
         # ends of the (v, p, u, w, q) blocks of a KKT vector
-        self._ends = np.cumsum([self.free.shape[0], self.spaces.n_pressure,
-                                self.spaces.n_control, self.free.shape[0],
+        self._ends = np.cumsum([f.shape[0], self.spaces.n_pressure,
+                                self.spaces.n_control, f.shape[0],
                                 self.spaces.n_pressure]).tolist()
-        ops, f = self.operators, self.free
-        self._A_ff = ops.A[f][:, f]
-        self._M_ff = ops.M[f][:, f]
-        self._B_f = ops.B[:, f]
-        self._C_f = ops.C[f]
+        A_ff, B_f = ops.A[f][:, f], ops.B[:, f]
         # Pressure vertices whose whole velocity stencil is Dirichlet (corner
         # tets at rims/seams) have empty divergence rows on the free space and
         # would make every saddle system singular; pin them to zero instead.
-        b_free = abs(self._B_f).max(axis=1).toarray().ravel()
+        b_free = abs(B_f).max(axis=1).toarray().ravel()
         self.locked_pressure = np.where(b_free <= 1e-14 * max(b_free.max(), 1.0))[0]
         pin = np.zeros(self.spaces.n_pressure)
         pin[self.locked_pressure] = 1.0
-        self._pressure_pin = sp.diags(pin).tocsr()
-        self.lifting = np.column_stack([self._lifting(tag) for tag in self.inlet_tags])
+        self._stokes_matrix = optimality_matrix(
+            ops.M[f][:, f], A_ff, B_f, ops.C[f], ops.N_c, config.alpha, sp.diags(pin))
+        self.lifting = L = self._liftings()
+        b_lift = ops.B @ L
+        b_lift[self.locked_pressure] = 0.0
+        self._R = affine_rhs(self._ends, (ops.M @ self._target)[f], (ops.M @ L)[f],
+                             (ops.A @ L)[f], b_lift)
         self._stokes_lu = None
         self._ns_pattern = None  # built by the first Navier-Stokes Jacobian
+
+    @property
+    def target(self):
+        """Target velocity v_o; it enters R, so it is fixed at construction."""
+        return self._target
 
     # -- parameter handling ------------------------------------------------
 
@@ -219,46 +253,33 @@ class FullOrderModel:
     def lifting_field(self, mu):
         return self.lifting @ np.atleast_1d(mu)
 
-    def _saddle_solve(self, X_ff, rhs):
-        """Solve [[X_ff, B_f^T], [B_f, pin]] (v_f, p) = rhs; returns (v_f, p)."""
-        K = sp.bmat([[X_ff, self._B_f.T], [self._B_f, self._pressure_pin]], format="csc")
-        sol = numerics.factorize(K).solve(rhs)
-        nf = self.free.shape[0]
-        return sol[:nf], sol[nf:]
+    def _state_block(self, K):
+        """State equations' matrix: the w and q rows of the optimality
+        matrix (or Jacobian) ``K`` on the v and p columns, with the locked
+        pressures pinned."""
+        e = self._ends
+        pin = np.zeros(e[1])
+        pin[e[0] + self.locked_pressure] = 1.0
+        return K[:, : e[1]][e[2] :] + sp.diags(pin)
 
-    def _lifting(self, tag):
-        """Divergence-free lifting of the unit-Reynolds inflow on one inlet.
+    def _liftings(self):
+        """Divergence-free liftings of the unit-Reynolds inflow, one column
+        per inlet, from one factorization of the Stokes state block.
 
         The inflow data vanishes on the free dofs, so A g and B g only see
         its constrained part.
         """
-        g = build_inflow(self.mesh, self.spaces, tag, 1.0, self.config.viscosity)
-        ops = self.operators
-        r_cont = -(ops.B @ g)
-        r_cont[self.locked_pressure] = 0.0
-        v_f, _ = self._saddle_solve(
-            self._A_ff, np.concatenate([-(ops.A @ g)[self.free], r_cont])
-        )
-        lift = g.copy()
-        lift[self.free] = v_f
-        return lift
+        ops, f, nf = self.operators, self.free, self.free.shape[0]
+        g = np.column_stack([build_inflow(self.mesh, self.spaces, tag, 1.0,
+                                          self.config.viscosity)
+                             for tag in self.inlet_tags])
+        rhs = -np.vstack([(ops.A @ g)[f], ops.B @ g])
+        rhs[nf + self.locked_pressure] = 0.0
+        lu = numerics.factorize(self._state_block(self._stokes_matrix))
+        g[f] = np.column_stack([lu.solve(r)[:nf] for r in rhs.T])
+        return g
 
     # -- KKT assembly --------------------------------------------------------
-
-    @cached_property
-    def _stokes_matrix(self):
-        """Free-restricted Stokes optimality matrix (CSC), built on first use."""
-        B_f, C_f, pin = self._B_f, self._C_f, self._pressure_pin
-        return sp.bmat(
-            [
-                [self._M_ff, None, None, self._A_ff, B_f.T],
-                [None, pin, None, B_f, None],
-                [None, None, self.config.alpha * self.operators.N_c, C_f.T, None],
-                [self._A_ff, B_f.T, C_f, None, None],
-                [B_f, None, None, None, pin],
-            ],
-            format="csc",
-        )
 
     def _build_ns_pattern(self):
         """Fixed CSC pattern of the Navier-Stokes Jacobians.
@@ -330,17 +351,6 @@ class FullOrderModel:
         n = pat.indptr.shape[0] - 1
         return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
 
-    def _stokes_rhs(self, mu):
-        ops, f = self.operators, self.free
-        vL = self.lifting_field(mu)
-        rhs = np.zeros(self._ends[-1])
-        r_v, _, _, r_w, r_q = self._split(rhs)
-        r_v[:] = (ops.M @ (self.target - vL))[f]
-        r_w[:] = -(ops.A @ vL)[f]
-        r_q[:] = -(ops.B @ vL)
-        r_q[self.locked_pressure] = 0.0
-        return rhs
-
     def assemble_kkt(self, mu, linearization=None):
         """Optimality matrix and right-hand side at parameter ``mu``.
 
@@ -355,7 +365,7 @@ class FullOrderModel:
         else:
             v_t, w_t = (np.asarray(a, dtype=float) for a in linearization)
             K = self._ns_jacobian(v_t, w_t)
-        return K, self._stokes_rhs(mu)
+        return K, -(self._R @ np.append(1.0, mu))
 
     # -- residuals -----------------------------------------------------------
 
@@ -372,7 +382,7 @@ class FullOrderModel:
         """Residual of the coupled optimality system at unknown vector ``x``:
         the Stokes system's, plus for Navier-Stokes the convection terms of
         the v and w rows."""
-        res = self._stokes_matrix @ x - self._stokes_rhs(mu)
+        res = self._stokes_matrix @ x + self._R @ np.append(1.0, mu)
         if nonlinear:
             v_f, _, _, w_f, _ = self._split(x)
             c_v, c_w = self.kernel.residual_terms(
@@ -411,9 +421,9 @@ class FullOrderModel:
         """Solve the optimality system at ``mu``: Stokes with the model's
         factorization, Navier-Stokes by Newton from that solution."""
         mu = self.check_mu(mu)
+        K, rhs = self.assemble_kkt(mu)
         if self._stokes_lu is None:
-            self._stokes_lu = numerics.factorize(self._stokes_matrix)
-        rhs = self._stokes_rhs(mu)
+            self._stokes_lu = numerics.factorize(K)
         x = self._stokes_lu.solve(rhs)
         if self.config.equation == "stokes":
             return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
@@ -444,32 +454,31 @@ class FullOrderModel:
     def solve_state(self, mu, u):
         """Flow solve at fixed control; returns (v_total, p).
 
-        One Stokes saddle solve; for Navier-Stokes, Newton from there.
+        The residual is the w and q rows of ``kkt_residual`` at zero
+        adjoint, with the pin moved to p.  Newton runs once as Stokes (one
+        step), and for Navier-Stokes on from there.
         """
         mu = self.check_mu(mu)
-        ops, f, nf = self.operators, self.free, self.free.shape[0]
-        locked = self.locked_pressure
-        vL = self.lifting_field(mu)
-        r_cont = -(ops.B @ vL)
-        r_cont[locked] = 0.0
-        x = np.concatenate(self._saddle_solve(
-            self._A_ff, np.concatenate([-(ops.A @ vL + ops.C @ u)[f], r_cont])))
-        if self.config.equation == "navier-stokes":
-            zero = np.zeros(self.spaces.n_velocity)
+        e, nf = self._ends, self.free.shape[0]
+        locked = nf + self.locked_pressure
 
-            def system(x):
-                v_t, p = self._expand(x[:nf]) + vL, x[nf:]
-                r_v = ops.A @ v_t + self.kernel.residual_terms(v_t, zero)[1]
-                r_v = r_v + ops.B.T @ p + ops.C @ u
-                r_p = ops.B @ v_t
-                r_p[locked] = p[locked]
+        def system(nonlinear, vp):
+            x = np.concatenate([vp, u, np.zeros_like(vp)])  # (v, p, u, w, q)
+            res = self.kkt_residual(x, mu, nonlinear)[e[2] :]
+            res[locked] += vp[locked]
 
-                def solve(b):
-                    EF = self.kernel.state_matrix(v_t) + self.kernel.first_slot_matrix(v_t)
-                    return np.concatenate(self._saddle_solve(self._A_ff + EF[f][:, f], b))
+            def solve(b):
+                K = self._stokes_matrix
+                if nonlinear:
+                    v_t = self._expand(vp[:nf]) + self.lifting_field(mu)
+                    K = self._ns_jacobian(v_t, np.zeros_like(v_t))
+                return numerics.factorize(self._state_block(K)).solve(b)
 
-                return np.concatenate([r_v[f], r_p]), solve
+            return res, solve
 
-            x, _, _ = numerics.newton(
-                system, x, NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
-        return self._expand(x[:nf]) + vL, x[nf:]
+        vp = np.zeros(e[1])
+        passes = [False, True] if self.config.equation == "navier-stokes" else [False]
+        for nonlinear in passes:
+            vp, _, _ = numerics.newton(partial(system, nonlinear), vp,
+                                       NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+        return self._expand(vp[:nf]) + self.lifting_field(mu), vp[nf:]

@@ -14,10 +14,11 @@ columns whose coefficients are pinned to the parameter values; they are kept
 out of the orthonormalized block so that pinning stays exact.
 
 Online: the reduced system of dimension 13*N is precomputed as one constant
-KKT matrix plus terms affine in the parameters.  A Stokes query is a single
-matrix-vector product; a Navier-Stokes query is dense Newton, run by the
-package's one driver ``numerics.newton``, that adds only the tensor's
-convection blocks to that matrix.
+KKT matrix plus terms affine in the parameters, by the builders the full
+order uses (``optctrl.optimality_matrix`` and ``affine_rhs``).  A Stokes
+query is a single matrix-vector product; a Navier-Stokes query is dense
+Newton, run by the package's one driver ``numerics.newton``, that adds only
+the tensor's convection blocks to that matrix.
 """
 
 import io
@@ -41,7 +42,7 @@ from .errors import (
     ParseError,
     RankDeficiency,
 )
-from .optctrl import check_parameters
+from .optctrl import affine_rhs, check_parameters, optimality_matrix
 
 FIELDS = ("v", "p", "u", "w", "q")
 
@@ -207,28 +208,22 @@ def _mgs(columns, weight):
     return np.column_stack(kept)
 
 
-def compute_supremizers(model, pressure_modes):
+def compute_supremizers(model, *pressure_modes):
     """Velocity enrichment restoring reduced inf-sup stability.
 
     For each pressure mode q solves (T, v)_{X_v} = b(q, v) on the homogeneous
-    velocity space, then X_v-orthonormalizes the solutions.
+    velocity space, with one factorization of X_v for all sets; returns one
+    X_v-orthonormal basis of the solutions per set of modes.
     """
     ops = model.operators
     f = model.free
-    X_ff = ops.X_v[f][:, f].tocsc()
-    lu = numerics.factorize(X_ff)
-    cols = []
-    for n in range(pressure_modes.shape[1]):
-        rhs = (ops.B.T @ pressure_modes[:, n])[f]
-        t = np.zeros(model.spaces.n_velocity)
-        t[f] = lu.solve(rhs)
-        cols.append(t)
-    raw = (
-        np.column_stack(cols)
-        if cols
-        else np.zeros((model.spaces.n_velocity, 0))
-    )
-    return _mgs(raw, ops.X_v)
+    lu = numerics.factorize(ops.X_v[f][:, f])
+    rhs = (ops.B.T @ np.column_stack(pressure_modes))[f]
+    raw = np.zeros((model.spaces.n_velocity, rhs.shape[1]))
+    for n in range(rhs.shape[1]):
+        raw[f, n] = lu.solve(rhs[:, n])
+    ends = np.cumsum([q.shape[1] for q in pressure_modes])[:-1]
+    return [_mgs(cols, ops.X_v) for cols in np.split(raw, ends, axis=1)]
 
 
 def build_reduced_spaces(model, basis, enrich=True):
@@ -240,12 +235,10 @@ def build_reduced_spaces(model, basis, enrich=True):
     parameters exactly.  Pressure: [state | adjoint] modes re-orthonormalized.
     """
     if enrich:
-        basis.supremizers_v = compute_supremizers(model, basis.modes["p"])
-        basis.supremizers_w = compute_supremizers(model, basis.modes["q"])
+        basis.supremizers_v, basis.supremizers_w = compute_supremizers(
+            model, basis.modes["p"], basis.modes["q"])
     else:
-        empty = np.zeros((model.spaces.n_velocity, 0))
-        basis.supremizers_v = empty
-        basis.supremizers_w = empty
+        basis.supremizers_v = basis.supremizers_w = np.zeros((model.spaces.n_velocity, 0))
     return _aggregate(model, basis)
 
 
@@ -355,27 +348,13 @@ class ReducedOperators:
         self.g_target = np.linalg.solve(self.m, self.h)
         self.j_perp = max(self.j_const - 0.5 * self.g_target @ (self.m @ self.g_target), 0.0)
         nv, n_p, nu = self.n_velocity_modes, self.y_p.shape[1], self.y_u.shape[1]
-        ends = np.cumsum([0, nv, n_p, nu, nv, n_p]).tolist()
-        self.blocks = tuple(slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
-        sv, sp_, su, sw, sq = self.blocks
-        a, b, c = self.a[:nv, :nv], self.b[:, :nv], self.c[:nv]
-        K = self.K = np.zeros((ends[-1], ends[-1]))
-        K[sv, sv] = self.m[:nv, :nv]
-        K[sv, sw] = a
-        K[sv, sq] = b.T
-        K[sp_, sw] = b
-        K[su, su] = self.alpha * self.n_ctrl
-        K[su, sw] = c.T
-        K[sw, sv] = a
-        K[sw, sp_] = b.T
-        K[sw, su] = c
-        K[sq, sv] = b
-        R = self.R = np.zeros((ends[-1], 1 + self.n_lift))
-        R[sv, 0] = -self.h[:nv]
-        R[sv, 1:] = self.m[:nv, nv:]
-        R[sw, 1:] = self.a[:nv, nv:]
-        R[sq, 1:] = self.b[:, nv:]
-        self.X = -np.linalg.solve(K, R) if self.equation == "stokes" else None
+        ends = np.cumsum([nv, n_p, nu, nv, n_p]).tolist()
+        self.blocks = tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends))
+        self.K = optimality_matrix(self.m[:nv, :nv], self.a[:nv, :nv], self.b[:, :nv],
+                                   self.c[:nv], self.n_ctrl, self.alpha).toarray()
+        self.R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:],
+                            self.b[:, nv:])
+        self.X = -np.linalg.solve(self.K, self.R) if self.equation == "stokes" else None
 
     @property
     def n_velocity_modes(self):
@@ -691,9 +670,12 @@ def load_artifact(path):
         raise ParseError(f"{path}: trailing bytes after the last array")
     if equation not in ("stokes", "navier-stokes"):
         raise ParseError(f"{path}: unknown equation {equation!r}")
-    if not all(np.isfinite(v).all() for v in [alpha, j_const, *arrays.values()]):
+    finite = (v for k, v in arrays.items() if not k.startswith("domain_"))
+    if not all(np.isfinite(v).all() for v in [alpha, j_const, *finite]):
         raise ParseError(f"{path}: non-finite values")
     _check_shapes(path, arrays)
+    if not (arrays["domain_lo"] <= arrays["domain_hi"]).all():  # NaN fails too
+        raise ParseError(f"{path}: domain bounds NaN or reversed")
     eigenvalues = None
     if "eigenvalues_v" in arrays:
         eigenvalues = {f: arrays[f"eigenvalues_{f}"] for f in FIELDS}

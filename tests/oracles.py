@@ -7,7 +7,8 @@ inf-sup reference solves the dense generalized eigenproblem of a
 velocity-pressure pairing.  The gradient references take a full-order
 model: J(u) at the state a control drives, and its adjoint gradient from
 one state and one adjoint solve, for the optimality and finite-difference
-checks.  The Navier-Stokes references at the end build on the assembled
+checks; they build their own free-restricted blocks and saddle-point
+matrix.  The Navier-Stokes references at the end build on the assembled
 sparse convection matrices: the full-order KKT Jacobian and residual as a
 ``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
 fixed-pattern Jacobian and the element-wise residual replace), and a
@@ -198,6 +199,21 @@ def inf_sup_constant(B, X_v, X_p, free_velocity):
     return float(np.sqrt(max(float(w[0]), 0.0)))
 
 
+def free_blocks(model):
+    """The model's operators restricted to its free velocity dofs, and the
+    locked-pressure pin: (M_ff, A_ff, B_f, C_f, pin)."""
+    ops, f = model.operators, model.free
+    pin = np.zeros(model.spaces.n_pressure)
+    pin[model.locked_pressure] = 1.0
+    return ops.M[f][:, f], ops.A[f][:, f], ops.B[:, f], ops.C[f], sp.diags(pin)
+
+
+def saddle_matrix(model, X_ff):
+    """Saddle-point matrix [[X_ff, B_f^T], [B_f, pin]] on the free dofs."""
+    _, _, B_f, _, pin = free_blocks(model)
+    return sp.bmat([[X_ff, B_f.T], [B_f, pin]], format="csc")
+
+
 def solve_adjoint(model, mu, v_total):
     """Adjoint solve of a full-order model at a given state; returns
     (w_total, q)."""
@@ -206,13 +222,13 @@ def solve_adjoint(model, mu, v_total):
     f = model.free
     rhs = np.concatenate([-(ops.M @ (v_total - model.target))[f],
                           np.zeros(model.spaces.n_pressure)])
-    X_ff = model._A_ff
+    X_ff = free_blocks(model)[1]
     if model.config.equation == "navier-stokes":
         E = model.kernel.state_matrix(v_total)
         F = model.kernel.first_slot_matrix(v_total)
         X_ff = X_ff + (E + F).T[f][:, f]
-    w_f, q = model._saddle_solve(X_ff, rhs)
-    return model._expand(w_f), q
+    sol = numerics.factorize(saddle_matrix(model, X_ff)).solve(rhs)
+    return model._expand(sol[: f.shape[0]]), sol[f.shape[0]:]
 
 
 def reduced_gradient(model, mu, u):
@@ -326,9 +342,9 @@ def bmat_jacobian(model, v_total, w_total):
     E = kernel.state_matrix(v_total)
     F = kernel.first_slot_matrix(v_total)
     G = kernel.test_slot_matrix(w_total)
-    J11 = model._M_ff + (G + G.T)[f][:, f]
-    J41 = model._A_ff + (E + F)[f][:, f]
-    B_f, C_f, pin = model._B_f, model._C_f, model._pressure_pin
+    M_ff, A_ff, B_f, C_f, pin = free_blocks(model)
+    J11 = M_ff + (G + G.T)[f][:, f]
+    J41 = A_ff + (E + F)[f][:, f]
     return sp.bmat(
         [
             [J11, None, None, J41.T, B_f.T],

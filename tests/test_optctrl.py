@@ -252,21 +252,28 @@ class TestStokesSolve:
                   - oracles.objective_of_control(stokes_model, mu, u - eps * d)) / (2 * eps)
             assert abs(fd - g @ d) <= 1e-4 * max(abs(fd), 1.0)
 
-    def test_attainable_target_near_zero_cost(self, tube_mesh):
+    def test_attainable_target_near_zero_cost(self, tube_mesh, monkeypatch):
         """If the target is itself an uncontrolled flow solution, the
         optimal objective collapses relative to the uncontrolled one."""
         cfg = OcpConfig(equation="stokes", alpha=1e-6, domain={2: (0.0, 200.0)})
         model = FullOrderModel(tube_mesh, cfg)
         mu = np.array([80.0])
         v_free, _ = model.solve_state(mu, np.zeros(model.spaces.n_control))
-        model.target = build_target(tube_mesh, model.spaces, model.config.v_const)
         j_init = evaluate_objective(
             v_free, np.zeros(model.spaces.n_control), model.target,
             model.operators, cfg.alpha)
-        model.target = v_free
-        model._stokes_lu = None  # target enters only the rhs; matrix unchanged
+        monkeypatch.setattr(optctrl, "build_target", lambda *args: v_free)
+        model = FullOrderModel(tube_mesh, cfg)
         sol = model.solve_ocp(mu)
         assert sol.objective <= 1e-8 * j_init
+
+    def test_target_read_only(self, stokes_model):
+        """The target enters the right-hand side R at construction, so
+        changing it afterwards fails instead of being ignored."""
+        with pytest.raises(AttributeError):
+            stokes_model.target = np.zeros(stokes_model.spaces.n_velocity)
+        with pytest.raises(ValueError):
+            stokes_model.target[0] = 1.0
 
     def test_alpha_monotonicity(self, tube_mesh):
         """Optimal tracking error grows and control effort shrinks as the
@@ -354,12 +361,16 @@ class TestNavierStokesSolve:
 
 
 @pytest.fixture(scope="module")
-def graft_ns_model():
+def graft_mesh():
     """The coarsest two-inlet graft the generator accepts."""
-    mesh = generate_graft(graft_geometry(host_length=2.5, host_radius=1.0,
+    return generate_graft(graft_geometry(host_length=2.5, host_radius=1.0,
                                          graft_radius=0.7, angle_deg=35.0,
                                          attach=1.6, resolution=0.68))
-    return FullOrderModel(mesh, OcpConfig(equation="navier-stokes"))
+
+
+@pytest.fixture(scope="module")
+def graft_ns_model(graft_mesh):
+    return FullOrderModel(graft_mesh, OcpConfig(equation="navier-stokes"))
 
 
 def _linearization_point(model, rng):
@@ -383,7 +394,7 @@ class TestNavierStokesJacobian:
         K_ref = oracles.bmat_jacobian(model, v, w)
         assert K.format == "csc" and K.shape == K_ref.shape
         assert abs(K - K_ref).max() <= 1e-14 * abs(K_ref).max()
-        assert np.array_equal(rhs, model._stokes_rhs(mu))
+        assert np.array_equal(rhs, model.assemble_kkt(mu)[1])
         for nonlinear in (True, False):
             res = model.kkt_residual(x, mu, nonlinear)
             res_ref = oracles.matrix_kkt_residual(model, x, mu, nonlinear)
@@ -447,6 +458,41 @@ class TestNavierStokesJacobian:
         norms = info.value.residual_norms
         assert len(norms) == 2 and all(np.isfinite(norms))
         assert norms[1] < norms[0]
+
+
+class TestStateEquations:
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_state_block_matches_saddle_oracle(self, ns_model, nonlinear):
+        """The state block is [[X_ff, B_f^T], [B_f, pin]]: X_ff is the
+        free-free stiffness for Stokes, and for Navier-Stokes the J41 block
+        of the Jacobian at zero adjoint (whose values
+        test_assembly_matches_bmat_oracle checks)."""
+        model = ns_model
+        mu = np.array([80.0])
+        e = model._ends
+        X_ff = oracles.free_blocks(model)[1]
+        K, _ = model.assemble_kkt(mu)
+        if nonlinear:
+            v = model.lifting_field(mu)
+            v[model.free] += np.random.default_rng(9).standard_normal(e[0])
+            K, _ = model.assemble_kkt(mu, (v, np.zeros_like(v)))
+            X_ff = K[e[2] : e[3], : e[0]]
+        S = model._state_block(K)
+        assert S.shape == (e[1], e[1])
+        assert abs(S - oracles.saddle_matrix(model, X_ff)).max() == 0.0
+
+    def test_liftings_share_one_factorization(self, graft_mesh, monkeypatch):
+        calls = []
+        factorize = numerics.factorize
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(numerics, "factorize", counted)
+        model = FullOrderModel(graft_mesh, OcpConfig())
+        assert model.lifting.shape[1] == 2
+        assert len(calls) == 1
 
 
 class TestRenumberingInvariance:

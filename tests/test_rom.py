@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ocrom import rom
+from ocrom import numerics, rom
 from ocrom.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -19,6 +19,7 @@ from ocrom.errors import (
     ParseError,
     RankDeficiency,
 )
+from ocrom.optctrl import FullOrderModel, OcpConfig
 from ocrom.rom import (
     FIELDS,
     PodBasis,
@@ -88,7 +89,7 @@ class TestSnapshots:
                 snaps.matrices["q"][:, k],
             ])
             res = stokes_model.kkt_residual(x, mu, False)
-            scale = np.linalg.norm(stokes_model._stokes_rhs(mu))
+            scale = np.linalg.norm(stokes_model.assemble_kkt(mu)[1])
             assert np.linalg.norm(res) <= 1e-9 * scale
 
     def test_failures_recorded(self, stokes_model):
@@ -198,7 +199,7 @@ class TestSupremizers:
         f = stokes_model.free
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((stokes_model.spaces.n_pressure, 2))
-        sup = compute_supremizers(stokes_model, Q)
+        (sup,) = compute_supremizers(stokes_model, Q)
         assert sup.shape[1] == 2
         g = sup.T @ (ops.X_v @ sup)
         assert np.abs(g - np.eye(2)).max() <= 1e-10
@@ -212,7 +213,7 @@ class TestSupremizers:
             assert r <= 1e-8
 
     def test_zero_pressure_modes(self, stokes_model):
-        sup = compute_supremizers(
+        (sup,) = compute_supremizers(
             stokes_model, np.zeros((stokes_model.spaces.n_pressure, 0)))
         assert sup.shape == (stokes_model.spaces.n_velocity, 0)
 
@@ -252,6 +253,24 @@ class TestReducedSpaces:
         bad2.y_v[:, 0] *= 2.0
         with pytest.raises(InvariantViolation):
             check_pod_invariants(stokes_model, bad2)
+
+    def test_one_factorization_per_build(self, stokes_model, stokes_offline, monkeypatch):
+        """Both supremizer sets share one factorization of X_v, and each
+        set keeps the basis it gets when enriched alone."""
+        basis = copy.copy(stokes_offline[1])
+        calls = []
+        factorize = numerics.factorize
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(numerics, "factorize", counted)
+        build_reduced_spaces(stokes_model, basis)
+        assert len(calls) == 1
+        for name, f in (("supremizers_v", "p"), ("supremizers_w", "q")):
+            (alone,) = compute_supremizers(stokes_model, basis.modes[f])
+            assert np.array_equal(getattr(basis, name), alone)
 
     def test_truncation(self, stokes_model, stokes_offline):
         _, basis, _ = stokes_offline
@@ -477,6 +496,29 @@ class TestArtifact:
         b = solve_reduced(back, mu)
         assert abs(a.objective - b.objective) <= 1e-12 * max(a.objective, 1.0)
         assert np.abs(a.v_N - b.v_N).max() <= 1e-12
+
+    def test_unbounded_domain_round_trip(self, tube_mesh, tmp_path):
+        """A model built with no configured domain has (-inf, inf) bounds,
+        and its artifact reloads with them."""
+        model = FullOrderModel(tube_mesh, OcpConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiency)
+            _, _, ops = build_offline(model, training_grid([(40.0, 80.0)], 3), n_max=2)
+        path = tmp_path / "rom.bin"
+        save_artifact(path, ops)
+        back = load_artifact(path)
+        assert back.domain_lo.tolist() == [-np.inf]
+        assert back.domain_hi.tolist() == [np.inf]
+        assert solve_reduced(back, 60.0).objective == solve_reduced(ops, 60.0).objective
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 80.0), (40.0, np.nan), (80.0, 40.0)])
+    def test_domain_nan_or_reversed(self, stokes_offline, tmp_path, lo, hi):
+        bad = copy.copy(stokes_offline[-1])  # copy.copy skips __post_init__
+        bad.domain_lo, bad.domain_hi = np.array([lo]), np.array([hi])
+        path = tmp_path / "rom.bin"
+        save_artifact(path, bad)
+        with pytest.raises(ParseError, match="domain bounds"):
+            load_artifact(path)
 
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(MissingArtifact):

@@ -370,6 +370,16 @@ class TestCli:
         data = json.loads(json_path.read_text())
         assert data["timing"]["speedup_mean"] > 1.0
 
+    @pytest.mark.parametrize("mu", ["7a", "75,"])
+    def test_study_speedup_malformed_mu(self, tmp_path, capsys, mu):
+        """A malformed parameter vector is a usage error, before the config
+        is read."""
+        with pytest.raises(SystemExit) as info:
+            main(["study", "speedup", "--config", str(tmp_path / "none.ini"),
+                  "--mu", mu])
+        assert info.value.code == 2
+        assert "--mu" in capsys.readouterr().err
+
     def test_export_round_trip(self, study_run, tmp_path):
         _, report, _ = study_run
         export(report, "json", tmp_path / "r.json")
