@@ -144,19 +144,17 @@ class Mesh:
                 % int(np.argmin(vols))
             )
         faces, counts = _face_counts(self.tets)
-        boundary = {f for f, c in zip(faces, counts) if c == 1}
-        if any(c > 2 for c in counts):
+        if (counts > 2).any():
             raise InvariantViolation("face shared by more than two tets")
-        tagged = [tuple(sorted(tri)) for tri in self.boundary_tris]
-        if len(set(tagged)) != len(tagged):
+        boundary = faces[counts == 1]
+        tagged, copies = _unique_faces(self.boundary_tris)
+        if (copies > 1).any():
             raise InvariantViolation("duplicate boundary triangle")
-        tagged_set = set(tagged)
-        if tagged_set != boundary:
-            missing = boundary - tagged_set
-            extra = tagged_set - boundary
+        if not np.array_equal(tagged, boundary):
+            union = len(np.unique(np.concatenate([boundary, tagged]), axis=0))
             raise InvariantViolation(
                 "boundary tags do not partition the boundary "
-                f"({len(missing)} untagged, {len(extra)} not boundary faces)"
+                f"({union - len(tagged)} untagged, {union - len(boundary)} not boundary faces)"
             )
         if self.boundary_tags.size and self.boundary_tags.min() < WALL_TAG:
             raise InvariantViolation("boundary tag below wall tag")
@@ -184,19 +182,20 @@ def orient_tets(nodes, tets):
     return tets
 
 
+def _unique_faces(tris):
+    """Distinct triangles (rows of ascending node indices, sorted) and their counts."""
+    return np.unique(np.sort(tris, axis=1), axis=0, return_counts=True)
+
+
 def _face_counts(tets):
-    f = np.concatenate(
-        [tets[:, [1, 2, 3]], tets[:, [0, 2, 3]], tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]]
-    )
-    f.sort(axis=1)
-    uniq, counts = np.unique(f, axis=0, return_counts=True)
-    return [tuple(row) for row in uniq], counts
+    """``_unique_faces`` of the four faces of every tet."""
+    return _unique_faces(tets[:, [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2]].reshape(-1, 3))
 
 
 def boundary_faces(tets):
     """Faces belonging to exactly one tet, as an (k, 3) array."""
     faces, counts = _face_counts(tets)
-    return np.array([f for f, c in zip(faces, counts) if c == 1], dtype=np.int64)
+    return faces[counts == 1]
 
 
 # ---------------------------------------------------------------------------

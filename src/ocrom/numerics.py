@@ -2,10 +2,9 @@
 driver.
 
 Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
-every solve is residual-checked.  A factorization also serves matrices
-near the one it was built from (successive Newton Jacobians): GMRES
-preconditioned by it, accepted only at the same residual bound, and
-otherwise reported so the caller can factor the new matrix instead.
+every solve is residual-checked.  A Newton solve's successive Jacobians
+share one factorization (``newton_step_solver``): later steps run GMRES
+preconditioned with it, and factorize afresh when GMRES misses the LU bound.
 Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``);
 eigenvalues are returned in descending order with a deterministic sign
 convention on the eigenvectors, so repeated runs reproduce identical bases.
@@ -146,6 +145,25 @@ def factorize(A):
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[1]}, not square")
     return LuFactor(A)
+
+
+def newton_step_solver():
+    """``solve(A, b)`` for the successive Jacobians of one Newton solve: the
+    first is factorized, later ones go to the last factorization's
+    ``solve_near`` and are factorized only when that misses its bound."""
+    lu = None
+
+    def solve(A, b):
+        nonlocal lu
+        if lu is not None:
+            try:
+                return lu.solve_near(A, b)
+            except ConvergenceFailure:
+                pass
+        lu = factorize(A)
+        return lu.solve(b)
+
+    return solve
 
 
 def symmetric_eig(C):

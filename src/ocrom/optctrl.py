@@ -24,9 +24,9 @@ sub-solve by the one driver ``numerics.newton`` with this module's
 the first Navier-Stokes Jacobian of a model: an assembly adds the element
 convection blocks to the constant Stokes values in place, and the
 residual's convection terms are evaluated element-wise without a matrix.
-Each solve factorizes its first Jacobian only; later steps run GMRES
-preconditioned by that factorization, and a step it does not solve to the
-LU residual bound is solved by a fresh factorization.
+Both solves take their Newton steps from ``numerics.newton_step_solver``,
+which factorizes a solve's first Jacobian and serves later steps by GMRES
+preconditioned with it.
 """
 
 from dataclasses import dataclass, field
@@ -36,12 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    ParameterOutOfDomain,
-    UnknownTag,
-)
+from .errors import DimensionMismatch, ParameterOutOfDomain, UnknownTag
 from .fem import ConvectionKernel, assemble_operators, build_spaces
 from .mesh import centerline_query
 
@@ -428,20 +423,12 @@ class FullOrderModel:
         if self.config.equation == "stokes":
             return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
         vL = self.lifting_field(mu)
-        lu = None
+        step = numerics.newton_step_solver()
 
         def system(x):
             def solve(b):
-                nonlocal lu
                 v_f, _, _, w_f, _ = self._split(x)
-                K = self._ns_jacobian(self._expand(v_f) + vL, self._expand(w_f))
-                if lu is not None:
-                    try:
-                        return lu.solve_near(K, b)
-                    except ConvergenceFailure:
-                        pass
-                lu = numerics.factorize(K)
-                return lu.solve(b)
+                return step(self._ns_jacobian(self._expand(v_f) + vL, self._expand(w_f)), b)
 
             return self.kkt_residual(x, mu, True), solve
 
@@ -456,13 +443,14 @@ class FullOrderModel:
 
         The residual is the w and q rows of ``kkt_residual`` at zero
         adjoint, with the pin moved to p.  Newton runs once as Stokes (one
-        step), and for Navier-Stokes on from there.
+        step), and for Navier-Stokes on from there, each pass with its own
+        step solver.
         """
         mu = self.check_mu(mu)
         e, nf = self._ends, self.free.shape[0]
         locked = nf + self.locked_pressure
 
-        def system(nonlinear, vp):
+        def system(nonlinear, step, vp):
             x = np.concatenate([vp, u, np.zeros_like(vp)])  # (v, p, u, w, q)
             res = self.kkt_residual(x, mu, nonlinear)[e[2] :]
             res[locked] += vp[locked]
@@ -472,13 +460,14 @@ class FullOrderModel:
                 if nonlinear:
                     v_t = self._expand(vp[:nf]) + self.lifting_field(mu)
                     K = self._ns_jacobian(v_t, np.zeros_like(v_t))
-                return numerics.factorize(self._state_block(K)).solve(b)
+                return step(self._state_block(K), b)
 
             return res, solve
 
         vp = np.zeros(e[1])
         passes = [False, True] if self.config.equation == "navier-stokes" else [False]
         for nonlinear in passes:
-            vp, _, _ = numerics.newton(partial(system, nonlinear), vp,
+            step = numerics.newton_step_solver()
+            vp, _, _ = numerics.newton(partial(system, nonlinear, step), vp,
                                        NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
         return self._expand(vp[:nf]) + self.lifting_field(mu), vp[nf:]

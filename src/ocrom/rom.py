@@ -119,7 +119,11 @@ def collect_snapshots(model, training):
 
 
 def inner_products_of(model):
-    ops = model.operators
+    return _inner_products(model.operators)
+
+
+def _inner_products(ops):
+    """Inner-product matrix of each field's space, from the FEM operators."""
     return {"v": ops.X_v, "p": ops.X_p, "u": ops.N_c, "w": ops.X_v, "q": ops.X_p}
 
 
@@ -567,12 +571,8 @@ def compute_errors(full, reduced, operators):
     def xnorm(vec, mat):
         return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
 
-    pairs = {
-        "v": operators.X_v, "p": operators.X_p, "u": operators.N_c,
-        "w": operators.X_v, "q": operators.X_p,
-    }
     diffs, refs = {}, {}
-    for f, mat in pairs.items():
+    for f, mat in _inner_products(operators).items():
         a = getattr(full, f)
         b = getattr(reduced, f)
         if b is None or a.shape != b.shape:
@@ -681,11 +681,8 @@ def load_artifact(path):
         eigenvalues = {f: arrays[f"eigenvalues_{f}"] for f in FIELDS}
     try:
         return ReducedOperators(
-            y_v=arrays["y_v"], y_p=arrays["y_p"], y_u=arrays["y_u"],
-            lifting=arrays["lifting"], a=arrays["a"], m=arrays["m"], b=arrays["b"],
-            c=arrays["c"], n_ctrl=arrays["n_ctrl"], h=arrays["h"],
+            **{name: arrays[name] for name in _ARRAY_FIELDS},
             j_const=j_const, alpha=alpha, equation=equation,
-            domain_lo=arrays["domain_lo"], domain_hi=arrays["domain_hi"],
             tensor=arrays.get("tensor"),
             training_parameters=arrays.get("training_parameters"),
             eigenvalues=eigenvalues,

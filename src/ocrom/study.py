@@ -104,19 +104,16 @@ def load_config(path):
     )
 
 
-def graft_geometry(host_length, host_radius, graft_radius, angle_deg, attach,
-                   graft_length=None, resolution=0.4):
-    """Host tube along z plus a straight graft meeting its axis at ``attach``."""
+def graft_geometry(host_length, host_radius, graft_radius, angle_deg, attach, resolution=0.4):
+    """Host tube along z plus a graft 0.6 times as long meeting its axis at ``attach``."""
     host = (
         np.array([[0.0, 0.0, 0.0], [0.0, 0.0, host_length]]),
         np.array([host_radius, host_radius]),
     )
-    if graft_length is None:
-        graft_length = 0.6 * host_length
     ang = np.deg2rad(angle_deg)
     direction = np.array([np.sin(ang), 0.0, np.cos(ang)])
     end = np.array([0.0, 0.0, attach])
-    start = end - graft_length * direction
+    start = end - 0.6 * host_length * direction
     graft = (np.array([start, end]), np.array([graft_radius, graft_radius]))
     return GeometrySpec(branches=(host, graft), resolution=resolution)
 
@@ -204,7 +201,7 @@ def _environment(config):
     }
 
 
-def run_offline(config, model=None, save=True):
+def run_offline(config, model=None):
     """Offline phase at the largest requested basis size; writes the artifact."""
     if model is None:
         model = build_model(config)
@@ -217,9 +214,8 @@ def run_offline(config, model=None, save=True):
     )
     offline_seconds = time.perf_counter() - t0
     rom.check_pod_invariants(model, basis, config.eps_tol)
-    if save:
-        os.makedirs(config.output_dir, exist_ok=True)
-        rom.save_artifact(os.path.join(config.output_dir, ARTIFACT_NAME), ops)
+    os.makedirs(config.output_dir, exist_ok=True)
+    rom.save_artifact(os.path.join(config.output_dir, ARTIFACT_NAME), ops)
     return model, snapshots, basis, ops, offline_seconds
 
 

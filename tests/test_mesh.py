@@ -58,6 +58,19 @@ class TestGenerateTube:
     def test_positive_volumes_and_boundary(self, tube_mesh):
         tube_mesh.validate()  # raises on inverted tets / untagged faces
 
+    def test_partition_message_counts_faces(self, tube_mesh):
+        """Three tagged faces swapped for two interior ones: three untagged,
+        two tagged faces that are not on the boundary."""
+        t = tube_mesh.tets
+        faces = np.sort(np.concatenate([t[:, [1, 2, 3]], t[:, [0, 2, 3]],
+                                        t[:, [0, 1, 3]], t[:, [0, 1, 2]]]), axis=1)
+        uniq, counts = np.unique(faces, axis=0, return_counts=True)
+        bad = Mesh(nodes=tube_mesh.nodes, tets=t,
+                   boundary_tris=np.vstack([tube_mesh.boundary_tris[3:], uniq[counts == 2][:2]]),
+                   boundary_tags=np.append(tube_mesh.boundary_tags[3:], [1, 1]))
+        with pytest.raises(InvariantViolation, match=r"\(3 untagged, 2 not boundary faces\)"):
+            bad.validate()
+
     def test_volume_against_monte_carlo(self):
         """Signed tet volume sum vs point-sampling of the implicit cylinder."""
         mesh = straight_tube(length=6.0, radius=1.0, resolution=1.0 / 3.0)

@@ -114,6 +114,22 @@ class TestSolveNear:
         with pytest.raises(DimensionMismatch):
             lu.solve_near(_laplacian_2d(4), np.ones(25))
 
+    def test_newton_step_solver_factorizes_when_gmres_misses(self, monkeypatch):
+        """The first matrix is factorized; a near one is served by GMRES, a
+        far one is factorized and then serves its own successors."""
+        a0, near, b = self._perturbed(0.05)
+        far = self._perturbed(3.0, seed=1)[1]
+        calls = []
+        monkeypatch.setattr(numerics, "factorize",
+                            lambda A: calls.append(A.shape) or factorize(A))
+        solve = numerics.newton_step_solver()
+        counts = []
+        for a in (a0, near, far, far):
+            x = solve(a, b)
+            assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+            counts.append(len(calls))
+        assert counts == [1, 1, 2, 2]
+
 
 class TestNewton:
     @staticmethod

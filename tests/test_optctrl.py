@@ -494,6 +494,21 @@ class TestStateEquations:
         assert model.lifting.shape[1] == 2
         assert len(calls) == 1
 
+    def test_state_solve_reuses_factorization(self, ns_model, monkeypatch):
+        """A state solve factorizes the first Jacobian of its Stokes pass and
+        of its Navier-Stokes pass, not one per Newton step."""
+        calls = []
+        factorize = numerics.factorize
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(numerics, "factorize", counted)
+        v, p = ns_model.solve_state(np.array([80.0]), np.zeros(ns_model.spaces.n_control))
+        assert np.isfinite(v).all() and np.isfinite(p).all()
+        assert 1 <= len(calls) <= 2
+
 
 class TestRenumberingInvariance:
     def test_objective_invariant(self):

@@ -83,3 +83,63 @@ def test_every_definition_is_named_elsewhere():
     unused = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                     for name in definitions(path.read_text()) - used)
     assert unused == []
+
+
+def arguments_set(source):
+    """(called name, parameter name or position) pairs the module's calls
+    set; a call that unpacks ``*args`` or ``**kwargs`` sets (name, "*")."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        found |= {(name, k) for k in range(len(node.args))}
+        found |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            found.add((name, "*"))
+    return found
+
+
+def unset_defaults(source, calls):
+    """``name: parameter`` for each defaulted parameter of the module's
+    functions and methods that no pair in ``calls`` sets.  A method's
+    positions leave out ``self``, and an ``__init__`` is called by its
+    class's name."""
+    unset = []
+
+    def visit(node, cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if cls and positional and positional[0].arg in ("self", "cls") else 0
+            name = cls if cls and node.name == "__init__" else node.name
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, k - skip) for k, a in enumerate(positional) if k >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            unset.extend(f"{name}: {arg}" for arg, k in params
+                         if not {(name, arg), (name, k), (name, "*")} & calls)
+        for child in ast.iter_child_nodes(node):
+            visit(child, node.name if isinstance(node, ast.ClassDef) else None)
+
+    visit(ast.parse(source), None)
+    return unset
+
+
+def test_checker_flags_unset_default():
+    source = ("def f(a, b=1, *, c=2):\n    pass\n\n"
+              "class G:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+              "    def h(self, z=0):\n        pass\n\n"
+              "f(0, c=3)\nG(1)\nG().h(**kw)\n")
+    assert unset_defaults(source, arguments_set(source)) == ["f: b", "G: y"]
+
+
+def test_every_default_is_set_by_a_caller():
+    """A defaulted parameter that no call in the program sets is a constant."""
+    calls = set()
+    for path in (p for d in CALLERS for p in d.rglob("*.py")):
+        calls |= arguments_set(path.read_text())
+    unset = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
+                   for name in unset_defaults(path.read_text(), calls))
+    assert unset == []
