@@ -202,7 +202,6 @@ class OperatorSet:
     N_c: sp.csr_matrix  # control mass on the outlets, Nu x Nu
     X_v: sp.csr_matrix  # H1 velocity inner product
     X_p: sp.csr_matrix  # L2 pressure inner product
-    viscosity: float
 
 
 def _scatter(rows, cols, vals, shape):
@@ -273,8 +272,7 @@ def assemble_operators(spaces, viscosity):
                   (ns, spaces.n_control // 3))
     C = sp.kron(Cs, I3, format="csr")
 
-    return OperatorSet(A=A, B=B, C=C, M=M, N_c=N_c, X_v=X_v, X_p=X_p,
-                       viscosity=float(viscosity))
+    return OperatorSet(A=A, B=B, C=C, M=M, N_c=N_c, X_v=X_v, X_p=X_p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,14 @@ Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
 every solve is residual-checked.  A Newton solve's successive Jacobians
 share one factorization (``newton_step_solver``): later steps run GMRES
 preconditioned with it, and factorize afresh when GMRES misses the LU bound.
-Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``);
-eigenvalues are returned in descending order with a deterministic sign
-convention on the eigenvectors, so repeated runs reproduce identical bases.
+Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``):
+``symmetric_eig`` returns (eigenvalues, eigenvectors), eigenvalues descending
+and eigenvector signs fixed, so repeated runs reproduce identical bases.
 
 ``newton`` is the one Newton loop of the package: the full-order, state and
 reduced optimality solves supply a residual and a step solver, and the
 driver owns the stop test and the divergence rule.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,21 +32,6 @@ _SYM_RTOL = 1e-12  # largest relative asymmetry symmetric_eig accepts
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 3
 _GMRES_RTOL = 1e-11
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues descending.
-
-    ``eigenvectors[:, k]`` pairs with ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        if self.eigenvectors.shape[1] != self.eigenvalues.shape[0]:
-            raise DimensionMismatch("eigenvector/eigenvalue count mismatch")
 
 
 _RCM_THRESHOLD = 20000
@@ -125,12 +108,10 @@ class LuFactor:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        x = np.zeros_like(b)
         with np.errstate(all="ignore"):
-            if _GMRES_CYCLES > 0:  # scipy's gmres fails on maxiter=0
-                M = spla.LinearOperator(A.shape, matvec=self._raw_solve, dtype=float)
-                x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
-                                  restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
+            M = spla.LinearOperator(A.shape, matvec=self._raw_solve, dtype=float)
+            x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
+                              restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
             rel = np.linalg.norm(b - A @ x) / bnorm
         if not rel <= _LU_RTOL:  # NaN included
             raise ConvergenceFailure(
@@ -167,7 +148,8 @@ def newton_step_solver():
 
 
 def symmetric_eig(C):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, eigenvalues
+    descending; ``eigenvectors[:, k]`` pairs with ``eigenvalues[k]``.
 
     Eigenvector signs are fixed so the first entry of largest magnitude is
     positive, which stabilizes bases across runs when eigenvalues repeat.
@@ -193,7 +175,7 @@ def symmetric_eig(C):
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
     V = V * signs
-    return EigenDecomposition(eigenvalues=w, eigenvectors=V)
+    return w, V
 
 
 def newton(system, x, tol_rel, tol_abs, max_iter):

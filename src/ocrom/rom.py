@@ -159,15 +159,15 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
         W = inner_products[f]
         corr = (X.T @ (W @ X)) / n_snap
         corr = 0.5 * (corr + corr.T)
-        eig = numerics.symmetric_eig(corr)
-        lam = np.maximum(eig.eigenvalues, 0.0)
+        lam, vecs = numerics.symmetric_eig(corr)
+        lam = np.maximum(lam, 0.0)
         total = lam.sum()
         rank = int(np.sum(lam > max(total, 1e-300) * 1e-12))
         ranks.append(rank)
         keep = min(n_max, rank)
         cols = []
         for n in range(keep):
-            cols.append(X @ eig.eigenvectors[:, n] / np.sqrt(n_snap * lam[n]))
+            cols.append(X @ vecs[:, n] / np.sqrt(n_snap * lam[n]))
         eigenvalues[f] = lam
         modes[f] = np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
     n_keep = min(min(ranks), n_max)
@@ -431,20 +431,15 @@ def reduced_inf_sup(ops):
     ordinary one for B_N B_N^T.
     """
     b_hom = ops.b[:, : ops.n_velocity_modes]
-    eig = numerics.symmetric_eig(b_hom @ b_hom.T)
-    return float(np.sqrt(max(eig.eigenvalues[-1], 0.0)))
+    lam, _ = numerics.symmetric_eig(b_hom @ b_hom.T)
+    return float(np.sqrt(max(lam[-1], 0.0)))
 
 
 @dataclass
 class ReducedSolution:
-    """Reduced coefficients and their lifted full-order fields."""
+    """A reduced solution lifted to full-order fields."""
 
     mu: np.ndarray
-    v_N: np.ndarray  # homogeneous velocity coefficients (no lifting slots)
-    p_N: np.ndarray
-    u_N: np.ndarray
-    w_N: np.ndarray
-    q_N: np.ndarray
     objective: float
     newton_iterations: int
     v: np.ndarray
@@ -521,8 +516,6 @@ def solve_reduced_coefficients(ops, mu):
 def _solve_coefficients(ops, mu):
     if ops.equation == "stokes":
         x, iters = ops.X @ np.concatenate([[1.0], mu]), 0
-    elif ops.tensor is None:
-        raise MissingArtifact("reduced convection tensor not available")
     else:
         conv = _tensor_convection(ops)
 
@@ -542,8 +535,7 @@ def solve_reduced(ops, mu):
     x, objective, iters = _solve_coefficients(ops, mu)
     v_n, p_n, u_n, w_n, q_n = (x[s] for s in ops.blocks)
     return ReducedSolution(
-        mu=mu, v_N=v_n, p_N=p_n, u_N=u_n, w_N=w_n, q_N=q_n,
-        objective=objective, newton_iterations=iters,
+        mu=mu, objective=objective, newton_iterations=iters,
         v=ops.y_v @ v_n + ops.lifting @ mu, p=ops.y_p @ p_n, u=ops.y_u @ u_n,
         w=ops.y_v @ w_n, q=ops.y_p @ q_n,
     )
@@ -558,15 +550,13 @@ class ErrorReport:
     e_u: float
     e_w: float
     e_q: float
-    e_state: float
-    e_adjoint: float
     e_total: float
     e_total_rel: float
     e_objective: float
 
 
 def compute_errors(full, reduced, operators):
-    """Per-field, combined and relative errors of a lifted reduced solution."""
+    """Per-field, total and relative errors of a lifted reduced solution."""
 
     def xnorm(vec, mat):
         return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
@@ -579,16 +569,11 @@ def compute_errors(full, reduced, operators):
             raise DimensionMismatch(f"field {f}: incompatible or missing vectors")
         diffs[f] = xnorm(a - b, mat)
         refs[f] = xnorm(a, mat)
-    e_s = np.hypot(diffs["v"], diffs["p"])
-    e_z = np.hypot(diffs["w"], diffs["q"])
-    e_t = float(np.sqrt(e_s**2 + e_z**2 + diffs["u"] ** 2))
-    ref_s = np.hypot(refs["v"], refs["p"])
-    ref_z = np.hypot(refs["w"], refs["q"])
-    ref_t = float(np.sqrt(ref_s**2 + ref_z**2 + refs["u"] ** 2))
+    e_t, ref_t = (float(np.sqrt(np.hypot(n["v"], n["p"]) ** 2 + np.hypot(n["w"], n["q"]) ** 2
+                                + n["u"] ** 2)) for n in (diffs, refs))
     return ErrorReport(
         e_v=diffs["v"], e_p=diffs["p"], e_u=diffs["u"], e_w=diffs["w"], e_q=diffs["q"],
-        e_state=float(e_s), e_adjoint=float(e_z), e_total=e_t,
-        e_total_rel=e_t / ref_t if ref_t > 0 else 0.0,
+        e_total=e_t, e_total_rel=e_t / ref_t if ref_t > 0 else 0.0,
         e_objective=abs(full.objective - reduced.objective),
     )
 
@@ -673,7 +658,7 @@ def load_artifact(path):
     finite = (v for k, v in arrays.items() if not k.startswith("domain_"))
     if not all(np.isfinite(v).all() for v in [alpha, j_const, *finite]):
         raise ParseError(f"{path}: non-finite values")
-    _check_shapes(path, arrays)
+    _check_shapes(path, arrays, equation)
     if not (arrays["domain_lo"] <= arrays["domain_hi"]).all():  # NaN fails too
         raise ParseError(f"{path}: domain bounds NaN or reversed")
     eigenvalues = None
@@ -691,11 +676,15 @@ def load_artifact(path):
         raise ParseError(f"{path}: singular reduced operators: {exc}") from exc
 
 
-def _check_shapes(path, arrays):
-    """Raise ParseError unless the operators fit the stored bases."""
+def _check_shapes(path, arrays, equation):
+    """Raise ParseError unless the operators fit the stored bases and a
+    convection tensor is stored exactly for a Navier-Stokes model."""
     missing = [name for name in _ARRAY_FIELDS if name not in arrays]
     if missing:
         raise ParseError(f"{path}: missing arrays {missing}")
+    if ("tensor" in arrays) != (equation == "navier-stokes"):
+        have = "with" if "tensor" in arrays else "without"
+        raise ParseError(f"{path}: {equation} artifact {have} a convection tensor")
     eigen = [f"eigenvalues_{f}" for f in FIELDS]
     if any(k in arrays for k in eigen) and not all(k in arrays for k in eigen):
         raise ParseError(f"{path}: eigenvalues stored for some fields only")

@@ -84,10 +84,10 @@ def load_config(path):
         raise ConfigError(f"{path}: missing [mesh] section")
     return StudyConfig(
         mesh=dict(parser.items("mesh")),
-        equation=_get(parser, "problem", "equation", str, default="stokes"),
-        viscosity=_get(parser, "problem", "viscosity", float, default=3.6),
-        v_const=_get(parser, "problem", "v_const", float, default=350.0),
-        alpha=_get(parser, "problem", "alpha", float, default=1e-2),
+        equation=_get(parser, "problem", "equation", str, default=OcpConfig.equation),
+        viscosity=_get(parser, "problem", "viscosity", float, default=OcpConfig.viscosity),
+        v_const=_get(parser, "problem", "v_const", float, default=OcpConfig.v_const),
+        alpha=_get(parser, "problem", "alpha", float, default=OcpConfig.alpha),
         re_min=_get(parser, "problem", "re_min", float),
         re_max=_get(parser, "problem", "re_max", float),
         training_size=_get(parser, "training", "size", int, default=50),

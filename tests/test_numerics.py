@@ -96,12 +96,6 @@ class TestSolveNear:
         with pytest.raises(ConvergenceFailure):
             factorize(a0).solve_near(a, b)
 
-    def test_no_budget_raises(self, monkeypatch):
-        a0, a, b = self._perturbed(0.05)
-        monkeypatch.setattr(numerics, "_GMRES_CYCLES", 0)
-        with pytest.raises(ConvergenceFailure):
-            factorize(a0).solve_near(a, b)
-
     def test_zero_rhs(self):
         a0, a, _ = self._perturbed(0.05)
         x = factorize(a0).solve_near(a, np.zeros(a.shape[0]))
@@ -172,52 +166,52 @@ class TestNewton:
 
 class TestSymmetricEig:
     def test_diagonal(self):
-        eig = symmetric_eig(np.diag([4.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [4.0, 1.0])
-        assert np.allclose(np.abs(eig.eigenvectors), np.eye(2))
+        lam, vecs = symmetric_eig(np.diag([4.0, 1.0]))
+        assert np.allclose(lam, [4.0, 1.0])
+        assert np.allclose(np.abs(vecs), np.eye(2))
 
     def test_rank_one(self):
         rng = np.random.default_rng(2)
         s = rng.standard_normal(6)
         s *= np.sqrt(7.0) / np.linalg.norm(s)
-        eig = symmetric_eig(np.outer(s, s))
-        assert abs(eig.eigenvalues[0] - 7.0) <= 1e-10
-        assert np.all(np.abs(eig.eigenvalues[1:]) <= 1e-10)
+        lam, _ = symmetric_eig(np.outer(s, s))
+        assert abs(lam[0] - 7.0) <= 1e-10
+        assert np.all(np.abs(lam[1:]) <= 1e-10)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(4)
         c = rng.standard_normal((20, 20))
         c = 0.5 * (c + c.T)
-        eig = symmetric_eig(c)
-        rec = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
+        lam, vecs = symmetric_eig(c)
+        rec = vecs @ np.diag(lam) @ vecs.T
         assert np.linalg.norm(rec - c) <= 1e-10
 
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(9)
         c = rng.standard_normal((15, 15))
         c = c @ c.T
-        eig = symmetric_eig(c)
+        lam, vecs = symmetric_eig(c)
         for k in range(15):
-            v = eig.eigenvectors[:, k]
-            r = np.linalg.norm(c @ v - eig.eigenvalues[k] * v)
-            assert r <= 1e-10 * max(1.0, abs(eig.eigenvalues[0]))
-        gram = eig.eigenvectors.T @ eig.eigenvectors
+            v = vecs[:, k]
+            r = np.linalg.norm(c @ v - lam[k] * v)
+            assert r <= 1e-10 * max(1.0, abs(lam[0]))
+        gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(15)).max() <= 1e-10
 
     def test_descending_and_trace(self):
         rng = np.random.default_rng(6)
         c = rng.standard_normal((12, 12))
         c = 0.5 * (c + c.T)
-        eig = symmetric_eig(c)
-        assert np.all(np.diff(eig.eigenvalues) <= 1e-14)
-        assert abs(eig.eigenvalues.sum() - np.trace(c)) <= 1e-10 * max(
+        lam, _ = symmetric_eig(c)
+        assert np.all(np.diff(lam) <= 1e-14)
+        assert abs(lam.sum() - np.trace(c)) <= 1e-10 * max(
             1.0, abs(np.trace(c)))
 
     def test_psd_nonnegative(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((10, 4))
-        eig = symmetric_eig(m @ m.T)
-        assert np.all(eig.eigenvalues >= -1e-12 * eig.eigenvalues[0])
+        lam, _ = symmetric_eig(m @ m.T)
+        assert np.all(lam >= -1e-12 * lam[0])
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
@@ -227,9 +221,9 @@ class TestSymmetricEig:
         rng = np.random.default_rng(10)
         c = rng.standard_normal((8, 8))
         c = c @ c.T
-        e1 = symmetric_eig(c)
-        e2 = symmetric_eig(c.copy())
-        assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+        _, v1 = symmetric_eig(c)
+        _, v2 = symmetric_eig(c.copy())
+        assert np.array_equal(v1, v2)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2,
@@ -241,8 +235,8 @@ class TestSymmetricEig:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         c = q @ np.diag(diag) @ q.T
         c = 0.5 * (c + c.T)
-        eig = symmetric_eig(c)
-        assert np.allclose(eig.eigenvalues, np.sort(diag)[::-1],
+        lam, _ = symmetric_eig(c)
+        assert np.allclose(lam, np.sort(diag)[::-1],
                            atol=1e-9 * max(1.0, np.abs(diag).max()))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from ocrom import numerics, optctrl
 from ocrom.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NewtonDiverged,
     ParameterOutOfDomain,
@@ -418,7 +419,7 @@ class TestNavierStokesJacobian:
         assert len(calls) == 1
 
     def test_refactorization_fallback_matches(self, ns_model, monkeypatch):
-        """Without a GMRES budget every step falls back to a fresh
+        """When GMRES misses its bound every step falls back to a fresh
         factorization, and the solve takes the same steps."""
         mu = np.array([80.0])
         ref = ns_model.solve_ocp(mu)
@@ -429,7 +430,10 @@ class TestNavierStokesJacobian:
             calls.append(A.shape)
             return factorize(A)
 
-        monkeypatch.setattr(numerics, "_GMRES_CYCLES", 0)
+        def no_gmres(self, A, b):
+            raise ConvergenceFailure("forced refactorization")
+
+        monkeypatch.setattr(numerics.LuFactor, "solve_near", no_gmres)
         monkeypatch.setattr(numerics, "factorize", counted)
         sol = ns_model.solve_ocp(mu)
         assert sol.newton_iterations == ref.newton_iterations

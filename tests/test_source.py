@@ -143,3 +143,45 @@ def test_every_default_is_set_by_a_caller():
     unset = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                    for name in unset_defaults(path.read_text(), calls))
     assert unset == []
+
+
+def attributes_read(source):
+    """Attribute names the module reads (``x.name`` in a load context)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(source, read):
+    """``Class.field`` for each annotated field of the module's dataclasses
+    whose name is not in ``read``."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            unread.extend(f"{node.name}.{stmt.target.id}" for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id not in read)
+    return unread
+
+
+def test_checker_flags_unread_field():
+    source = ("@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z = 1\n\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B:\n    u: int\n\n"
+              "class C:\n    w: int\n\n"
+              "a = A(1)\na.y = 2\nprint(a.x, a.z, B(0).w)\n")
+    assert unread_fields(source, attributes_read(source)) == ["A.y", "B.u"]
+
+
+def test_every_field_is_read():
+    """A dataclass field that no program path reads is dead state."""
+    read = set()
+    for path in (p for d in CALLERS for p in d.rglob("*.py")):
+        read |= attributes_read(path.read_text())
+    unread = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
+                    for name in unread_fields(path.read_text(), read))
+    assert unread == []
