@@ -67,8 +67,10 @@ def main():
             fh.write(CONFIG.format(outdir=outdir))
         config = load_config(path)
 
-        print("offline phase: 20 training solves, POD, supremizers ...")
+        print("offline phase: snapshots, POD, supremizers ...")
         model, snapshots, basis, ops, seconds = run_offline(config)
+        print(f"  {len(snapshots)} training snapshots from {snapshots.solves} "
+              "full-order solves (Stokes is affine in Re)")
         print(f"  done in {seconds:.1f}s; retained {basis.n_max} modes per "
               f"field -> {ops.dimension() + ops.n_lift} reduced dofs "
               f"(full order: {model.spaces.total_dofs()})")

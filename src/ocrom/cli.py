@@ -122,7 +122,8 @@ def _cmd_solve(args):
 def _cmd_offline(args):
     cfg = study.load_config(args.config)
     model, snapshots, basis, ops, seconds = study.run_offline(cfg)
-    print(f"offline done in {seconds:.2f}s: {len(snapshots)} snapshots, "
+    print(f"offline done in {seconds:.2f}s: {len(snapshots)} snapshots from "
+          f"{snapshots.solves} full-order solves, "
           f"{len(snapshots.failures)} failures, n_max={basis.n_max}, "
           f"reduced dimension {ops.dimension() + ops.n_lift}")
     return 0

@@ -13,12 +13,20 @@ Inflow lifting fields enter the reduced velocity basis as fixed trailing
 columns whose coefficients are pinned to the parameter values; they are kept
 out of the orthonormalized block so that pinning stays exact.
 
+Stokes is affine in the parameters: its optimality system ``K x = -R [1; mu]``
+has a fixed ``K``.  Its snapshots therefore come from at most n_lift + 1
+full-order solves at anchor points of the training set, and every training
+column is a combination of theirs.  A Navier-Stokes model solves every
+training point.
+
 Online: the reduced system of dimension 13*N is precomputed as one constant
 KKT matrix plus terms affine in the parameters, by the builders the full
 order uses (``optctrl.optimality_matrix`` and ``affine_rhs``).  A Stokes
-query is a single matrix-vector product; a Navier-Stokes query is dense
-Newton, run by the package's one driver ``numerics.newton``, that adds only
-the tensor's convection blocks to that matrix.
+query is two products with ``[1; mu]``: one with the coefficient map for the
+coefficients and objective, one with its precomputed full-order lift for
+the fields.  A Navier-Stokes query is dense Newton, run by the package's one
+driver ``numerics.newton``, that adds only the tensor's convection blocks to
+that matrix, and lifts its coefficients one basis at a time.
 """
 
 import io
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics
 from .errors import (
@@ -46,7 +55,9 @@ from .optctrl import affine_rhs, check_parameters, optimality_matrix
 
 FIELDS = ("v", "p", "u", "w", "q")
 
-_MGS_DROP_TOL = 1e-10  # relative remainder below which _mgs drops a column
+# relative remainder below which a column adds no direction: _mgs drops it,
+# and _affine_anchors does not make it an anchor
+_MGS_DROP_TOL = 1e-10
 _ORTH_TOL = 1e-10  # largest |Y^T W Y - I| entry check_pod_invariants accepts
 
 
@@ -84,38 +95,74 @@ def training_random(bounds, size, seed):
 
 @dataclass
 class SnapshotSet:
-    """Per-field solution matrices, one column per successful training solve."""
+    """Per-field solution matrices, one column per in-domain training point
+    whose solve succeeded, and how many full-order solves made them."""
 
     matrices: dict  # field -> (n_dof, n_ok) array; velocity fields homogeneous
     parameters: np.ndarray  # parameters of the successful solves
     failures: list  # (index, parameter vector, message)
+    solves: int = 0  # full-order solves that made them
 
     def __len__(self):
         return self.parameters.shape[0]
 
 
 def collect_snapshots(model, training):
-    """Solve the full optimality system at every training parameter."""
-    cols = {f: [] for f in FIELDS}
-    ok_mu, failures = [], []
+    """Full optimality-system solutions at every in-domain training point.
+
+    A point outside the parameter domain, or a Navier-Stokes solve that
+    fails, is recorded in ``failures``.  Stokes solves only the anchors of
+    ``_affine_anchors`` and combines their solutions: the solution is
+    affine in mu, and all Stokes solves share one factorization, so a
+    failed anchor raises ``AllSnapshotsFailed``.
+    """
+    stokes = model.config.equation == "stokes"
+    ok_mu, sols, failures = [], [], []
     for i, mu in enumerate(training.parameters):
         try:
-            sol = model.solve_ocp(mu)
+            model.check_mu(mu)
+            if not stokes:
+                sols.append(model.solve_ocp(mu))
         except (OcromError, np.linalg.LinAlgError) as exc:
             failures.append((i, mu.copy(), str(exc)))
             continue
-        cols["v"].append(sol.v_hom)
-        cols["p"].append(sol.p)
-        cols["u"].append(sol.u)
-        cols["w"].append(sol.w)
-        cols["q"].append(sol.q)
         ok_mu.append(mu.copy())
     if not ok_mu:
         raise AllSnapshotsFailed(
             f"all {len(training)} snapshot solves failed; first: {failures[0][2]}"
         )
-    matrices = {f: np.column_stack(cols[f]) for f in FIELDS}
-    return SnapshotSet(matrices, np.array(ok_mu), failures)
+    ok_mu = np.array(ok_mu)
+    if stokes:
+        anchors, coefficients = _affine_anchors(ok_mu)
+        try:
+            sols = [model.solve_ocp(ok_mu[k]) for k in anchors]
+        except (OcromError, np.linalg.LinAlgError) as exc:
+            raise AllSnapshotsFailed(f"Stokes anchor solve failed: {exc}") from exc
+    matrices = {f: np.column_stack([getattr(s, "v_hom" if f == "v" else f) for s in sols])
+                for f in FIELDS}
+    if stokes:
+        matrices = {f: S @ coefficients for f, S in matrices.items()}
+    return SnapshotSet(matrices, ok_mu, failures, len(sols))
+
+
+def _affine_anchors(mus):
+    """Anchor points for an affine snapshot map: indices of at most n + 1 of
+    the parameter rows ``mus`` (n parameters each), in training order, and
+    the coefficients C with ``[1; mu_anchor] C = [1; mu]`` for every row.
+
+    Column-pivoted QR of the columns ``[1; mu]`` picks them; the parameters
+    are centred and scaled to [-1, 1] first, which keeps C well conditioned
+    and leaves it unchanged in exact arithmetic.  A pivot below
+    ``_MGS_DROP_TOL`` of the first adds no direction, so a repeated point is
+    one anchor.  On a 1-D grid the anchors are the two end points.
+    """
+    shifted = mus - mus.mean(axis=0)
+    scale = np.abs(shifted).max(axis=0)
+    P = np.vstack([np.ones(mus.shape[0]), (shifted / np.where(scale > 0, scale, 1.0)).T])
+    r, pivots = scipy.linalg.qr(P, mode="r", pivoting=True)
+    rank = int(np.sum(np.abs(np.diag(r)) > _MGS_DROP_TOL * abs(r[0, 0])))
+    anchors = np.sort(pivots[:rank])
+    return anchors, np.linalg.lstsq(P[:, anchors], P, rcond=None)[0]
 
 
 def inner_products_of(model):
@@ -325,8 +372,10 @@ class ReducedOperators:
     the squared M-norm of its remainder), ``blocks`` (slices of the
     (v, p, u, w, q) coefficients), the constant KKT matrix ``K`` and the
     affine right-hand side ``R`` (residual ``K x + R [1; mu]`` plus
-    convection), and for Stokes ``X = -K^{-1} R``, so that a query is the
-    matrix-vector product ``X [1; mu]``.
+    convection), and for Stokes ``X = -K^{-1} R`` and its full-order lift
+    ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends`` their row ends),
+    so that a query's coefficients are ``X [1; mu]`` and its fields
+    ``Z [1; mu]``.
     """
 
     y_v: np.ndarray
@@ -358,7 +407,13 @@ class ReducedOperators:
                                    self.c[:nv], self.n_ctrl, self.alpha).toarray()
         self.R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:],
                             self.b[:, nv:])
-        self.X = -np.linalg.solve(self.K, self.R) if self.equation == "stokes" else None
+        self.X = self.Z = self.Z_ends = None
+        if self.equation == "stokes":
+            self.X = -np.linalg.solve(self.K, self.R)
+            # X [1; mu] lifted: the mu columns carry the inflow lifting
+            lifts = _lift(self, self.X, np.eye(1 + self.n_lift)[1:])
+            self.Z = np.vstack(lifts)
+            self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
 
     @property
     def n_velocity_modes(self):
@@ -529,16 +584,25 @@ def _solve_coefficients(ops, mu):
     return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
 
 
+def _lift(ops, x, mu):
+    """Full-order (v, p, u, w, q) fields of reduced coefficients ``x`` at
+    parameters ``mu``, one basis product per field; linear, so ``x`` and
+    ``mu`` may also be matrices of matching columns."""
+    v_n, p_n, u_n, w_n, q_n = (x[s] for s in ops.blocks)
+    return (ops.y_v @ v_n + ops.lifting @ mu, ops.y_p @ p_n, ops.y_u @ u_n,
+            ops.y_v @ w_n, ops.y_p @ q_n)
+
+
 def solve_reduced(ops, mu):
-    """Online reduced solve lifted back to full-order coefficients."""
+    """Online reduced solve lifted back to full-order coefficients: for
+    Stokes one product with the precomputed lift ``Z``, split into views."""
     mu = ops.check_mu(mu)
     x, objective, iters = _solve_coefficients(ops, mu)
-    v_n, p_n, u_n, w_n, q_n = (x[s] for s in ops.blocks)
-    return ReducedSolution(
-        mu=mu, objective=objective, newton_iterations=iters,
-        v=ops.y_v @ v_n + ops.lifting @ mu, p=ops.y_p @ p_n, u=ops.y_u @ u_n,
-        w=ops.y_v @ w_n, q=ops.y_p @ q_n,
-    )
+    if ops.Z is None:
+        fields = _lift(ops, x, mu)
+    else:
+        fields = np.split(ops.Z @ np.concatenate([[1.0], mu]), ops.Z_ends)
+    return ReducedSolution(mu, objective, iters, *fields)
 
 
 @dataclass
@@ -713,6 +777,8 @@ def _check_shapes(path, arrays, equation):
 
 def build_offline(model, training, n_max, eps_tol=1e-4, enrich=True):
     """Full offline phase: snapshots, POD, supremizers, aggregation, projection."""
+    if n_max > len(training):  # checked before any full-order solve
+        raise DimensionMismatch(f"n_max={n_max} exceeds training-set size {len(training)}")
     snapshots = collect_snapshots(model, training)
     basis = pod_compress(snapshots, inner_products_of(model), n_max, eps_tol)
     basis = build_reduced_spaces(model, basis, enrich=enrich)

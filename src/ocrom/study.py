@@ -253,7 +253,9 @@ def run_speedup_study(config, mu_list, model=None):
 
     Each full solve is the first one of a model built for it outside the
     timed interval, so its timing covers the factorization and the solve
-    itself; online timing covers the dense reduced solve.
+    itself; online timing covers the reduced solve and the lift of its
+    coefficients to full-order fields, objective timing the reduced solve
+    alone.
     Requires the offline artifact produced by ``run_offline``.
     """
     mu_list = [np.atleast_1d(np.asarray(m, dtype=float)) for m in mu_list]

@@ -15,7 +15,9 @@ fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
 (the path the precomputed reduced tensor replaces) on a reduced system
 assembled block by block from the projected operators (the path the
-precomputed constant KKT matrix and affine right-hand side replace).
+precomputed constant KKT matrix and affine right-hand side replace).  The
+per-basis lift of reduced coefficients to full-order fields is the
+reference for the Stokes one-product lift.
 """
 
 import numpy as np
@@ -292,6 +294,14 @@ def blockwise_reduced_system(ops, mu, x, conv):
         jac[sw, sv] += d_wv[:nv, :nv]
     res = np.concatenate([r_v, r_p, r_u, r_w, r_q])
     return res, jac, (v_ext, u_n)
+
+
+def per_basis_lift(ops, x, mu):
+    """Full-order fields of reduced coefficients ``x`` at ``mu``, one basis
+    product per field (the path the Stokes one-product lift replaces)."""
+    v_n, p_n, u_n, w_n, q_n = (x[s] for s in ops.blocks)
+    return {"v": ops.y_v @ v_n + ops.lifting @ mu, "p": ops.y_p @ p_n,
+            "u": ops.y_u @ u_n, "w": ops.y_v @ w_n, "q": ops.y_p @ q_n}
 
 
 def reassembled_convection(ops, model):

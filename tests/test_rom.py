@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from ocrom import numerics, rom
 from ocrom.errors import (
+    AllSnapshotsFailed,
     DimensionMismatch,
     InvariantViolation,
     MissingArtifact,
@@ -18,7 +19,9 @@ from ocrom.errors import (
     ParameterOutOfDomain,
     ParseError,
     RankDeficiency,
+    SingularMatrix,
 )
+from ocrom.mesh import generate_graft
 from ocrom.optctrl import FullOrderModel, OcpConfig
 from ocrom.rom import (
     FIELDS,
@@ -44,6 +47,7 @@ from ocrom.rom import (
     training_random,
     truncate_basis,
 )
+from ocrom.study import graft_geometry
 
 import oracles
 
@@ -108,6 +112,82 @@ class TestSnapshots:
 
         with pytest.raises(AllSnapshotsFailed):
             collect_snapshots(stokes_model, TrainingSet(np.array([[1e6]])))
+
+
+def _count_solves(monkeypatch):
+    """Parameters of every ``FullOrderModel.solve_ocp`` call from now on."""
+    solved = []
+    solve_ocp = FullOrderModel.solve_ocp
+
+    def counted(model, mu):
+        solved.append(np.array(mu, dtype=float))
+        return solve_ocp(model, mu)
+
+    monkeypatch.setattr(FullOrderModel, "solve_ocp", counted)
+    return solved
+
+
+@pytest.fixture(scope="module")
+def stokes_graft_model():
+    """A small two-inlet Stokes graft."""
+    mesh = generate_graft(graft_geometry(host_length=3.0, host_radius=1.0,
+                                         graft_radius=0.7, angle_deg=60.0,
+                                         attach=2.0, resolution=0.68))
+    return FullOrderModel(mesh, OcpConfig(domain={2: (40.0, 80.0), 3: (40.0, 80.0)}))
+
+
+class TestAffineSnapshots:
+    """Stokes snapshots come from at most n_lift + 1 anchor solves."""
+
+    @pytest.mark.parametrize("model, training, solves", [
+        ("stokes_model", [[60.0], [60.0], [60.0]], 1),
+        ("stokes_model", [[50.0], [-5.0], [1e6], [np.nan], [70.0]], 2),
+        ("ns_model", [[20.0], [40.0]], 2),
+    ], ids=["repeated-point", "out-of-domain", "navier-stokes"])
+    def test_full_order_solves(self, request, monkeypatch, model, training, solves):
+        """Stokes solves only in-domain anchors; Navier-Stokes every point."""
+        model = request.getfixturevalue(model)
+        solved = _count_solves(monkeypatch)
+        snaps = collect_snapshots(model, rom.TrainingSet(np.array(training)))
+        assert len(solved) == snaps.solves == solves
+        for mu in solved:
+            assert any(np.array_equal(mu, p) for p in snaps.parameters)
+            assert np.all((model.domain_lo <= mu) & (mu <= model.domain_hi))
+
+    def test_stokes_build_from_two_solves(self, stokes_model, monkeypatch):
+        solved = _count_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiency)
+            snaps, _, _ = build_offline(stokes_model, training_grid([(40.0, 80.0)], 6), n_max=2)
+        assert [mu.tolist() for mu in solved] == [[40.0], [80.0]]
+        assert len(snaps) == 6 and snaps.solves == 2
+
+    def test_graft_grid_columns_match_direct_solves(self, stokes_graft_model, monkeypatch):
+        solved = _count_solves(monkeypatch)
+        ts = training_grid([(40.0, 80.0)] * 2, 3)
+        snaps = collect_snapshots(stokes_graft_model, ts)
+        assert len(solved) == 3
+        assert np.array_equal(snaps.parameters, ts.parameters)
+        for k, mu in enumerate(ts.parameters):
+            sol = stokes_graft_model.solve_ocp(mu)
+            for f in FIELDS:
+                ref = sol.v_hom if f == "v" else getattr(sol, f)
+                err = np.abs(snaps.matrices[f][:, k] - ref).max()
+                assert err <= 1e-8 * np.abs(ref).max(), (mu, f)
+
+    def test_repeated_builds_bit_identical(self, stokes_graft_model):
+        ts = training_random([(40.0, 80.0)] * 2, 7, seed=5)
+        a, b = (collect_snapshots(stokes_graft_model, ts) for _ in range(2))
+        for f in FIELDS:
+            assert a.matrices[f].tobytes() == b.matrices[f].tobytes()
+
+    def test_failed_anchor_raises(self, stokes_model, monkeypatch):
+        def singular(model, mu):
+            raise SingularMatrix("zero pivot")
+
+        monkeypatch.setattr(FullOrderModel, "solve_ocp", singular)
+        with pytest.raises(AllSnapshotsFailed, match="zero pivot"):
+            collect_snapshots(stokes_model, training_grid([(40.0, 80.0)], 4))
 
 
 def _identity_products(n):
@@ -763,3 +843,18 @@ def test_stokes_query_is_a_matvec(stokes_offline, monkeypatch):
     for mu, ref in zip(mus, refs):
         x, _, _ = rom.solve_reduced_coefficients(ops, mu)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("offline, tol", [("stokes_offline", 1e-13), ("ns_offline", 0.0)])
+def test_lift_matches_per_basis_oracle(offline, tol, request):
+    """A query's fields against the per-basis lift of its coefficients: the
+    Stokes one-product lift to round-off, the Navier-Stokes lift exactly."""
+    ops = request.getfixturevalue(offline)[-1]
+    for mu in np.linspace(ops.domain_lo, ops.domain_hi, 4):
+        x, objective, iters = rom.solve_reduced_coefficients(ops, mu)
+        sol = solve_reduced(ops, mu)
+        assert sol.objective == objective and sol.newton_iterations == iters
+        for f, ref in oracles.per_basis_lift(ops, x, mu).items():
+            got = getattr(sol, f)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), f

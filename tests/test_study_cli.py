@@ -6,6 +6,7 @@ import pytest
 from ocrom import cli
 from ocrom.cli import main
 from ocrom.errors import ConfigError, IoError, MissingArtifact, OcromError
+from ocrom.optctrl import FullOrderModel
 from ocrom.study import (
     CSV_HEADER,
     StudyConfig,
@@ -402,6 +403,26 @@ class TestCli:
                      "--csv", str(tmp_path / "r.csv")]) == 2
         assert str(report) in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_offline_reports_full_order_solves(self, config_file, capsys):
+        assert main(["offline", "--config", str(config_file)]) == 0
+        assert "6 snapshots from 2 full-order solves" in capsys.readouterr().out
+
+    def test_offline_n_max_above_grid_size(self, tmp_path, capsys, monkeypatch):
+        """A two-inlet grid of size 5 has round(5 ** 0.5) ** 2 = 4 points, so
+        n_max = 5 fails before any full-order solve."""
+        path = tmp_path / "graft.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        .replace("kind = tube", "kind = graft\nhost_length = 3.0\n"
+                                 "angle_deg = 60.0\nattach = 2.0")
+                        .replace("resolution = 0.55", "resolution = 0.68")
+                        .replace("size = 6", "size = 5").replace("n_max = 2", "n_max = 5")
+                        .replace("sweep = 1 2", "sweep = 1"))
+        solves = []
+        monkeypatch.setattr(FullOrderModel, "solve_ocp", lambda model, mu: solves.append(mu))
+        assert main(["offline", "--config", str(path)]) == 2
+        assert "n_max=5 exceeds training-set size 4" in capsys.readouterr().err
+        assert solves == []
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
