@@ -68,7 +68,8 @@ def main():
         config = load_config(path)
 
         print("offline phase: snapshots, POD, supremizers ...")
-        model, snapshots, basis, ops, seconds = run_offline(config)
+        offline = run_offline(config)
+        model, snapshots, basis, ops, seconds = offline
         print(f"  {len(snapshots)} training snapshots from {snapshots.solves} "
               "full-order solves (Stokes is affine in Re)")
         print(f"  done in {seconds:.1f}s; retained {basis.n_max} modes per "
@@ -78,7 +79,7 @@ def main():
 
         print("\nerror decay over the basis-size sweep "
               "(mean over 5 random test parameters):")
-        report = run_error_study(config, model=model)
+        report = run_error_study(config, offline)
         print(f"  {'n':>3} {'E_T_rel':>12} {'E_J':>12}")
         for row in report.rows:
             print(f"  {row['n']:3d} {row['E_T_rel']:12.3e} "

@@ -140,7 +140,7 @@ def _cmd_online(args):
 def _cmd_study(args):
     cfg = study.load_config(args.config)
     if args.kind == "errors":
-        report = study.run_error_study(cfg)
+        report = study.run_error_study(cfg, study.run_offline(cfg))
         for row in report.rows:
             print(f"n={row['n']:3d}  E_T_rel={row['E_T_rel']:.6e}  "
                   f"E_J={row['E_J']:.6e}")

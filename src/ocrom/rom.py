@@ -9,6 +9,12 @@ including a third-order tensor holding the convection trilinear form on the
 reduced velocity basis, so the online Navier-Stokes Newton loop never touches
 full-order arrays.
 
+The aggregated spaces are nested: their columns are ordered by mode index,
+velocity as (v_k, s_k, w_k, t_k) (state mode, its supremizer, adjoint mode,
+its supremizer) and pressure as (p_k, q_k), so the spaces of basis size n
+are leading columns and ``slice_operators`` cuts every smaller reduced model
+out of the one projection.
+
 Inflow lifting fields enter the reduced velocity basis as fixed trailing
 columns whose coefficients are pinned to the parameter values; they are kept
 out of the orthonormalized block so that pinning stays exact.
@@ -34,7 +40,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -176,18 +182,21 @@ def _inner_products(ops):
 
 @dataclass
 class PodBasis:
-    """Per-field POD results plus supremizers and aggregated spaces."""
+    """Per-field POD results plus the aggregated spaces, whose columns are
+    ordered by mode index: (v_k, s_k, w_k, t_k) in ``y_v``, (p_k, q_k) in
+    ``y_p``.  The leading ``sizes[f][n]`` columns of ``y_f`` span the spaces
+    of basis size n (fewer than 4n, 2n, n where near-dependent ones dropped).
+    """
 
     eigenvalues: dict  # field -> descending eigenvalue array (full spectrum)
     modes: dict  # field -> (n_dof, n_retained) X-orthonormal columns
     n_max: int
-    energy: dict | None = None  # field -> retained energy fraction (POD only)
-    supremizers_v: np.ndarray | None = None
-    supremizers_w: np.ndarray | None = None
-    lifting: np.ndarray | None = None  # (n_velocity, n_inlets) fixed columns
+    energy: dict  # field -> retained energy fraction
+    training_parameters: np.ndarray  # parameters of the snapshots
     y_v: np.ndarray | None = None  # aggregated velocity basis (4*n_max cols)
     y_p: np.ndarray | None = None  # aggregated pressure basis (2*n_max cols)
     y_u: np.ndarray | None = None  # control basis (n_max cols)
+    sizes: dict | None = None  # "v", "p", "u" -> column counts for n = 0..n_max
 
 
 def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
@@ -226,23 +235,22 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
         modes[f] = modes[f][:, :n_keep]
         lam = eigenvalues[f]
         energy[f] = float(lam[:n_keep].sum() / lam.sum()) if lam.sum() > 0 else 1.0
-    basis = PodBasis(eigenvalues, modes, n_keep, energy)
+    basis = PodBasis(eigenvalues, modes, n_keep, energy, snapshots.parameters)
     for f in FIELDS:
         if basis.energy[f] < 1.0 - eps_tol and n_keep == n_max:
-            warnings.warn(
-                RankDeficiency(
-                    f"field {f}: retained energy {basis.energy[f]:.6f} < 1 - eps_tol"
-                )
-            )
+            warnings.warn(RankDeficiency(
+                f"field {f}: retained energy {basis.energy[f]:.6f} < 1 - eps_tol"))
     return basis
 
 
 def _mgs(columns, weight):
     """Modified Gram-Schmidt in the ``weight`` inner product.
 
-    Orthonormalizes ``columns``; near-dependent columns are dropped.
+    Orthonormalizes ``columns`` and returns the basis and the indices of the
+    columns it kept; near-dependent columns are dropped.  A column's result
+    depends only on the columns before it, so prefixes give prefixes.
     """
-    kept = []
+    kept, index = [], []
     for j in range(columns.shape[1]):
         v = columns[:, j].copy()
         scale = np.sqrt(max(v @ (weight @ v), 0.0))
@@ -254,17 +262,19 @@ def _mgs(columns, weight):
         if nrm <= _MGS_DROP_TOL * max(scale, 1.0):
             continue
         kept.append(v / nrm)
+        index.append(j)
     if not kept:
-        return np.zeros((columns.shape[0], 0))
-    return np.column_stack(kept)
+        return np.zeros((columns.shape[0], 0)), np.zeros(0, dtype=int)
+    return np.column_stack(kept), np.array(index)
 
 
 def compute_supremizers(model, *pressure_modes):
     """Velocity enrichment restoring reduced inf-sup stability.
 
     For each pressure mode q solves (T, v)_{X_v} = b(q, v) on the homogeneous
-    velocity space, with one factorization of X_v for all sets; returns one
-    X_v-orthonormal basis of the solutions per set of modes.
+    velocity space, with one factorization of X_v for all sets; returns per
+    set of modes an X_v-orthonormal basis of the solutions and the indices
+    of the modes whose solutions it kept.
     """
     ops = model.operators
     f = model.free
@@ -280,64 +290,48 @@ def compute_supremizers(model, *pressure_modes):
 def build_reduced_spaces(model, basis, enrich=True):
     """Aggregate state and adjoint spaces into shared reduced bases.
 
-    Velocity: [state modes | state supremizers | adjoint modes | adjoint
-    supremizers], re-orthonormalized as one block; lifting fields stay
-    outside the orthonormalization so their coefficients pin to the
-    parameters exactly.  Pressure: [state | adjoint] modes re-orthonormalized.
+    Velocity: state modes, state supremizers, adjoint modes and adjoint
+    supremizers, interleaved by mode index as (v_k, s_k, w_k, t_k) and
+    orthonormalized as one block; lifting fields stay outside the
+    orthonormalization so their coefficients pin to the parameters exactly.
+    Pressure: state and adjoint modes interleaved as (p_k, q_k).
     """
     if enrich:
-        basis.supremizers_v, basis.supremizers_w = compute_supremizers(
-            model, basis.modes["p"], basis.modes["q"])
+        sup_v, sup_w = compute_supremizers(model, basis.modes["p"], basis.modes["q"])
     else:
-        basis.supremizers_v = basis.supremizers_w = np.zeros((model.spaces.n_velocity, 0))
-    return _aggregate(model, basis)
+        sup_v = sup_w = (np.zeros((model.spaces.n_velocity, 0)), np.zeros(0, dtype=int))
+    return _aggregate(model, basis, sup_v, sup_w)
 
 
-def _aggregate(model, basis):
+def _aggregate(model, basis, sup_v, sup_w):
+    """Orthonormalize each field's columns, given as (columns, mode index of
+    each) pairs, in mode-index order, and record the column counts per size."""
     ops = model.operators
-    agg_v = np.column_stack(
-        [basis.modes["v"], basis.supremizers_v, basis.modes["w"], basis.supremizers_w]
-    )
-    basis.y_v = _mgs(agg_v, ops.X_v)
-    basis.y_p = _mgs(np.column_stack([basis.modes["p"], basis.modes["q"]]), ops.X_p)
-    basis.y_u = _mgs(basis.modes["u"], ops.N_c)
-    basis.lifting = model.lifting
-    if basis.y_v.shape[1] != agg_v.shape[1] or basis.y_p.shape[1] != 2 * basis.n_max:
-        warnings.warn(
-            RankDeficiency(
-                "aggregated basis lost columns to near-dependence: "
-                f"velocity {basis.y_v.shape[1]}/{agg_v.shape[1]}, "
-                f"pressure {basis.y_p.shape[1]}/{2 * basis.n_max}"
-            )
-        )
+    modes = {f: (basis.modes[f], np.arange(basis.n_max)) for f in FIELDS}
+    basis.sizes = {}
+    for name, parts, weight in (
+        ("v", [modes["v"], sup_v, modes["w"], sup_w], ops.X_v),
+        ("p", [modes["p"], modes["q"]], ops.X_p),
+        ("u", [modes["u"]], ops.N_c),
+    ):
+        index = np.concatenate([k for _, k in parts])
+        order = np.argsort(index, kind="stable")
+        y, kept = _mgs(np.column_stack([c for c, _ in parts])[:, order], weight)
+        setattr(basis, f"y_{name}", y)
+        basis.sizes[name] = np.searchsorted(index[order][kept], np.arange(basis.n_max + 1))
+        if y.shape[1] != index.size:
+            warnings.warn(RankDeficiency(
+                f"aggregated {name} basis lost columns to near-dependence: "
+                f"{y.shape[1]}/{index.size}"))
     return basis
-
-
-def truncate_basis(model, basis, n):
-    """Basis restricted to the first ``n`` modes per field, re-aggregated.
-
-    Supremizer columns correspond one-to-one to pressure modes with a
-    span-preserving prefix (modified Gram-Schmidt), so truncating them to the
-    first ``n`` columns spans exactly the supremizers of the retained
-    pressure modes.
-    """
-    if n > basis.n_max:
-        raise DimensionMismatch(f"cannot truncate to {n} > retained {basis.n_max}")
-    small = PodBasis(
-        eigenvalues={f: basis.eigenvalues[f].copy() for f in FIELDS},
-        modes={f: basis.modes[f][:, :n] for f in FIELDS},
-        n_max=n,
-        supremizers_v=basis.supremizers_v[:, :n],
-        supremizers_w=basis.supremizers_w[:, :n],
-    )
-    return _aggregate(model, small)
 
 
 def check_pod_invariants(model, basis, eps_tol=1e-4):
     """Assert eigenvalue monotonicity, non-negativity and orthonormality.
 
-    ``eps_tol`` is not enforced here: rank-limited energy retention is
-    reported by ``pod_compress`` as a ``RankDeficiency`` warning.
+    ``eps_tol`` is not checked: rank-limited energy retention is reported
+    by ``pod_compress`` as a ``RankDeficiency`` warning.  No call in the
+    package passes it.
     """
     for f in FIELDS:
         lam = basis.eigenvalues[f]
@@ -442,7 +436,7 @@ def project_operators(model, basis):
     """
     ops = model.operators
     cfg = model.config
-    y_ext = np.column_stack([basis.y_v, basis.lifting])
+    y_ext = np.column_stack([basis.y_v, model.lifting])
     a = y_ext.T @ (ops.A @ y_ext)
     m = y_ext.T @ (ops.M @ y_ext)
     b = basis.y_p.T @ np.asarray(ops.B @ y_ext)
@@ -461,7 +455,7 @@ def project_operators(model, basis):
         y_v=basis.y_v,
         y_p=basis.y_p,
         y_u=basis.y_u,
-        lifting=basis.lifting,
+        lifting=model.lifting,
         a=a,
         m=m,
         b=b,
@@ -474,7 +468,25 @@ def project_operators(model, basis):
         domain_lo=model.domain_lo,
         domain_hi=model.domain_hi,
         tensor=tensor,
+        training_parameters=basis.training_parameters,
         eigenvalues={f: basis.eigenvalues[f].copy() for f in FIELDS},
+    )
+
+
+def slice_operators(ops, basis, n):
+    """The reduced model of basis size ``n``, cut out of the model ``ops``
+    projected on the nested spaces of ``basis``: the leading columns of each
+    basis, the lifting columns kept, and the matching rows and columns of
+    every projected operator and of the tensor."""
+    if n > basis.n_max:
+        raise DimensionMismatch(f"basis size {n} exceeds the built {basis.n_max}")
+    nv, n_p, nu = (basis.sizes[f][n] for f in "vpu")
+    ext = np.r_[:nv, ops.n_velocity_modes:ops.n_extended]
+    return replace(
+        ops, y_v=ops.y_v[:, :nv], y_p=ops.y_p[:, :n_p], y_u=ops.y_u[:, :nu],
+        a=ops.a[np.ix_(ext, ext)], m=ops.m[np.ix_(ext, ext)], b=ops.b[:n_p, ext],
+        c=ops.c[ext, :nu], n_ctrl=ops.n_ctrl[:nu, :nu], h=ops.h[ext],
+        tensor=None if ops.tensor is None else ops.tensor[np.ix_(ext, ext, ext)],
     )
 
 
@@ -654,20 +666,10 @@ _ARRAY_FIELDS = (
 
 def save_artifact(path, ops):
     """Write the reduced model to a single versioned binary file."""
-    arrays = {}
-    for name in _ARRAY_FIELDS:
-        arrays[name] = np.ascontiguousarray(getattr(ops, name), dtype=float)
-    if ops.tensor is not None:
-        arrays["tensor"] = np.ascontiguousarray(ops.tensor, dtype=float)
-    if ops.training_parameters is not None:
-        arrays["training_parameters"] = np.ascontiguousarray(
-            ops.training_parameters, dtype=float
-        )
-    if ops.eigenvalues:
-        for f in FIELDS:
-            arrays[f"eigenvalues_{f}"] = np.ascontiguousarray(
-                ops.eigenvalues[f], dtype=float
-            )
+    optional = {"tensor": ops.tensor, "training_parameters": ops.training_parameters,
+                **{f"eigenvalues_{f}": ops.eigenvalues[f] for f in FIELDS if ops.eigenvalues}}
+    arrays = {name: getattr(ops, name) for name in _ARRAY_FIELDS}
+    arrays.update((name, a) for name, a in optional.items() if a is not None)
     index = {
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
         "scalars": {
@@ -782,6 +784,4 @@ def build_offline(model, training, n_max, eps_tol=1e-4, enrich=True):
     snapshots = collect_snapshots(model, training)
     basis = pod_compress(snapshots, inner_products_of(model), n_max, eps_tol)
     basis = build_reduced_spaces(model, basis, enrich=enrich)
-    ops = project_operators(model, basis)
-    ops.training_parameters = snapshots.parameters
-    return snapshots, basis, ops
+    return snapshots, basis, project_operators(model, basis)

@@ -201,27 +201,29 @@ def _environment(config):
     }
 
 
-def run_offline(config, model=None):
+def run_offline(config):
     """Offline phase at the largest requested basis size; writes the artifact."""
-    if model is None:
-        model = build_model(config)
-    n_top = max(config.sweep) if config.sweep else config.n_max
-    n_top = max(n_top, config.n_max)
+    model = build_model(config)
+    n_top = max([config.n_max, *config.sweep])
     training = training_set_of(config, len(model.inlet_tags))
     t0 = time.perf_counter()
     snapshots, basis, ops = rom.build_offline(
         model, training, n_top, eps_tol=config.eps_tol, enrich=config.supremizers
     )
     offline_seconds = time.perf_counter() - t0
-    rom.check_pod_invariants(model, basis, config.eps_tol)
+    rom.check_pod_invariants(model, basis)
     os.makedirs(config.output_dir, exist_ok=True)
     rom.save_artifact(os.path.join(config.output_dir, ARTIFACT_NAME), ops)
     return model, snapshots, basis, ops, offline_seconds
 
 
-def run_error_study(config, model=None):
-    """Error decay over the basis-size sweep, averaged over a random test set."""
-    model, snapshots, basis, ops_top, offline_seconds = run_offline(config, model)
+def run_error_study(config, offline):
+    """Error decay over the basis-size sweep, averaged over a random test set.
+
+    ``offline`` is what ``run_offline`` returned; every swept size is a
+    slice of its one projected model.
+    """
+    model, _, basis, ops_top, offline_seconds = offline
     test = test_set_of(config, len(model.inlet_tags))
     full_solutions = [model.solve_ocp(mu) for mu in test.parameters]
     report = StudyReport(
@@ -229,13 +231,9 @@ def run_error_study(config, model=None):
         timing={"offline_seconds": offline_seconds},
         environment=_environment(config),
     )
-    sweep = config.sweep or [basis.n_max]
     keys = ("E_v", "E_p", "E_u", "E_w", "E_q", "E_T", "E_T_rel", "E_J")
-    for n in sweep:
-        n_eff = min(n, basis.n_max)
-        small = rom.truncate_basis(model, basis, n_eff)
-        rom.check_pod_invariants(model, small, config.eps_tol)
-        ops = rom.project_operators(model, small)
+    for n in config.sweep or [basis.n_max]:
+        ops = rom.slice_operators(ops_top, basis, min(n, basis.n_max))
         errs = []
         for mu, full in zip(test.parameters, full_solutions):
             red = rom.solve_reduced(ops, mu)

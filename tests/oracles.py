@@ -246,12 +246,11 @@ def objective_of_control(model, mu, u):
     return evaluate_objective(v_t, u, model.target, model.operators, model.config.alpha)
 
 
-def reduced_dimension(basis):
+def reduced_dimension(basis, n_lift):
     """Reduced optimality-system size counted from the basis columns:
     velocity and pressure twice (state and adjoint), control once, plus
-    the lifting columns."""
-    return (2 * basis.y_v.shape[1] + 2 * basis.y_p.shape[1] + basis.y_u.shape[1]
-            + basis.lifting.shape[1])
+    the ``n_lift`` lifting columns."""
+    return 2 * basis.y_v.shape[1] + 2 * basis.y_p.shape[1] + basis.y_u.shape[1] + n_lift
 
 
 def blockwise_reduced_system(ops, mu, x, conv):

@@ -172,7 +172,8 @@ def _synthetic_reduced_dimension(model, n_max, n_snap, seed):
         basis = rom.pod_compress(snaps, rom.inner_products_of(model), n_max)
         basis = rom.build_reduced_spaces(model, basis)
         ops = rom.project_operators(model, basis)
-    return oracles.reduced_dimension(basis), ops.dimension() + ops.n_lift
+    return (oracles.reduced_dimension(basis, model.lifting.shape[1]),
+            ops.dimension() + ops.n_lift)
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +242,9 @@ def decay_study(tmp_path_factory):
     with warnings.catch_warnings():
         # the affine Stokes snapshot set has numerical rank 2 < n_max = 10
         warnings.simplefilter("ignore", RankDeficiency)
-        model, snaps, basis, ops, _ = run_offline(cfg)
-        report = run_error_study(cfg, model=model)
+        offline = run_offline(cfg)
+        report = run_error_study(cfg, offline)
+    model, snaps, basis, ops, _ = offline
     elapsed = time.perf_counter() - t0
     return cfg, model, snaps, basis, ops, report, elapsed
 

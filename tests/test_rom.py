@@ -42,10 +42,10 @@ from ocrom.rom import (
     project_operators,
     reduced_inf_sup,
     save_artifact,
+    slice_operators,
     solve_reduced,
     training_grid,
     training_random,
-    truncate_basis,
 )
 from ocrom.study import graft_geometry
 
@@ -279,7 +279,8 @@ class TestSupremizers:
         f = stokes_model.free
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((stokes_model.spaces.n_pressure, 2))
-        (sup,) = compute_supremizers(stokes_model, Q)
+        ((sup, kept),) = compute_supremizers(stokes_model, Q)
+        assert kept.tolist() == [0, 1]
         assert sup.shape[1] == 2
         g = sup.T @ (ops.X_v @ sup)
         assert np.abs(g - np.eye(2)).max() <= 1e-10
@@ -293,9 +294,9 @@ class TestSupremizers:
             assert r <= 1e-8
 
     def test_zero_pressure_modes(self, stokes_model):
-        (sup,) = compute_supremizers(
+        ((sup, kept),) = compute_supremizers(
             stokes_model, np.zeros((stokes_model.spaces.n_pressure, 0)))
-        assert sup.shape == (stokes_model.spaces.n_velocity, 0)
+        assert sup.shape == (stokes_model.spaces.n_velocity, 0) and kept.size == 0
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +306,6 @@ def stokes_offline(stokes_model):
         warnings.simplefilter("ignore", RankDeficiency)
         snaps, basis, ops = build_offline(
             stokes_model, ts, n_max=2)
-    ops.training_parameters = snaps.parameters
     return snaps, basis, ops
 
 
@@ -316,8 +316,8 @@ class TestReducedSpaces:
 
     def test_dimension_bookkeeping(self, stokes_offline):
         _, basis, ops = stokes_offline
-        n, n_lift = basis.n_max, basis.lifting.shape[1]
-        assert oracles.reduced_dimension(basis) == 13 * n + n_lift
+        n, n_lift = basis.n_max, ops.n_lift
+        assert oracles.reduced_dimension(basis, n_lift) == 13 * n + n_lift
         assert ops.dimension() == 13 * n
         assert ops.n_extended == ops.n_velocity_modes + n_lift
 
@@ -348,18 +348,27 @@ class TestReducedSpaces:
         monkeypatch.setattr(numerics, "factorize", counted)
         build_reduced_spaces(stokes_model, basis)
         assert len(calls) == 1
-        for name, f in (("supremizers_v", "p"), ("supremizers_w", "q")):
-            (alone,) = compute_supremizers(stokes_model, basis.modes[f])
-            assert np.array_equal(getattr(basis, name), alone)
+        both = compute_supremizers(stokes_model, basis.modes["p"], basis.modes["q"])
+        for (sup, kept), f in zip(both, ("p", "q")):
+            ((alone, kept_alone),) = compute_supremizers(stokes_model, basis.modes[f])
+            assert np.array_equal(sup, alone) and np.array_equal(kept, kept_alone)
 
     def test_truncation(self, stokes_model, stokes_offline):
-        _, basis, _ = stokes_offline
-        small = truncate_basis(stokes_model, basis, 1)
-        assert small.n_max == 1
-        assert small.energy is None and basis.energy is not None
+        """A smaller model is the leading columns of each basis, the lifting
+        kept, with orthonormal bases and the operators on those columns."""
+        _, basis, ops = stokes_offline
+        small = slice_operators(ops, basis, 1)
+        assert small.y_v.shape[1] == basis.sizes["v"][1] == 4
+        assert small.y_p.shape[1] == 2 and small.y_u.shape[1] == 1
+        assert small.dimension() == 13 and small.n_lift == ops.n_lift
+        assert np.array_equal(small.y_v, ops.y_v[:, :4])
+        assert np.array_equal(small.lifting, ops.lifting)
         check_pod_invariants(stokes_model, small)
+        y_ext = np.column_stack([small.y_v, small.lifting])
+        a = y_ext.T @ (stokes_model.operators.A @ y_ext)
+        assert np.abs(small.a - a).max() <= 1e-12 * np.abs(a).max()
         with pytest.raises(DimensionMismatch):
-            truncate_basis(stokes_model, basis, basis.n_max + 1)
+            slice_operators(ops, basis, basis.n_max + 1)
 
     def test_inf_sup_with_and_without_enrichment(self, stokes_model):
         ts = training_grid([(40.0, 80.0)], 6)
@@ -380,7 +389,7 @@ class TestReducedSpaces:
 
 class TestReducedTensor:
     def test_matches_trilinear_quadrature(self, ns_model, ns_offline):
-        _, ops = ns_offline
+        _, _, ops = ns_offline
         y_ext = np.column_stack([ops.y_v, ops.lifting])
         rng = np.random.default_rng(3)
         n = ops.n_extended
@@ -726,14 +735,13 @@ def ns_offline(ns_model):
     ts = training_grid([(20.0, 60.0)], 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiency)
-        snaps, basis, ops = build_offline(ns_model, ts, n_max=3)
-    return snaps, ops
+        return build_offline(ns_model, ts, n_max=3)
 
 
 class TestNavierStokesRom:
 
     def test_training_reproduction(self, ns_model, ns_offline):
-        snaps, ops = ns_offline
+        snaps, _, ops = ns_offline
         mu = snaps.parameters[1]
         full = ns_model.solve_ocp(mu)
         red = solve_reduced(ops, mu)
@@ -742,7 +750,7 @@ class TestNavierStokesRom:
         assert red.newton_iterations >= 1
 
     def test_tensor_and_reassembly_agree(self, ns_model, ns_offline):
-        _, ops = ns_offline
+        _, _, ops = ns_offline
         mu = np.array([45.0])
         xa, ja, _ = rom.solve_reduced_coefficients(ops, mu)
         x, objective, _ = oracles.reassembled_reduced_solve(ops, ns_model, mu)
@@ -751,7 +759,7 @@ class TestNavierStokesRom:
         assert abs(ja - objective) <= 1e-9 * max(ja, 1.0)
 
     def test_divergence_carries_residual_history(self, ns_offline, monkeypatch):
-        _, ops = ns_offline
+        _, _, ops = ns_offline
         mu = np.array([45.0])
         iterations = solve_reduced(ops, mu).newton_iterations
         assert iterations >= 2
@@ -761,6 +769,64 @@ class TestNavierStokesRom:
         norms = info.value.residual_norms
         assert len(norms) == 2 and all(np.isfinite(norms))
         assert norms[1] < norms[0]
+
+
+def _repeat_first_pressure_mode(modes):
+    """The second state pressure mode repeats the first, so it drops, and
+    so does its supremizer within the state set."""
+    k = np.arange(modes["p"].shape[1])
+    modes["p"] = modes["p"][:, np.where(k == 1, 0, k)]
+
+
+_MODE_EDITS = {
+    "aggregated": lambda modes: None,
+    "adjoint-repeats-state": lambda modes: modes.update(w=modes["v"], q=modes["p"]),
+    "pressure-mode-repeats": _repeat_first_pressure_mode,
+}
+
+
+def _fresh_build(model, snaps, n, edit):
+    """POD at basis size ``n``, ``edit`` applied to the modes, then the
+    reduced spaces and the projection, from scratch."""
+    basis = pod_compress(snaps, inner_products_of(model), n)
+    _MODE_EDITS[edit](basis.modes)
+    basis = build_reduced_spaces(model, basis)
+    return basis, project_operators(model, basis)
+
+
+@pytest.mark.parametrize("edit", list(_MODE_EDITS))
+@pytest.mark.parametrize("model, offline", [("stokes_model", "stokes_offline"),
+                                            ("ns_model", "ns_offline")],
+                         ids=["stokes", "navier-stokes"])
+def test_slice_equals_fresh_build(request, model, offline, edit):
+    """Every smaller model cut out of the top one equals a build from
+    scratch at that size: the bases bit for bit, the operators and the
+    tensor to round-off, also where Gram-Schmidt drops columns."""
+    model = request.getfixturevalue(model)
+    snaps, basis, ops = request.getfixturevalue(offline)
+    expected = {"aggregated": (4, 2), "adjoint-repeats-state": (2, 1)}.get(edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiency)
+        if edit != "aggregated":
+            basis, ops = _fresh_build(model, snaps, basis.n_max, edit)
+        assert basis.n_max >= 2
+        if expected is None:  # p_2 and its supremizer s_2 dropped
+            assert basis.sizes["v"][2] == 7 and basis.sizes["p"][2] == 3
+        for n in range(1, basis.n_max + 1):
+            if expected is not None:
+                assert basis.sizes["v"][n] == expected[0] * n
+                assert basis.sizes["p"][n] == expected[1] * n
+            small = slice_operators(ops, basis, n)
+            _, fresh = _fresh_build(model, snaps, n, edit)
+            for name in ("y_v", "y_p", "y_u", "lifting"):
+                assert np.array_equal(getattr(small, name), getattr(fresh, name)), (n, name)
+            for name in ("a", "m", "b", "c", "n_ctrl", "h", "tensor"):
+                got, ref = getattr(small, name), getattr(fresh, name)
+                if ref is None:
+                    assert got is None, (n, name)
+                    continue
+                assert got.shape == ref.shape, (n, name)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (n, name)
 
 
 def _assert_identical(name, x, y):

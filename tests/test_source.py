@@ -185,3 +185,88 @@ def test_every_field_is_read():
     unread = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                     for name in unread_fields(path.read_text(), read))
     assert unread == []
+
+
+def _assigned_attributes(node):
+    """(receiver name, attribute, line) of each ``name.attr = ...``,
+    ``name.attr += ...`` or ``name.attr[...] = ...`` target under ``node``."""
+    for stmt in ast.walk(node):
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in (t for top in targets for t in ast.walk(top)):
+            if isinstance(target, ast.Subscript) and isinstance(target.ctx, ast.Store):
+                target = target.value
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                yield target.value.id, target.attr, target.lineno
+
+
+def _called_name(node):
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def reduced_operator_writes(sources):
+    """``module:line`` of each assignment to a ``ReducedOperators`` field
+    outside ``ReducedOperators.__post_init__``.  The receiver is ``self`` in
+    the class's other methods, a parameter named ``ops``, or a name bound to
+    a call of ``ReducedOperators``, of ``replace`` or of a function that
+    returns one of those."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    fields, methods = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "ReducedOperators":
+                fields |= {stmt.target.id for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)}
+                methods |= {stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+    functions = [(module, node) for module, tree in trees.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def bound(fn, producers):
+        return {t.id for stmt in ast.walk(fn) if isinstance(stmt, ast.Assign)
+                and _called_name(stmt.value) in producers
+                for t in stmt.targets if isinstance(t, ast.Name)}
+
+    producers, grown = {"ReducedOperators", "replace"}, True
+    while grown:
+        grown = False
+        for _, fn in functions:
+            names = bound(fn, producers)
+            if fn.name not in producers and any(
+                    isinstance(r, ast.Return) and r.value is not None
+                    and (_called_name(r.value) in producers
+                         or getattr(r.value, "id", None) in names)
+                    for r in ast.walk(fn)):
+                producers.add(fn.name)
+                grown = True
+    writes = set()
+    for module, fn in functions:
+        if fn in methods and fn.name == "__post_init__":
+            continue
+        receivers = bound(fn, producers) | ({"self"} if fn in methods else set())
+        receivers |= {"ops"} & {a.arg for a in fn.args.args}
+        writes |= {f"{module}:{line}" for name, attr, line in _assigned_attributes(fn)
+                   if name in receivers and attr in fields}
+    return sorted(writes, key=lambda w: (w.split(":")[0], int(w.split(":")[1])))
+
+
+def test_checker_flags_reduced_operator_write():
+    source = ("@dataclass\nclass ReducedOperators:\n    a: int\n    b: int = 0\n\n"
+              "    def __post_init__(self):\n        self.b = 1\n\n"
+              "    def grow(self):\n        self.a += 1\n\n"
+              "def build():\n    made = ReducedOperators(1)\n    return made\n\n"
+              "def serve(ops, basis):\n    ops.a[0] = 1\n    basis.a = 2\n\n"
+              "def offline():\n    made = build()\n    made.b, other = 3, dict()\n"
+              "    other.a = 4\n    fields = replace(made)\n    fields.c = 5\n")
+    assert reduced_operator_writes({"m.py": source}) == ["m.py:10", "m.py:17", "m.py:22"]
+
+
+def test_reduced_operators_not_mutated_after_build():
+    """A served reduced model is only derived in ``__post_init__``."""
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert reduced_operator_writes(sources) == []

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ocrom import cli
+from ocrom import cli, rom
 from ocrom.cli import main
 from ocrom.errors import ConfigError, IoError, MissingArtifact, OcromError
 from ocrom.optctrl import FullOrderModel
@@ -152,13 +153,18 @@ class TestMeshAndSets:
 
 
 @pytest.fixture(scope="module")
-def study_run(tmp_path_factory):
+def offline_run(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("study-out")
     path = outdir / "study.ini"
     path.write_text(CONFIG_TEMPLATE.format(outdir=outdir))
     cfg = load_config(path)
-    report = run_error_study(cfg)
-    return cfg, report, path
+    return cfg, run_offline(cfg), path
+
+
+@pytest.fixture(scope="module")
+def study_run(offline_run):
+    cfg, offline, path = offline_run
+    return cfg, run_error_study(cfg, offline), path
 
 
 class TestErrorStudy:
@@ -206,9 +212,20 @@ class TestErrorStudy:
         export(back, "csv", tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_empty_sweep_uses_n_max(self, study_run):
-        cfg, _, _ = study_run
-        assert cfg.sweep  # guard: the shared run exercised a non-empty sweep
+    def test_empty_sweep_uses_n_max(self, offline_run):
+        cfg, offline, _ = offline_run
+        report = run_error_study(dataclasses.replace(cfg, sweep=[]), offline)
+        assert [row["n"] for row in report.rows] == [offline[2].n_max]
+
+    def test_sweep_slices_one_projection(self, offline_run, monkeypatch):
+        """The study takes the offline build it is given: no snapshot is
+        collected and no operator projected again."""
+        cfg, offline, _ = offline_run
+        calls = []
+        for name in ("collect_snapshots", "project_operators"):
+            monkeypatch.setattr(rom, name, lambda *args, name=name: calls.append(name))
+        report = run_error_study(cfg, offline)
+        assert calls == [] and [row["n"] for row in report.rows] == cfg.sweep
 
     def test_determinism(self, tmp_path):
         """Two independent runs of the same config produce identical CSVs."""
@@ -219,7 +236,8 @@ class TestErrorStudy:
             small = CONFIG_TEMPLATE.format(outdir=outdir).replace(
                 "size = 6", "size = 3").replace("sweep = 1 2", "sweep = 1")
             path.write_text(small)
-            report = run_error_study(load_config(path))
+            cfg = load_config(path)
+            report = run_error_study(cfg, run_offline(cfg))
             out = tmp_path / f"run{k}.csv"
             export(report, "csv", out)
             csvs.append(out.read_bytes())
