@@ -32,7 +32,10 @@ query is two products with ``[1; mu]``: one with the coefficient map for the
 coefficients and objective, one with its precomputed full-order lift for
 the fields.  A Navier-Stokes query is dense Newton, run by the package's one
 driver ``numerics.newton``, that adds only the tensor's convection blocks to
-that matrix, and lifts its coefficients one basis at a time.
+that matrix, and lifts its coefficients one basis at a time.  It starts
+from the nearest training parameter's reduced solution plus its mu-tangent
+(an Euler predictor, solved once on construction) and stops at the
+threshold a start from zero would use.
 """
 
 import io
@@ -41,7 +44,6 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +58,7 @@ from .errors import (
     OcromError,
     ParseError,
     RankDeficiency,
+    SingularMatrix,
 )
 from .optctrl import affine_rhs, check_parameters, optimality_matrix
 
@@ -369,7 +372,11 @@ class ReducedOperators:
     convection), and for Stokes ``X = -K^{-1} R`` and its full-order lift
     ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends`` their row ends),
     so that a query's coefficients are ``X [1; mu]`` and its fields
-    ``Z [1; mu]``.
+    ``Z [1; mu]``.  A Navier-Stokes model with ``training_parameters``
+    derives the Newton starts of its queries: ``warm_mu`` (the training
+    parameters whose reduced solve succeeded), ``warm_x`` (their
+    coefficients) and ``warm_dx`` (their mu-tangents); all three are None
+    otherwise.
     """
 
     y_v: np.ndarray
@@ -408,6 +415,9 @@ class ReducedOperators:
             lifts = _lift(self, self.X, np.eye(1 + self.n_lift)[1:])
             self.Z = np.vstack(lifts)
             self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
+        self.warm_mu = self.warm_x = self.warm_dx = None
+        if self.equation == "navier-stokes" and self.training_parameters is not None:
+            self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
 
     @property
     def n_velocity_modes(self):
@@ -531,29 +541,39 @@ def _reduced_objective(ops, v_ext, u_n):
 
 
 def _reduced_system(ops, mu, x, conv):
-    """Residual and Jacobian of the reduced Navier-Stokes optimality system
-    at ``x``: ``K x + R [1; mu]`` and ``K``, plus the convection terms that
-    ``conv`` (the precomputed tensor contraction) supplies.
+    """Residual of the reduced Navier-Stokes optimality system at ``x``,
+    ``K x + R [1; mu]`` plus the convection terms that ``conv`` (the
+    precomputed tensor contraction) supplies, and ``conv``'s function for
+    the Jacobian's convection blocks (see ``_jacobian``).
     """
     sv, _, _, sw, _ = ops.blocks
     nv = ops.n_velocity_modes
     res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
-    cv, cw, d_vv, d_vw, d_wv = conv(np.concatenate([x[sv], mu]),
-                                    np.concatenate([x[sw], np.zeros(ops.n_lift)]))
+    cv, cw, blocks = conv(np.concatenate([x[sv], mu]),
+                          np.concatenate([x[sw], np.zeros(ops.n_lift)]))
     res[sv] += cv[:nv]
     res[sw] += cw[:nv]
+    return res, blocks
+
+
+def _jacobian(ops, d_vv, d_vw, d_wv):
+    """Jacobian of the reduced system: ``K`` plus the homogeneous parts of
+    the convection blocks over the extended velocity coefficients."""
+    sv, _, _, sw, _ = ops.blocks
+    nv = ops.n_velocity_modes
     jac = ops.K.copy()
     jac[sv, sv] += d_vv[:nv, :nv]
     jac[sv, sw] += d_vw[:nv, :nv]
     jac[sw, sv] += d_wv[:nv, :nv]
-    return res, jac
+    return jac
 
 
 def _tensor_convection(ops):
     """Convection terms from the precomputed tensor t[g, a, b] = e(y_a, y_b, y_g).
 
     Three contractions carry all five outputs: fv = t.v over b, ev = t.v
-    over a and gw = w.t over g.
+    over a and gw = w.t over g.  The residual terms need only the first
+    two; the Jacobian blocks, and with them gw, are computed when asked for.
     """
     t = ops.tensor
     n = t.shape[0]
@@ -562,10 +582,13 @@ def _tensor_convection(ops):
 
     def conv(v_ext, w_ext):
         fv = (t_b @ v_ext).reshape(n, n)
-        ev = v_ext @ t
-        gw = (w_ext @ t_g).reshape(n, n)
-        d_wv = ev + fv
-        return d_wv.T @ w_ext, fv @ v_ext, gw + gw.T, d_wv.T, d_wv
+        d_wv = v_ext @ t + fv
+
+        def blocks():
+            gw = (w_ext @ t_g).reshape(n, n)
+            return gw + gw.T, d_wv.T, d_wv
+
+        return d_wv.T @ w_ext, fv @ v_ext, blocks
 
     return conv
 
@@ -573,6 +596,74 @@ def _tensor_convection(ops):
 NEWTON_TOL_REL = 1e-11
 NEWTON_TOL_ABS = 1e-13
 NEWTON_MAX_ITER = 30
+
+
+def _dense_solve(a, b):
+    """``np.linalg.solve``, raising ``SingularMatrix`` for a singular ``a``."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"reduced Jacobian: {exc}") from exc
+
+
+def _newton(ops, mu, x, tol_rel, tol_abs):
+    """Reduced Navier-Stokes Newton from ``x``; returns (x, iterations).
+    A step builds its Jacobian; the last residual evaluation does not."""
+    conv = _tensor_convection(ops)
+
+    def system(x):
+        res, blocks = _reduced_system(ops, mu, x, conv)
+        return res, lambda rhs: _dense_solve(_jacobian(ops, *blocks()), rhs)
+
+    x, _, iters = numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
+    return x, iters
+
+
+def _training_starts(ops):
+    """(mu_i, x_i, D_i) arrays over the training parameters: the reduced
+    solution x_i at mu_i, solved from zero, and its mu-tangent
+    D_i = -J(x_i)^{-1} dr/dmu.  A parameter enters r through ``R``'s mu
+    columns and, as a pinned velocity coefficient, through the lifting
+    columns of the convection blocks.  A point whose solve raises is left
+    out; Nones when none is left."""
+    sv, _, _, sw, _ = ops.blocks
+    nv = ops.n_velocity_modes
+    conv = _tensor_convection(ops)
+    starts = []
+    for mu in ops.training_parameters:
+        try:
+            x, _ = _newton(ops, mu, np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS)
+            _, blocks = _reduced_system(ops, mu, x, conv)
+            d_vv, d_vw, d_wv = blocks()
+            dr = ops.R[:, 1:].copy()
+            dr[sv] += d_vv[:nv, nv:]
+            dr[sw] += d_wv[:nv, nv:]
+            starts.append((mu, x, -_dense_solve(_jacobian(ops, d_vv, d_vw, d_wv), dr)))
+        except OcromError:
+            continue
+    if not starts:
+        return None, None, None
+    return tuple(np.array(a) for a in zip(*starts))
+
+
+def _start(ops, mu):
+    """Newton start and stop thresholds (tol_rel, tol_abs) of a
+    Navier-Stokes query.  Without training solutions: zero, with the
+    relative and absolute thresholds.  With them: the nearest training
+    solution (distance scaled by the domain width) plus its tangent step,
+    stopping at the zero start's threshold max(NEWTON_TOL_REL ||r(0; mu)||,
+    NEWTON_TOL_ABS), with r(0; mu) = R [1; mu] plus the lifting's
+    convection on the adjoint rows."""
+    if ops.warm_mu is None:
+        return np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS
+    width = ops.domain_hi - ops.domain_lo
+    scaled = (ops.warm_mu - mu) / np.where(np.isfinite(width) & (width > 0), width, 1.0)
+    i = np.argmin((scaled ** 2).sum(axis=1))
+    x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
+    nv = ops.n_velocity_modes
+    r0 = ops.R @ np.concatenate([[1.0], mu])
+    r0[ops.blocks[3]] += ops.tensor[:nv, nv:, nv:] @ mu @ mu
+    return x, 0.0, max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
 
 
 def solve_reduced_coefficients(ops, mu):
@@ -584,14 +675,7 @@ def _solve_coefficients(ops, mu):
     if ops.equation == "stokes":
         x, iters = ops.X @ np.concatenate([[1.0], mu]), 0
     else:
-        conv = _tensor_convection(ops)
-
-        def system(x):
-            res, jac = _reduced_system(ops, mu, x, conv)
-            return res, partial(np.linalg.solve, jac)
-
-        x, _, iters = numerics.newton(system, np.zeros(ops.dimension()),
-                                      NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+        x, iters = _newton(ops, mu, *_start(ops, mu))
     sv, _, su, _, _ = ops.blocks
     return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
 

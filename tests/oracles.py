@@ -15,9 +15,11 @@ fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
 (the path the precomputed reduced tensor replaces) on a reduced system
 assembled block by block from the projected operators (the path the
-precomputed constant KKT matrix and affine right-hand side replace).  The
-per-basis lift of reduced coefficients to full-order fields is the
-reference for the Stokes one-product lift.
+precomputed constant KKT matrix and affine right-hand side replace).  A
+zero-start reduced Newton that builds every Jacobian with its residual is
+the reference for queries without training starts.  The per-basis lift of
+reduced coefficients to full-order fields is the reference for the Stokes
+one-product lift.
 """
 
 import numpy as np
@@ -285,7 +287,8 @@ def blockwise_reduced_system(ops, mu, x, conv):
     jac[sw, su] = ops.c[:nv]
     jac[sq, sv] = ops.b[:, :nv]
     if conv is not None:
-        cv, cw, d_vv, d_vw, d_wv = conv(v_ext, w_ext)
+        cv, cw, blocks = conv(v_ext, w_ext)
+        d_vv, d_vw, d_wv = blocks()
         r_v += cv[:nv]
         r_w += cw[:nv]
         jac[sv, sv] += d_vv[:nv, :nv]
@@ -318,29 +321,62 @@ def reassembled_convection(ops, model):
         cw = y_ext.T @ (e_mat @ v_full)
         d_vv = y_ext.T @ ((g_mat + g_mat.T) @ y_ext)
         d_wv = y_ext.T @ ((e_mat + f_mat) @ y_ext)
-        return cv, cw, d_vv, d_wv.T, d_wv
+        return cv, cw, lambda: (d_vv, d_wv.T, d_wv)
 
     return conv
 
 
-def reassembled_reduced_solve(ops, model, mu):
+def reassembled_reduced_solve(ops, model, mu, start):
     """Reduced Navier-Stokes Newton with per-iteration reassembly of the
-    convection terms on the block-by-block reduced system; returns
-    (coefficients, objective, iterations)."""
+    convection terms on the block-by-block reduced system, from the start
+    and stop thresholds ``start`` = (x, tol_rel, tol_abs) that
+    ``rom._start`` gives the tensor path; returns (coefficients, objective,
+    iterations)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     conv = reassembled_convection(ops, model)
-    x = np.zeros(ops.dimension())
-    res, jac, _ = blockwise_reduced_system(ops, mu, x, conv)
-    norm0 = max(np.linalg.norm(res), rom.NEWTON_TOL_ABS)
-    for it in range(1, rom.NEWTON_MAX_ITER + 1):
+    x, tol_rel, tol_abs = start
+    res, jac, (v_ext, u_n) = blockwise_reduced_system(ops, mu, x, conv)
+    norm0 = np.linalg.norm(res)
+    for it in range(rom.NEWTON_MAX_ITER + 1):
+        norm = np.linalg.norm(res)
+        if norm <= tol_abs or (it > 0 and norm <= tol_rel * norm0):
+            return x, rom._reduced_objective(ops, v_ext, u_n), it
         x = x + np.linalg.solve(jac, -res)
         res, jac, (v_ext, u_n) = blockwise_reduced_system(ops, mu, x, conv)
-        norm = np.linalg.norm(res)
-        if norm <= rom.NEWTON_TOL_REL * norm0 or norm <= rom.NEWTON_TOL_ABS:
-            return x, rom._reduced_objective(ops, v_ext, u_n), it
     raise NewtonDiverged(
         f"reassembled reduced Newton: no convergence in {rom.NEWTON_MAX_ITER} iterations"
     )
+
+
+def zero_start_reduced_solve(ops, mu):
+    """Reduced Navier-Stokes Newton from zero with the relative stop test,
+    building each iterate's Jacobian with its residual from the three
+    tensor contractions: the query path before training starts and the
+    lazy Jacobian.  Returns (coefficients, iterations)."""
+    t = ops.tensor
+    n = t.shape[0]
+    nv = ops.n_velocity_modes
+    sv, _, _, sw, _ = ops.blocks
+
+    def system(x):
+        v_ext = np.concatenate([x[sv], mu])
+        w_ext = np.concatenate([x[sw], np.zeros(ops.n_lift)])
+        fv = (t.reshape(n * n, n) @ v_ext).reshape(n, n)
+        ev = v_ext @ t
+        gw = (w_ext @ t.reshape(n, n * n)).reshape(n, n)
+        d_wv = ev + fv
+        res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
+        res[sv] += (d_wv.T @ w_ext)[:nv]
+        res[sw] += (fv @ v_ext)[:nv]
+        jac = ops.K.copy()
+        jac[sv, sv] += (gw + gw.T)[:nv, :nv]
+        jac[sv, sw] += d_wv.T[:nv, :nv]
+        jac[sw, sv] += d_wv[:nv, :nv]
+        return res, lambda rhs: np.linalg.solve(jac, rhs)
+
+    x, _, iters = numerics.newton(system, np.zeros(ops.dimension()), rom.NEWTON_TOL_REL,
+                                  rom.NEWTON_TOL_ABS, rom.NEWTON_MAX_ITER)
+    return x, iters
 
 
 def bmat_jacobian(model, v_total, w_total):

@@ -2,6 +2,7 @@ import copy
 import json
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ocrom import numerics, rom
+from ocrom.cli import main
 from ocrom.errors import (
     AllSnapshotsFailed,
     DimensionMismatch,
@@ -28,6 +30,7 @@ from ocrom.rom import (
     PodBasis,
     ReducedOperators,
     SnapshotSet,
+    _jacobian,
     _reduced_system,
     _tensor_convection,
     build_offline,
@@ -472,7 +475,8 @@ class TestReducedSystem:
         conv = _tensor_convection(ops)
         mu = np.array([0.7])
         x = rng.standard_normal(ops.dimension()) * 0.3
-        res, jac = _reduced_system(ops, mu, x, conv)
+        res, blocks = _reduced_system(ops, mu, x, conv)
+        jac = _jacobian(ops, *blocks())
         eps = 1e-6
         for k in range(ops.dimension()):
             dx = np.zeros_like(x)
@@ -747,13 +751,14 @@ class TestNavierStokesRom:
         red = solve_reduced(ops, mu)
         rep = compute_errors(full, red, ns_model.operators)
         assert rep.e_total_rel <= 1e-6
-        assert red.newton_iterations >= 1
+        assert red.newton_iterations == 0  # the start is the training solution
 
     def test_tensor_and_reassembly_agree(self, ns_model, ns_offline):
         _, _, ops = ns_offline
         mu = np.array([45.0])
         xa, ja, _ = rom.solve_reduced_coefficients(ops, mu)
-        x, objective, _ = oracles.reassembled_reduced_solve(ops, ns_model, mu)
+        x, objective, _ = oracles.reassembled_reduced_solve(
+            ops, ns_model, mu, rom._start(ops, mu))
         sv = ops.blocks[0]
         assert np.abs(xa[sv] - x[sv]).max() <= 1e-9 * max(np.abs(xa[sv]).max(), 1.0)
         assert abs(ja - objective) <= 1e-9 * max(ja, 1.0)
@@ -769,6 +774,159 @@ class TestNavierStokesRom:
         norms = info.value.residual_norms
         assert len(norms) == 2 and all(np.isfinite(norms))
         assert norms[1] < norms[0]
+
+
+@pytest.fixture(scope="module")
+def graft_ns_offline():
+    """A two-inlet Navier-Stokes graft model shaped like the serving
+    benchmark's: the coarsest graft, 7 random training points (seed 0) on
+    [20, 30]^2, n_max 7."""
+    mesh = generate_graft(graft_geometry(2.5, 1.0, 0.7, 35.0, 1.6, resolution=0.68))
+    model = FullOrderModel(mesh, OcpConfig(equation="navier-stokes",
+                                           domain={2: (20.0, 30.0), 3: (20.0, 30.0)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiency)
+        return build_offline(model, training_random([(20.0, 30.0)] * 2, 7, seed=0), n_max=7)
+
+
+_NS_OFFLINE = ["ns_offline", "graft_ns_offline"]
+
+
+def _zero_start(ops):
+    """The same reduced model without training parameters."""
+    return replace(ops, training_parameters=None)
+
+
+class TestWarmStart:
+    """Navier-Stokes queries start from the nearest training solution plus
+    its mu-tangent and stop at the threshold of a start from zero."""
+
+    @pytest.mark.parametrize("offline", _NS_OFFLINE)
+    def test_training_parameters_take_no_step(self, offline, request):
+        snaps, _, ops = request.getfixturevalue(offline)
+        assert np.array_equal(ops.warm_mu, snaps.parameters)
+        for mu in snaps.parameters:
+            assert solve_reduced(ops, mu).newton_iterations == 0
+
+    def test_seeded_stream_meets_zero_start_threshold(self, graft_ns_offline):
+        """256 queries drawn as the serving benchmark draws its first block
+        (``default_rng(0).uniform`` on the domain, which repeats the
+        training points of ``training_random(..., seed=0)``): none fails,
+        and each residual, assembled block by block, is within the
+        threshold a start from zero stops at."""
+        _, _, ops = graft_ns_offline
+        conv = _tensor_convection(ops)
+        zero = np.zeros(ops.dimension())
+        mus = np.random.default_rng(0).uniform(ops.domain_lo, ops.domain_hi, size=(256, 2))
+        for mu in mus:
+            x, _, _ = rom.solve_reduced_coefficients(ops, mu)
+            res0, _, _ = oracles.blockwise_reduced_system(ops, mu, zero, conv)
+            res, _, _ = oracles.blockwise_reduced_system(ops, mu, x, conv)
+            threshold = max(rom.NEWTON_TOL_REL * np.linalg.norm(res0), rom.NEWTON_TOL_ABS)
+            assert np.linalg.norm(res) <= threshold, mu
+            assert abs(rom._start(ops, mu)[2] - threshold) <= 1e-12 * threshold
+
+    @pytest.mark.parametrize("offline", _NS_OFFLINE)
+    def test_fewer_iterations_than_zero_start(self, offline, request):
+        _, _, ops = request.getfixturevalue(offline)
+        cold = _zero_start(ops)
+        mus = np.random.default_rng(5).uniform(ops.domain_lo, ops.domain_hi,
+                                               size=(32, ops.n_lift))
+        warm_iters, cold_iters = [], []
+        for mu in mus:
+            x, _, it = rom.solve_reduced_coefficients(ops, mu)
+            x_cold, _, it_cold = rom.solve_reduced_coefficients(cold, mu)
+            warm_iters.append(it)
+            cold_iters.append(it_cold)
+            assert np.abs(x - x_cold).max() <= 1e-9 * np.abs(x_cold).max()
+        assert np.mean(warm_iters) < np.mean(cold_iters)
+
+    @pytest.mark.parametrize("offline", _NS_OFFLINE)
+    def test_without_training_parameters_starts_from_zero(self, offline, request):
+        """Bit for bit the zero-start Newton whose every iterate builds its
+        Jacobian."""
+        _, _, ops = request.getfixturevalue(offline)
+        cold = _zero_start(ops)
+        assert cold.warm_mu is None and cold.warm_x is None and cold.warm_dx is None
+        for mu in np.random.default_rng(6).uniform(ops.domain_lo, ops.domain_hi,
+                                                   size=(16, ops.n_lift)):
+            x, _, iters = rom.solve_reduced_coefficients(cold, mu)
+            x_ref, iters_ref = oracles.zero_start_reduced_solve(cold, mu)
+            assert np.array_equal(x, x_ref) and iters == iters_ref
+
+    def test_tangent_matches_finite_differences(self, graft_ns_offline):
+        _, _, ops = graft_ns_offline
+        cold = _zero_start(ops)
+        h = 1e-3 * (ops.domain_hi - ops.domain_lo)
+        for mu, dx in zip(ops.warm_mu, ops.warm_dx):
+            for k in range(mu.size):
+                step = np.where(np.arange(mu.size) == k, h, 0.0)
+                xp, _, _ = rom._solve_coefficients(cold, mu + step)
+                xm, _, _ = rom._solve_coefficients(cold, mu - step)
+                fd = (xp - xm) / (2 * h[k])
+                assert np.abs(fd - dx[:, k]).max() <= 1e-6 * np.abs(dx[:, k]).max()
+
+    def test_predictor_error_is_second_order(self, graft_ns_offline):
+        """A step of 5 % of the domain width from a training point: the
+        tangent start is more than 50 times closer to the solution than the
+        training solution itself (200 to 400 times on this model)."""
+        _, _, ops = graft_ns_offline
+        width = ops.domain_hi - ops.domain_lo
+        centre = 0.5 * (ops.domain_lo + ops.domain_hi)
+        for mu_i, x_i in zip(ops.warm_mu, ops.warm_x):
+            mu = mu_i + 0.05 * np.sign(centre - mu_i) * width
+            x, _, _ = rom.solve_reduced_coefficients(ops, mu)
+            start, _, _ = rom._start(ops, mu)
+            assert np.linalg.norm(start - x) <= 0.02 * np.linalg.norm(x_i - x)
+
+    def test_failed_training_solve_is_left_out(self, ns_offline, tmp_path, monkeypatch):
+        """Construction and loading skip a training point whose reduced
+        solve raises; a query there starts from a neighbour."""
+        snaps, _, ops = ns_offline
+        path = tmp_path / "rom.bin"
+        save_artifact(path, ops)
+        newton, calls = numerics.newton, []
+
+        def first_fails(system, x, *args):
+            calls.append(x)
+            if len(calls) == 1:
+                raise NewtonDiverged("injected", [1.0])
+            return newton(system, x, *args)
+
+        monkeypatch.setattr(numerics, "newton", first_fails)
+        for make in (lambda: replace(ops), lambda: load_artifact(path)):
+            calls.clear()
+            built = make()
+            assert np.array_equal(built.warm_mu, snaps.parameters[1:])
+            x, _, iters = rom.solve_reduced_coefficients(built, snaps.parameters[0])
+            x_ref, _, _ = rom.solve_reduced_coefficients(ops, snaps.parameters[0])
+            assert iters >= 1
+            assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+
+    def test_no_training_solve_succeeds(self, ns_offline, monkeypatch):
+        _, _, ops = ns_offline
+
+        def fails(system, x, *args):
+            raise NewtonDiverged("injected", [1.0])
+
+        monkeypatch.setattr(numerics, "newton", fails)
+        assert replace(ops).warm_mu is None
+
+
+def test_singular_reduced_jacobian_raises(ns_offline, tmp_path, capsys):
+    """A reduced model without control (zero ``c`` and ``n_ctrl``) has a
+    singular Jacobian: a query raises ``SingularMatrix``, and ``ocrom
+    online`` exits 3 with a one-line message."""
+    snaps, _, ops = ns_offline
+    singular = replace(ops, c=np.zeros_like(ops.c), n_ctrl=np.zeros_like(ops.n_ctrl))
+    assert singular.warm_mu is None  # every training solve raised too
+    with pytest.raises(SingularMatrix, match="reduced Jacobian"):
+        solve_reduced(singular, snaps.parameters[0])
+    path = tmp_path / "rom.bin"
+    save_artifact(path, singular)
+    assert main(["online", "--artifact", str(path), "--mu", "45.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1
 
 
 def _repeat_first_pressure_mode(modes):
@@ -871,7 +1029,8 @@ def test_precomputed_system_matches_blockwise_oracle(offline, request):
         if conv is None:  # Stokes: the constant system alone
             res, jac = ops.K @ x + ops.R @ np.concatenate([[1.0], mu]), ops.K
         else:
-            res, jac = _reduced_system(ops, mu, x, conv)
+            res, blocks = _reduced_system(ops, mu, x, conv)
+            jac = _jacobian(ops, *blocks())
         ref_res, ref_jac, _ = oracles.blockwise_reduced_system(ops, mu, x, conv)
         assert np.abs(res - ref_res).max() <= 1e-14 * np.abs(ref_res).max()
         assert np.abs(jac - ref_jac).max() <= 1e-14 * np.abs(ref_jac).max()
