@@ -251,8 +251,7 @@ def _disk_template(n_rings):
         pts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
     pts = np.array(pts)
     tri = Delaunay(pts)
-    rim = np.where(np.abs(np.linalg.norm(pts, axis=1) - 1.0) < 1e-12)[0]
-    return pts, np.array(sorted(map(tuple, np.sort(tri.simplices, axis=1)))), set(rim)
+    return pts, np.array(sorted(map(tuple, np.sort(tri.simplices, axis=1))))
 
 
 _PRISM_ROTATIONS = [
@@ -286,10 +285,10 @@ def _split_prism(v):
 def _tube_points(centerline_pts, radii, n_rings):
     """Structured node cloud for a tube swept along a centerline.
 
-    Returns (points array, per-node layer index, per-node rim flag,
-    disk template data) with one disk of nodes per centerline vertex.
+    Returns (points array, per-node layer index, disk template points, disk
+    triangles) with one disk of nodes per centerline vertex.
     """
-    disk, disk_tris, rim = _disk_template(n_rings)
+    disk, disk_tris = _disk_template(n_rings)
     frames = _frames(centerline_pts)
     pts = []
     layer = []
@@ -298,7 +297,7 @@ def _tube_points(centerline_pts, radii, n_rings):
         ring = c + radii[k] * (disk[:, :1] * n + disk[:, 1:2] * b)
         pts.append(ring)
         layer.extend([k] * len(disk))
-    return np.vstack(pts), np.array(layer), disk, disk_tris, rim
+    return np.vstack(pts), np.array(layer), disk, disk_tris
 
 
 def generate_tube(spec):
@@ -317,7 +316,7 @@ def generate_tube(spec):
         )
     cpts, crad = _resample_polyline(ctrl_pts, ctrl_rad, h)
     n_rings = max(2, int(round(float(np.min(crad)) / h)))
-    nodes, layer, disk, disk_tris, rim = _tube_points(cpts, crad, n_rings)
+    nodes, layer, disk, disk_tris = _tube_points(cpts, crad, n_rings)
     per_layer = disk.shape[0]
     n_layers = cpts.shape[0]
 
@@ -392,8 +391,8 @@ def generate_graft(spec):
         )
 
     n_rings = max(2, int(round(min(float(np.min(host.radii)), float(np.min(graft.radii))) / h)))
-    host_nodes, host_layer, disk, _, _ = _tube_points(host.points, host.radii, n_rings)
-    graft_nodes, graft_layer, _, _, _ = _tube_points(graft.points, graft.radii, n_rings)
+    host_nodes = _tube_points(host.points, host.radii, n_rings)[0]
+    graft_nodes = _tube_points(graft.points, graft.radii, n_rings)[0]
 
     # keep graft nodes outside the host lumen and away from host nodes
     keep = ~_inside_union(graft_nodes, [host], shrink=0.25 * h)
@@ -401,7 +400,6 @@ def generate_graft(spec):
     close = tree.query_ball_point(graft_nodes, 0.45 * h)
     keep &= np.array([len(c) == 0 for c in close])
     graft_nodes = graft_nodes[keep]
-    graft_layer = graft_layer[keep]
 
     if graft_nodes.size == 0:
         raise DegenerateGeometry("graft branch fully contained in host tube")

@@ -72,7 +72,7 @@ def check_parameters(mu, lo, hi):
     outside it)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.shape != lo.shape:
-        raise DimensionMismatch(f"expected {lo.size} parameter(s), got {mu.size}")
+        raise DimensionMismatch(f"expected parameters of shape {lo.shape}, got shape {mu.shape}")
     outside = ~((lo <= mu) & (mu <= hi))
     if outside.any():
         k = int(np.argmax(outside))

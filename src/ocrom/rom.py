@@ -31,11 +31,13 @@ order uses (``optctrl.optimality_matrix`` and ``affine_rhs``).  A Stokes
 query is two products with ``[1; mu]``: one with the coefficient map for the
 coefficients and objective, one with its precomputed full-order lift for
 the fields.  A Navier-Stokes query is dense Newton, run by the package's one
-driver ``numerics.newton``, that adds only the tensor's convection blocks to
-that matrix, and lifts its coefficients one basis at a time.  It starts
-from the nearest training parameter's reduced solution plus its mu-tangent
-(an Euler predictor, solved once on construction) and stops at the
-threshold a start from zero would use.
+driver ``numerics.newton``, and lifts its coefficients one basis at a time.
+One routine gives its residual and its Jacobian over coefficients and
+parameters: that matrix plus contractions of one array, the tensor
+symmetrized in its two velocity slots.  The same Jacobian gives each
+training solution's mu-tangent, so a query starts from the nearest training
+solution plus its tangent step (an Euler predictor, solved once on
+construction) and stops at the threshold a start from zero would use.
 """
 
 import io
@@ -369,7 +371,10 @@ class ReducedOperators:
     the squared M-norm of its remainder), ``blocks`` (slices of the
     (v, p, u, w, q) coefficients), the constant KKT matrix ``K`` and the
     affine right-hand side ``R`` (residual ``K x + R [1; mu]`` plus
-    convection), and for Stokes ``X = -K^{-1} R`` and its full-order lift
+    convection), for Navier-Stokes the symmetrized convection tensor
+    ``S[g, a, b] = t[g, a, b] + t[g, b, a]`` on the n_v homogeneous test
+    rows g of ``tensor`` t, which alone gives every convection term and
+    Jacobian block, and for Stokes ``X = -K^{-1} R`` and its full-order lift
     ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends`` their row ends),
     so that a query's coefficients are ``X [1; mu]`` and its fields
     ``Z [1; mu]``.  A Navier-Stokes model with ``training_parameters``
@@ -394,7 +399,7 @@ class ReducedOperators:
     equation: str
     domain_lo: np.ndarray
     domain_hi: np.ndarray
-    tensor: np.ndarray | None = None  # extended^3 convection trilinear values
+    tensor: np.ndarray | None = None  # extended^3: t[g, a, b] = e(y_a, y_b, y_g)
     training_parameters: np.ndarray | None = None
     eigenvalues: dict | None = None
 
@@ -408,6 +413,8 @@ class ReducedOperators:
                                    self.c[:nv], self.n_ctrl, self.alpha).toarray()
         self.R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:],
                             self.b[:, nv:])
+        t = self.tensor
+        self.S = None if t is None else t[:nv] + t[:nv].transpose(0, 2, 1)
         self.X = self.Z = self.Z_ends = None
         if self.equation == "stokes":
             self.X = -np.linalg.solve(self.K, self.R)
@@ -540,57 +547,36 @@ def _reduced_objective(ops, v_ext, u_n):
     )
 
 
-def _reduced_system(ops, mu, x, conv):
+def _reduced_system(ops, mu, x):
     """Residual of the reduced Navier-Stokes optimality system at ``x``,
-    ``K x + R [1; mu]`` plus the convection terms that ``conv`` (the
-    precomputed tensor contraction) supplies, and ``conv``'s function for
-    the Jacobian's convection blocks (see ``_jacobian``).
+    ``K x + R [1; mu]`` plus the convection terms, and a function for its
+    Jacobian over the coefficients and then the parameters,
+    ``[dr/dx | dr/dmu]``.
+
+    With v = [x_v; mu] and d = S.v over b, the state rows (w) get
+    E(v) v = d v / 2 and the adjoint rows (v) d^T w; the Jacobian's state
+    block is d and its adjoint block G(w) + G(w)^T = w.S over g.  A
+    parameter is a pinned velocity coefficient, so d and w.S carry its
+    columns too.
     """
     sv, _, _, sw, _ = ops.blocks
-    nv = ops.n_velocity_modes
+    nv, n = ops.n_velocity_modes, ops.dimension()
+    v, w = np.concatenate([x[sv], mu]), x[sw]
+    d = (ops.S.reshape(-1, v.size) @ v).reshape(nv, v.size)
     res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
-    cv, cw, blocks = conv(np.concatenate([x[sv], mu]),
-                          np.concatenate([x[sw], np.zeros(ops.n_lift)]))
-    res[sv] += cv[:nv]
-    res[sw] += cw[:nv]
-    return res, blocks
+    res[sv] += w @ d[:, :nv]
+    res[sw] += 0.5 * (d @ v)
 
+    def jacobian():
+        g = (w @ ops.S.reshape(nv, -1)).reshape(v.size, v.size)
+        jac = np.hstack([ops.K, ops.R[:, 1:]])
+        for rows, block in ((sv, g[:nv]), (sw, d)):
+            jac[rows, sv] += block[:, :nv]
+            jac[rows, n:] += block[:, nv:]
+        jac[sv, sw] += d[:, :nv].T
+        return jac
 
-def _jacobian(ops, d_vv, d_vw, d_wv):
-    """Jacobian of the reduced system: ``K`` plus the homogeneous parts of
-    the convection blocks over the extended velocity coefficients."""
-    sv, _, _, sw, _ = ops.blocks
-    nv = ops.n_velocity_modes
-    jac = ops.K.copy()
-    jac[sv, sv] += d_vv[:nv, :nv]
-    jac[sv, sw] += d_vw[:nv, :nv]
-    jac[sw, sv] += d_wv[:nv, :nv]
-    return jac
-
-
-def _tensor_convection(ops):
-    """Convection terms from the precomputed tensor t[g, a, b] = e(y_a, y_b, y_g).
-
-    Three contractions carry all five outputs: fv = t.v over b, ev = t.v
-    over a and gw = w.t over g.  The residual terms need only the first
-    two; the Jacobian blocks, and with them gw, are computed when asked for.
-    """
-    t = ops.tensor
-    n = t.shape[0]
-    t_g = t.reshape(n, n * n)
-    t_b = t.reshape(n * n, n)
-
-    def conv(v_ext, w_ext):
-        fv = (t_b @ v_ext).reshape(n, n)
-        d_wv = v_ext @ t + fv
-
-        def blocks():
-            gw = (w_ext @ t_g).reshape(n, n)
-            return gw + gw.T, d_wv.T, d_wv
-
-        return d_wv.T @ w_ext, fv @ v_ext, blocks
-
-    return conv
+    return res, jacobian
 
 
 NEWTON_TOL_REL = 1e-11
@@ -609,11 +595,11 @@ def _dense_solve(a, b):
 def _newton(ops, mu, x, tol_rel, tol_abs):
     """Reduced Navier-Stokes Newton from ``x``; returns (x, iterations).
     A step builds its Jacobian; the last residual evaluation does not."""
-    conv = _tensor_convection(ops)
+    n = ops.dimension()
 
     def system(x):
-        res, blocks = _reduced_system(ops, mu, x, conv)
-        return res, lambda rhs: _dense_solve(_jacobian(ops, *blocks()), rhs)
+        res, jacobian = _reduced_system(ops, mu, x)
+        return res, lambda rhs: _dense_solve(jacobian()[:, :n], rhs)
 
     x, _, iters = numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
     return x, iters
@@ -622,23 +608,15 @@ def _newton(ops, mu, x, tol_rel, tol_abs):
 def _training_starts(ops):
     """(mu_i, x_i, D_i) arrays over the training parameters: the reduced
     solution x_i at mu_i, solved from zero, and its mu-tangent
-    D_i = -J(x_i)^{-1} dr/dmu.  A parameter enters r through ``R``'s mu
-    columns and, as a pinned velocity coefficient, through the lifting
-    columns of the convection blocks.  A point whose solve raises is left
-    out; Nones when none is left."""
-    sv, _, _, sw, _ = ops.blocks
-    nv = ops.n_velocity_modes
-    conv = _tensor_convection(ops)
+    D_i = -J_x^{-1} J_mu from the Jacobian [J_x | J_mu] at x_i.  A point
+    whose solve raises is left out; Nones when none is left."""
+    n = ops.dimension()
     starts = []
     for mu in ops.training_parameters:
         try:
-            x, _ = _newton(ops, mu, np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS)
-            _, blocks = _reduced_system(ops, mu, x, conv)
-            d_vv, d_vw, d_wv = blocks()
-            dr = ops.R[:, 1:].copy()
-            dr[sv] += d_vv[:nv, nv:]
-            dr[sw] += d_wv[:nv, nv:]
-            starts.append((mu, x, -_dense_solve(_jacobian(ops, d_vv, d_vw, d_wv), dr)))
+            x, _ = _newton(ops, mu, np.zeros(n), NEWTON_TOL_REL, NEWTON_TOL_ABS)
+            jac = _reduced_system(ops, mu, x)[1]()
+            starts.append((mu, x, -_dense_solve(jac[:, :n], jac[:, n:])))
         except OcromError:
             continue
     if not starts:
@@ -653,7 +631,7 @@ def _start(ops, mu):
     solution (distance scaled by the domain width) plus its tangent step,
     stopping at the zero start's threshold max(NEWTON_TOL_REL ||r(0; mu)||,
     NEWTON_TOL_ABS), with r(0; mu) = R [1; mu] plus the lifting's
-    convection on the adjoint rows."""
+    convection S[:, nv:, nv:] mu mu / 2 on the state momentum (w) rows."""
     if ops.warm_mu is None:
         return np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS
     width = ops.domain_hi - ops.domain_lo
@@ -662,7 +640,7 @@ def _start(ops, mu):
     x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
     nv = ops.n_velocity_modes
     r0 = ops.R @ np.concatenate([[1.0], mu])
-    r0[ops.blocks[3]] += ops.tensor[:nv, nv:, nv:] @ mu @ mu
+    r0[ops.blocks[3]] += 0.5 * (ops.S[:, nv:, nv:] @ mu @ mu)
     return x, 0.0, max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
 
 

@@ -15,9 +15,11 @@ fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
 (the path the precomputed reduced tensor replaces) on a reduced system
 assembled block by block from the projected operators (the path the
-precomputed constant KKT matrix and affine right-hand side replace).  A
-zero-start reduced Newton that builds every Jacobian with its residual is
-the reference for queries without training starts.  The per-basis lift of
+precomputed constant KKT matrix and affine right-hand side replace), whose
+tensor convection terms come from three contractions of the stored tensor
+(the path the symmetrized tensor replaces).  A zero-start reduced Newton
+that builds every Jacobian with its residual is the reference for queries
+without training starts.  The per-basis lift of
 reduced coefficients to full-order fields is the reference for the Stokes
 one-product lift.
 """
@@ -348,30 +350,45 @@ def reassembled_reduced_solve(ops, model, mu, start):
     )
 
 
-def zero_start_reduced_solve(ops, mu):
-    """Reduced Navier-Stokes Newton from zero with the relative stop test,
-    building each iterate's Jacobian with its residual from the three
-    tensor contractions: the query path before training starts and the
-    lazy Jacobian.  Returns (coefficients, iterations)."""
+def tensor_convection(ops):
+    """Convection terms from the stored tensor t[g, a, b] = e(y_a, y_b, y_g)
+    by three contractions, fv = t.v over b, ev = t.v over a and gw = w.t
+    over g, in the ``conv`` form ``blockwise_reduced_system`` takes (the
+    path the symmetrized tensor replaces)."""
     t = ops.tensor
     n = t.shape[0]
-    nv = ops.n_velocity_modes
+
+    def conv(v_ext, w_ext):
+        fv = (t.reshape(n * n, n) @ v_ext).reshape(n, n)
+        d_wv = v_ext @ t + fv
+        gw = (w_ext @ t.reshape(n, n * n)).reshape(n, n)
+        return d_wv.T @ w_ext, fv @ v_ext, lambda: (gw + gw.T, d_wv.T, d_wv)
+
+    return conv
+
+
+def zero_start_reduced_solve(ops, mu):
+    """Reduced Navier-Stokes Newton from zero with the relative stop test,
+    building each iterate's Jacobian with its residual, from the
+    contractions of the symmetrized tensor ``ops.S`` that
+    ``rom._reduced_system`` makes: the query path before training starts and
+    the lazy Jacobian.  Returns (coefficients, iterations)."""
+    s = ops.S
+    nv, n = s.shape[:2]
     sv, _, _, sw, _ = ops.blocks
 
     def system(x):
         v_ext = np.concatenate([x[sv], mu])
-        w_ext = np.concatenate([x[sw], np.zeros(ops.n_lift)])
-        fv = (t.reshape(n * n, n) @ v_ext).reshape(n, n)
-        ev = v_ext @ t
-        gw = (w_ext @ t.reshape(n, n * n)).reshape(n, n)
-        d_wv = ev + fv
+        w = x[sw]
+        d = (s.reshape(nv * n, n) @ v_ext).reshape(nv, n)
+        g = (w @ s.reshape(nv, n * n)).reshape(n, n)
         res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
-        res[sv] += (d_wv.T @ w_ext)[:nv]
-        res[sw] += (fv @ v_ext)[:nv]
+        res[sv] += w @ d[:, :nv]
+        res[sw] += 0.5 * (d @ v_ext)
         jac = ops.K.copy()
-        jac[sv, sv] += (gw + gw.T)[:nv, :nv]
-        jac[sv, sw] += d_wv.T[:nv, :nv]
-        jac[sw, sv] += d_wv[:nv, :nv]
+        jac[sv, sv] += g[:nv, :nv]
+        jac[sv, sw] += d[:, :nv].T
+        jac[sw, sv] += d[:, :nv]
         return res, lambda rhs: np.linalg.solve(jac, rhs)
 
     x, _, iters = numerics.newton(system, np.zeros(ops.dimension()), rom.NEWTON_TOL_REL,

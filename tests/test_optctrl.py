@@ -193,6 +193,11 @@ class TestKktAssembly:
     def test_wrong_parameter_count(self, stokes_model):
         with pytest.raises(DimensionMismatch):
             stokes_model.solve_ocp(np.array([50.0, 50.0]))
+        box = np.array([20.0, 20.0]), np.array([80.0, 80.0])
+        with pytest.raises(DimensionMismatch,
+                           match=r"shape \(2,\), got shape \(1, 2\)") as info:
+            optctrl.check_parameters(np.array([[50.0, 50.0]]), *box)
+        assert info.value.exit_code == 2
 
     def test_stokes_matrix_built_once(self, stokes_model):
         K, rhs = stokes_model.assemble_kkt(np.array([50.0]))

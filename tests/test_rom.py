@@ -30,9 +30,7 @@ from ocrom.rom import (
     PodBasis,
     ReducedOperators,
     SnapshotSet,
-    _jacobian,
     _reduced_system,
-    _tensor_convection,
     build_offline,
     build_reduced_spaces,
     check_pod_invariants,
@@ -469,23 +467,26 @@ def _random_reduced_operators(rng, nv=3, np_=2, nu=2, nl=1):
 class TestReducedSystem:
     def test_jacobian_matches_finite_differences(self):
         """The hand-coded reduced Jacobian against central differences of the
-        reduced residual, including the convection tensor terms."""
-        rng = np.random.default_rng(4)
-        ops = _random_reduced_operators(rng)
-        conv = _tensor_convection(ops)
-        mu = np.array([0.7])
-        x = rng.standard_normal(ops.dimension()) * 0.3
-        res, blocks = _reduced_system(ops, mu, x, conv)
-        jac = _jacobian(ops, *blocks())
-        eps = 1e-6
-        for k in range(ops.dimension()):
-            dx = np.zeros_like(x)
-            dx[k] = eps
-            rp, _ = _reduced_system(ops, mu, x + dx, conv)
-            rm, _ = _reduced_system(ops, mu, x - dx, conv)
-            fd = (rp - rm) / (2 * eps)
-            assert np.abs(fd - jac[:, k]).max() <= 1e-6 * max(
-                np.abs(jac).max(), 1.0)
+        reduced residual, including the convection tensor terms, in the
+        coefficients and then in the parameters, with one and two inlets."""
+        for n_lift in (1, 2):
+            rng = np.random.default_rng(4)
+            ops = _random_reduced_operators(rng, nl=n_lift)
+            n = ops.dimension()
+            mu = np.array([0.7, -0.4][:n_lift])
+            x = rng.standard_normal(n) * 0.3
+            _, jacobian = _reduced_system(ops, mu, x)
+            jac = jacobian()
+            assert jac.shape == (n, n + n_lift)
+            eps = 1e-6
+            for k in range(n + n_lift):
+                step = np.zeros(n + n_lift)
+                step[k] = eps
+                rp, _ = _reduced_system(ops, mu + step[n:], x + step[:n])
+                rm, _ = _reduced_system(ops, mu - step[n:], x - step[:n])
+                fd = (rp - rm) / (2 * eps)
+                assert np.abs(fd - jac[:, k]).max() <= 1e-6 * max(
+                    np.abs(jac).max(), 1.0)
 
 
 class TestErrors:
@@ -815,7 +816,7 @@ class TestWarmStart:
         and each residual, assembled block by block, is within the
         threshold a start from zero stops at."""
         _, _, ops = graft_ns_offline
-        conv = _tensor_convection(ops)
+        conv = oracles.tensor_convection(ops)
         zero = np.zeros(ops.dimension())
         mus = np.random.default_rng(0).uniform(ops.domain_lo, ops.domain_hi, size=(256, 2))
         for mu in mus:
@@ -913,6 +914,13 @@ class TestWarmStart:
         assert replace(ops).warm_mu is None
 
 
+def test_wrong_parameter_shape(graft_ns_offline):
+    """A (1, 2) parameter array against the two-inlet model's (2,) domain."""
+    _, _, ops = graft_ns_offline
+    with pytest.raises(DimensionMismatch, match=r"shape \(2,\), got shape \(1, 2\)"):
+        solve_reduced(ops, np.array([[25.0, 25.0]]))
+
+
 def test_singular_reduced_jacobian_raises(ns_offline, tmp_path, capsys):
     """A reduced model without control (zero ``c`` and ``n_ctrl``) has a
     singular Jacobian: a query raises ``SingularMatrix``, and ``ocrom
@@ -987,6 +995,23 @@ def test_slice_equals_fresh_build(request, model, offline, edit):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (n, name)
 
 
+def test_symmetrized_tensor(stokes_offline, ns_offline, tmp_path):
+    """``S`` is the stored tensor plus its transpose in the two velocity
+    slots on the homogeneous test rows, exactly, and a loaded or sliced
+    model derives the same array as the model it came from."""
+    assert stokes_offline[-1].S is None
+    _, basis, ops = ns_offline
+    t = ops.tensor[:ops.n_velocity_modes]
+    assert np.array_equal(ops.S, t + t.transpose(0, 2, 1))
+    path = tmp_path / "rom.bin"
+    save_artifact(path, ops)
+    assert np.array_equal(load_artifact(path).S, ops.S)
+    for n in range(1, basis.n_max + 1):
+        rows = np.arange(basis.sizes["v"][n])
+        ext = np.r_[rows, ops.n_velocity_modes:ops.n_extended]
+        assert np.array_equal(slice_operators(ops, basis, n).S, ops.S[np.ix_(rows, ext, ext)])
+
+
 def _assert_identical(name, x, y):
     if isinstance(x, dict):
         assert isinstance(y, dict) and x.keys() == y.keys(), name
@@ -1021,7 +1046,7 @@ def test_precomputed_system_matches_blockwise_oracle(offline, request):
     reduced residual and Jacobian assembled block by block, at random
     coefficients and parameters."""
     ops = request.getfixturevalue(offline)[-1]
-    conv = None if ops.tensor is None else _tensor_convection(ops)
+    conv = None if ops.tensor is None else oracles.tensor_convection(ops)
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = rng.standard_normal(ops.dimension())
@@ -1029,8 +1054,8 @@ def test_precomputed_system_matches_blockwise_oracle(offline, request):
         if conv is None:  # Stokes: the constant system alone
             res, jac = ops.K @ x + ops.R @ np.concatenate([[1.0], mu]), ops.K
         else:
-            res, blocks = _reduced_system(ops, mu, x, conv)
-            jac = _jacobian(ops, *blocks())
+            res, jacobian = _reduced_system(ops, mu, x)
+            jac = jacobian()[:, :ops.dimension()]
         ref_res, ref_jac, _ = oracles.blockwise_reduced_system(ops, mu, x, conv)
         assert np.abs(res - ref_res).max() <= 1e-14 * np.abs(ref_res).max()
         assert np.abs(jac - ref_jac).max() <= 1e-14 * np.abs(ref_jac).max()

@@ -187,6 +187,18 @@ def test_every_field_is_read():
     assert unread == []
 
 
+def _stored(target):
+    """The expressions an assignment target writes into: the elements of a
+    tuple or list, and the object a subscript indexes (not its index)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _stored(element)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield from _stored(target.value)
+    else:
+        yield target
+
+
 def _assigned_attributes(node):
     """(receiver name, attribute, line) of each ``name.attr = ...``,
     ``name.attr += ...`` or ``name.attr[...] = ...`` target under ``node``."""
@@ -197,9 +209,7 @@ def _assigned_attributes(node):
             targets = [stmt.target]
         else:
             continue
-        for target in (t for top in targets for t in ast.walk(top)):
-            if isinstance(target, ast.Subscript) and isinstance(target.ctx, ast.Store):
-                target = target.value
+        for target in (t for top in targets for t in _stored(top)):
             if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
                 yield target.value.id, target.attr, target.lineno
 
@@ -211,11 +221,12 @@ def _called_name(node):
 
 
 def reduced_operator_writes(sources):
-    """``module:line`` of each assignment to a ``ReducedOperators`` field
-    outside ``ReducedOperators.__post_init__``.  The receiver is ``self`` in
-    the class's other methods, a parameter named ``ops``, or a name bound to
-    a call of ``ReducedOperators``, of ``replace`` or of a function that
-    returns one of those."""
+    """``module:line`` of each assignment to a ``ReducedOperators`` field,
+    or to an attribute that ``ReducedOperators.__post_init__`` derives,
+    outside ``__post_init__``.  The receiver is ``self`` in the class's
+    other methods, a parameter named ``ops``, or a name bound to a call of
+    ``ReducedOperators``, of ``replace`` or of a function that returns one
+    of those."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     fields, methods = set(), set()
     for tree in trees.values():
@@ -224,6 +235,8 @@ def reduced_operator_writes(sources):
                 fields |= {stmt.target.id for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign)}
                 methods |= {stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+    fields |= {attr for fn in methods if fn.name == "__post_init__"
+               for name, attr, _ in _assigned_attributes(fn) if name == "self"}
     functions = [(module, node) for module, tree in trees.items()
                  for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
@@ -257,13 +270,17 @@ def reduced_operator_writes(sources):
 
 def test_checker_flags_reduced_operator_write():
     source = ("@dataclass\nclass ReducedOperators:\n    a: int\n    b: int = 0\n\n"
-              "    def __post_init__(self):\n        self.b = 1\n\n"
+              "    def __post_init__(self):\n        self.b = 1\n"
+              "        self.K, self.X = self.Z = 2, 3\n\n"
               "    def grow(self):\n        self.a += 1\n\n"
               "def build():\n    made = ReducedOperators(1)\n    return made\n\n"
-              "def serve(ops, basis):\n    ops.a[0] = 1\n    basis.a = 2\n\n"
+              "def serve(ops, basis):\n    ops.a[0] = 1\n    basis.a = 2\n"
+              "    ops.K[0] += 1\n    basis.K = 2\n    basis[ops.K] = 3\n\n"
               "def offline():\n    made = build()\n    made.b, other = 3, dict()\n"
-              "    other.a = 4\n    fields = replace(made)\n    fields.c = 5\n")
-    assert reduced_operator_writes({"m.py": source}) == ["m.py:10", "m.py:17", "m.py:22"]
+              "    other.a = 4\n    fields = replace(made)\n    fields.c = 5\n"
+              "    fields.Z = fields.X = 6\n")
+    assert reduced_operator_writes({"m.py": source}) == [
+        "m.py:11", "m.py:18", "m.py:20", "m.py:26", "m.py:30"]
 
 
 def test_reduced_operators_not_mutated_after_build():
