@@ -189,7 +189,9 @@ def test_every_field_is_read():
 
 def _stored(target):
     """The expressions an assignment target writes into: the elements of a
-    tuple or list, and the object a subscript indexes (not its index)."""
+    tuple or list, the object a subscript indexes (not its index), and an
+    attribute with every object along its chain (``a.b.c = 1`` writes into
+    ``a.b`` too)."""
     if isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:
             yield from _stored(element)
@@ -197,11 +199,14 @@ def _stored(target):
         yield from _stored(target.value)
     else:
         yield target
+        if isinstance(target, ast.Attribute):
+            yield from _stored(target.value)
 
 
 def _assigned_attributes(node):
     """(receiver name, attribute, line) of each ``name.attr = ...``,
-    ``name.attr += ...`` or ``name.attr[...] = ...`` target under ``node``."""
+    ``name.attr += ...``, ``name.attr[...] = ...`` or ``name.attr.x = ...``
+    target under ``node``."""
     for stmt in ast.walk(node):
         if isinstance(stmt, ast.Assign):
             targets = stmt.targets
@@ -275,12 +280,13 @@ def test_checker_flags_reduced_operator_write():
               "    def grow(self):\n        self.a += 1\n\n"
               "def build():\n    made = ReducedOperators(1)\n    return made\n\n"
               "def serve(ops, basis):\n    ops.a[0] = 1\n    basis.a = 2\n"
-              "    ops.K[0] += 1\n    basis.K = 2\n    basis[ops.K] = 3\n\n"
+              "    ops.K[0] += 1\n    basis.K = 2\n    basis[ops.K] = 3\n"
+              "    ops.K.flat[0] = 1\n    ops.X.shape = (1,)\n\n"
               "def offline():\n    made = build()\n    made.b, other = 3, dict()\n"
               "    other.a = 4\n    fields = replace(made)\n    fields.c = 5\n"
               "    fields.Z = fields.X = 6\n")
     assert reduced_operator_writes({"m.py": source}) == [
-        "m.py:11", "m.py:18", "m.py:20", "m.py:26", "m.py:30"]
+        "m.py:11", "m.py:18", "m.py:20", "m.py:23", "m.py:24", "m.py:28", "m.py:32"]
 
 
 def test_reduced_operators_not_mutated_after_build():
