@@ -423,10 +423,14 @@ class ConvectionKernel:
     def jacobian_values(self, v, w, index, size):
         """Element blocks of E(v) + F(v) and of G(w) (F = first_slot_matrix)
         summed into ``size`` bins: entry k of element e's flattened block
-        goes to bin ``index[e, k]``.  Returns both sums."""
-        ef, g = np.zeros(size), np.zeros(size)
-        for cells, wdet, gNt, [(vq, gv), (wq, _)] in self._quadrature(v, w):
+        goes to bin ``index[e, k]``.  Returns both sums; G's is None, and
+        not summed, when ``w`` is None."""
+        fields = (v,) if w is None else (v, w)
+        ef, g = np.zeros(size), None if w is None else np.zeros(size)
+        for cells, wdet, gNt, [(vq, gv), *w_at_qp] in self._quadrature(*fields):
             idx = index[cells].ravel().astype(np.intp)
             ef += np.bincount(idx, self._convection_block(wdet, gNt, vq, gv).ravel(), size)
-            g += np.bincount(idx, self._test_slot_block(wdet, gNt, wq).ravel(), size)
+            if g is not None:
+                [(wq, _)] = w_at_qp
+                g += np.bincount(idx, self._test_slot_block(wdet, gNt, wq).ravel(), size)
         return ef, g

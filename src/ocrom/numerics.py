@@ -2,9 +2,10 @@
 driver.
 
 Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
-every solve is residual-checked.  A Newton solve's successive Jacobians
-share one factorization (``newton_step_solver``): later steps run GMRES
-preconditioned with it, and factorize afresh when GMRES misses the LU bound.
+every solve is residual-checked.  A Newton solve's successive Jacobians,
+or a path of such solves', share one factorization (``newton_step_solver``):
+later steps run GMRES preconditioned with it, and factorize afresh when
+GMRES misses the LU bound.
 Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``):
 ``symmetric_eig`` returns (eigenvalues, eigenvectors), eigenvalues descending
 and eigenvector signs fixed, so repeated runs reproduce identical bases.
@@ -129,9 +130,10 @@ def factorize(A):
 
 
 def newton_step_solver():
-    """``solve(A, b)`` for the successive Jacobians of one Newton solve: the
-    first is factorized, later ones go to the last factorization's
-    ``solve_near`` and are factorized only when that misses its bound."""
+    """``solve(A, b)`` for the successive Jacobians of one Newton solve, or
+    of a path of nearby solves: the first is factorized, later ones go to
+    the last factorization's ``solve_near`` and are factorized only when
+    that misses its bound."""
     lu = None
 
     def solve(A, b):

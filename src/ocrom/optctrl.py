@@ -25,10 +25,14 @@ the first Navier-Stokes Jacobian of a model: an assembly adds the element
 convection blocks to the constant Stokes values in place, and the
 residual's convection terms are evaluated element-wise without a matrix.
 Both solves take their Newton steps from ``numerics.newton_step_solver``,
-which factorizes a solve's first Jacobian and serves later steps by GMRES
-preconditioned with it.
+which factorizes the first Jacobian it meets and serves later steps by
+GMRES preconditioned with that factorization.  A solve has its own step
+solver, except inside ``FullOrderModel.continuation``: there successive
+solves follow one path, each starting from the previous converged solution
+and all sharing one step solver, so a snapshot build factorizes about once.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics
-from .errors import DimensionMismatch, ParameterOutOfDomain, UnknownTag
+from .errors import DimensionMismatch, NewtonDiverged, ParameterOutOfDomain, UnknownTag
 from .fem import ConvectionKernel, assemble_operators, build_spaces
 from .mesh import centerline_query
 
@@ -109,6 +113,15 @@ class _JacobianPattern:
     j11t: np.ndarray  # ... of its transposed position in J11
     j41: np.ndarray  # ... in J41
     j14: np.ndarray  # ... of its transposed position, in J14 = J41^T
+
+
+@dataclass
+class _Path:
+    """The last converged KKT vector and the step solver of a path of
+    Navier-Stokes solves."""
+
+    x: np.ndarray = None
+    step: object = field(default_factory=numerics.newton_step_solver)
 
 
 def optimality_matrix(m, a, b, c, n_ctrl, alpha, pin=None):
@@ -234,6 +247,7 @@ class FullOrderModel:
                              (ops.A @ L)[f], b_lift)
         self._stokes_lu = None
         self._ns_pattern = None  # built by the first Navier-Stokes Jacobian
+        self._path = None  # set inside continuation()
 
     @property
     def target(self):
@@ -330,17 +344,19 @@ class FullOrderModel:
             index=index, j11=j11, j11t=j11t, j41=j41, j14=j14,
         )
 
-    def _ns_jacobian(self, v_t, w_t):
+    def _ns_jacobian(self, v_t, w_t=None):
         """Navier-Stokes Jacobian at full velocity vectors (v_total, w_total):
-        J11 = M + G(w) + G(w)^T, J41 = A + E(v) + F(v), J14 = J41^T."""
+        J11 = M + G(w) + G(w)^T, J41 = A + E(v) + F(v), J14 = J41^T.
+        Without an adjoint (``w_t`` None) J11 keeps its Stokes values M."""
         if self._ns_pattern is None:
             self._build_ns_pattern()
         pat = self._ns_pattern
         bins = pat.j11.shape[0]
         ef, g = self.kernel.jacobian_values(v_t, w_t, pat.index, bins + 1)
         data = pat.data0.copy()
-        data[pat.j11] += g[:bins]
-        data[pat.j11t] += g[:bins]
+        if g is not None:
+            data[pat.j11] += g[:bins]
+            data[pat.j11t] += g[:bins]
         data[pat.j41] += ef[:bins]
         data[pat.j14] += ef[:bins]
         n = pat.indptr.shape[0] - 1
@@ -414,7 +430,15 @@ class FullOrderModel:
 
     def solve_ocp(self, mu):
         """Solve the optimality system at ``mu``: Stokes with the model's
-        factorization, Navier-Stokes by Newton from that solution."""
+        factorization, Navier-Stokes by Newton from that solution.
+
+        Inside ``continuation`` Newton starts instead from the path's last
+        converged solution, with the path's step solver, and stops where
+        the Stokes start x_S would: at max(NEWTON_TOL_REL ||r(x_S)||,
+        NEWTON_TOL_ABS), not relative to the warm start's own residual.  A
+        warm start that diverges is retried once from x_S with a fresh step
+        solver.
+        """
         mu = self.check_mu(mu)
         K, rhs = self.assemble_kkt(mu)
         if self._stokes_lu is None:
@@ -422,8 +446,23 @@ class FullOrderModel:
         x = self._stokes_lu.solve(rhs)
         if self.config.equation == "stokes":
             return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
+        path = self._path or _Path()  # outside a build, a path of one solve
+        if path.x is not None:
+            r0 = np.linalg.norm(self.kkt_residual(x, mu, True))
+            try:
+                path.x, res, iters = self._newton(
+                    mu, path.x, path.step, 0.0, max(NEWTON_TOL_REL * r0, NEWTON_TOL_ABS))
+            except NewtonDiverged:
+                path.step = numerics.newton_step_solver()
+            else:
+                return self._pack_solution(path.x, mu, iters, res, rhs)
+        path.x, res, iters = self._newton(mu, x, path.step, NEWTON_TOL_REL, NEWTON_TOL_ABS)
+        return self._pack_solution(path.x, mu, iters, res, rhs)
+
+    def _newton(self, mu, x, step, tol_rel, tol_abs):
+        """Navier-Stokes Newton at ``mu`` from the KKT vector ``x``, its
+        steps taken by ``step``; returns (x, residual, iterations)."""
         vL = self.lifting_field(mu)
-        step = numerics.newton_step_solver()
 
         def system(x):
             def solve(b):
@@ -432,9 +471,17 @@ class FullOrderModel:
 
             return self.kkt_residual(x, mu, True), solve
 
-        x, res, iters = numerics.newton(
-            system, x, NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
-        return self._pack_solution(x, mu, iters, res, rhs)
+        return numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
+
+    @contextmanager
+    def continuation(self):
+        """A block whose Navier-Stokes ``solve_ocp`` calls follow one path
+        and share one step solver; both are released on exit."""
+        self._path = _Path()
+        try:
+            yield
+        finally:
+            self._path = None
 
     # -- state sub-solve (uncontrolled flow, feasibility checks) -----------
 
@@ -458,8 +505,7 @@ class FullOrderModel:
             def solve(b):
                 K = self._stokes_matrix
                 if nonlinear:
-                    v_t = self._expand(vp[:nf]) + self.lifting_field(mu)
-                    K = self._ns_jacobian(v_t, np.zeros_like(v_t))
+                    K = self._ns_jacobian(self._expand(vp[:nf]) + self.lifting_field(mu))
                 return step(self._state_block(K), b)
 
             return res, solve

@@ -23,7 +23,8 @@ Stokes is affine in the parameters: its optimality system ``K x = -R [1; mu]``
 has a fixed ``K``.  Its snapshots therefore come from at most n_lift + 1
 full-order solves at anchor points of the training set, and every training
 column is a combination of theirs.  A Navier-Stokes model solves every
-training point.
+training point, along a nearest-neighbour path: each solve starts from the
+previous converged one, and one factorization serves the whole build.
 
 Online: the reduced system of dimension 13*N is precomputed as one constant
 KKT matrix plus terms affine in the parameters, by the builders the full
@@ -119,30 +120,43 @@ class SnapshotSet:
 
 
 def collect_snapshots(model, training):
-    """Full optimality-system solutions at every in-domain training point.
+    """Full optimality-system solutions at every in-domain training point,
+    as columns in training order.
 
     A point outside the parameter domain, or a Navier-Stokes solve that
-    fails, is recorded in ``failures``.  Stokes solves only the anchors of
-    ``_affine_anchors`` and combines their solutions: the solution is
-    affine in mu, and all Stokes solves share one factorization, so a
-    failed anchor raises ``AllSnapshotsFailed``.
+    fails, is recorded in ``failures`` with its training index.  Stokes
+    solves only the anchors of ``_affine_anchors`` and combines their
+    solutions: the solution is affine in mu, and all Stokes solves share
+    one factorization, so a failed anchor raises ``AllSnapshotsFailed``.
+    Navier-Stokes solves every point inside ``model.continuation()``, in
+    the order of ``_path_order``: each solve starts from the previous
+    converged one, and the build shares one step solver.
     """
-    stokes = model.config.equation == "stokes"
-    ok_mu, sols, failures = [], [], []
-    for i, mu in enumerate(training.parameters):
+    mus, inside, failures = training.parameters, [], []
+    for i, mu in enumerate(mus):
         try:
             model.check_mu(mu)
-            if not stokes:
-                sols.append(model.solve_ocp(mu))
-        except (OcromError, np.linalg.LinAlgError) as exc:
+            inside.append(i)
+        except OcromError as exc:
             failures.append((i, mu.copy(), str(exc)))
-            continue
-        ok_mu.append(mu.copy())
-    if not ok_mu:
+    stokes = model.config.equation == "stokes"
+    if not stokes:
+        sols = {}
+        with model.continuation():
+            for k in _path_order(mus[inside], model.domain_lo, model.domain_hi):
+                i = inside[k]
+                try:
+                    sols[i] = model.solve_ocp(mus[i])
+                except (OcromError, np.linalg.LinAlgError) as exc:
+                    failures.append((i, mus[i].copy(), str(exc)))
+        failures.sort(key=lambda failure: failure[0])
+        inside = sorted(sols)
+        sols = [sols[i] for i in inside]
+    if not inside:
         raise AllSnapshotsFailed(
             f"all {len(training)} snapshot solves failed; first: {failures[0][2]}"
         )
-    ok_mu = np.array(ok_mu)
+    ok_mu = mus[inside]
     if stokes:
         anchors, coefficients = _affine_anchors(ok_mu)
         try:
@@ -154,6 +168,24 @@ def collect_snapshots(model, training):
     if stokes:
         matrices = {f: S @ coefficients for f, S in matrices.items()}
     return SnapshotSet(matrices, ok_mu, failures, len(sols))
+
+
+def _nearest(points, mu, lo, hi):
+    """Index of the row of ``points`` nearest to ``mu``, distances scaled by
+    the domain width [lo, hi] where it is finite and positive."""
+    width = hi - lo
+    scaled = (points - mu) / np.where(np.isfinite(width) & (width > 0), width, 1.0)
+    return int(np.argmin((scaled ** 2).sum(axis=1)))
+
+
+def _path_order(mus, lo, hi):
+    """Row indices of ``mus`` in the order of a greedy nearest-neighbour
+    path (``_nearest``) that starts at the first row; it depends on the
+    rows and the domain alone, not on how the solves along it end."""
+    order, left = [], list(range(mus.shape[0]))
+    while left:
+        order.append(left.pop(_nearest(mus[left], mus[order[-1]], lo, hi) if order else 0))
+    return order
 
 
 def _affine_anchors(mus):
@@ -634,9 +666,7 @@ def _start(ops, mu):
     convection S[:, nv:, nv:] mu mu / 2 on the state momentum (w) rows."""
     if ops.warm_mu is None:
         return np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS
-    width = ops.domain_hi - ops.domain_lo
-    scaled = (ops.warm_mu - mu) / np.where(np.isfinite(width) & (width > 0), width, 1.0)
-    i = np.argmin((scaled ** 2).sum(axis=1))
+    i = _nearest(ops.warm_mu, mu, ops.domain_lo, ops.domain_hi)
     x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
     nv = ops.n_velocity_modes
     r0 = ops.R @ np.concatenate([[1.0], mu])

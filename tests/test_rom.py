@@ -137,6 +137,33 @@ def stokes_graft_model():
     return FullOrderModel(mesh, OcpConfig(domain={2: (40.0, 80.0), 3: (40.0, 80.0)}))
 
 
+@pytest.fixture(scope="module")
+def graft_ns_model():
+    """A two-inlet Navier-Stokes graft shaped like the serving benchmark's:
+    the coarsest graft, Re in [20, 30]^2."""
+    mesh = generate_graft(graft_geometry(2.5, 1.0, 0.7, 35.0, 1.6, resolution=0.68))
+    return FullOrderModel(mesh, OcpConfig(equation="navier-stokes",
+                                          domain={2: (20.0, 30.0), 3: (20.0, 30.0)}))
+
+
+def _domain(model):
+    return np.column_stack([model.domain_lo, model.domain_hi])
+
+
+def _assert_columns_match_cold_solves(model, snaps, exact=False):
+    """Every column of every field equals a ``solve_ocp`` outside a build
+    at its parameter: bit for bit, or within 1e-8 relative."""
+    for k, mu in enumerate(snaps.parameters):
+        sol = model.solve_ocp(mu)
+        for f in FIELDS:
+            ref = sol.v_hom if f == "v" else getattr(sol, f)
+            if exact:
+                assert np.array_equal(snaps.matrices[f][:, k], ref), (mu, f)
+            else:
+                err = np.abs(snaps.matrices[f][:, k] - ref).max()
+                assert err <= 1e-8 * np.abs(ref).max(), (mu, f)
+
+
 class TestAffineSnapshots:
     """Stokes snapshots come from at most n_lift + 1 anchor solves."""
 
@@ -163,22 +190,28 @@ class TestAffineSnapshots:
         assert [mu.tolist() for mu in solved] == [[40.0], [80.0]]
         assert len(snaps) == 6 and snaps.solves == 2
 
-    def test_graft_grid_columns_match_direct_solves(self, stokes_graft_model, monkeypatch):
+    @pytest.mark.parametrize("model, solves", [("stokes_graft_model", 3),
+                                               ("graft_ns_model", 9)],
+                             ids=["stokes", "navier-stokes"])
+    def test_graft_grid_columns_match_direct_solves(self, request, monkeypatch, model,
+                                                    solves):
+        """Stokes combines three anchor solves, Navier-Stokes follows a
+        path through all nine points; either way the columns, in training
+        order, are the solves at their points."""
+        model = request.getfixturevalue(model)
         solved = _count_solves(monkeypatch)
-        ts = training_grid([(40.0, 80.0)] * 2, 3)
-        snaps = collect_snapshots(stokes_graft_model, ts)
-        assert len(solved) == 3
+        ts = training_grid(_domain(model), 3)
+        snaps = collect_snapshots(model, ts)
+        assert len(solved) == solves
         assert np.array_equal(snaps.parameters, ts.parameters)
-        for k, mu in enumerate(ts.parameters):
-            sol = stokes_graft_model.solve_ocp(mu)
-            for f in FIELDS:
-                ref = sol.v_hom if f == "v" else getattr(sol, f)
-                err = np.abs(snaps.matrices[f][:, k] - ref).max()
-                assert err <= 1e-8 * np.abs(ref).max(), (mu, f)
+        _assert_columns_match_cold_solves(model, snaps)
 
-    def test_repeated_builds_bit_identical(self, stokes_graft_model):
-        ts = training_random([(40.0, 80.0)] * 2, 7, seed=5)
-        a, b = (collect_snapshots(stokes_graft_model, ts) for _ in range(2))
+    @pytest.mark.parametrize("model", ["stokes_graft_model", "graft_ns_model"],
+                             ids=["stokes", "navier-stokes"])
+    def test_repeated_builds_bit_identical(self, request, model):
+        model = request.getfixturevalue(model)
+        ts = training_random(_domain(model), 7, seed=5)
+        a, b = (collect_snapshots(model, ts) for _ in range(2))
         for f in FIELDS:
             assert a.matrices[f].tobytes() == b.matrices[f].tobytes()
 
@@ -189,6 +222,95 @@ class TestAffineSnapshots:
         monkeypatch.setattr(FullOrderModel, "solve_ocp", singular)
         with pytest.raises(AllSnapshotsFailed, match="zero pivot"):
             collect_snapshots(stokes_model, training_grid([(40.0, 80.0)], 4))
+
+
+class TestSnapshotPath:
+    """Navier-Stokes snapshots follow a nearest-neighbour path: each solve
+    starts from the previous converged one, and the build shares one step
+    solver."""
+
+    def test_path_order(self):
+        """Greedy nearest neighbour from the first row, distances scaled by
+        the domain width; an infinite width counts as 1."""
+        mus = np.array([[0.0, 0.0], [9.0, 0.9], [1.0, 0.8], [2.0, 0.0]])
+        assert rom._path_order(mus, np.zeros(2), np.array([10.0, 1.0])) == [0, 3, 2, 1]
+        assert rom._path_order(mus, np.zeros(2), np.array([np.inf, 1.0])) == [0, 2, 3, 1]
+        assert rom._path_order(mus[:0], np.zeros(2), np.ones(2)) == []
+
+    def test_failed_point_keeps_training_index(self, graft_ns_model, monkeypatch):
+        """A solve that raises is recorded under its training index, and
+        the next solve starts from the last successful one."""
+        model = graft_ns_model
+        ts = training_grid(_domain(model), 2)
+        failing = 1
+        solve_ocp, newton = FullOrderModel.solve_ocp, numerics.newton
+        starts, solutions = [], []
+
+        def fails_at_one_point(model, mu):
+            if np.array_equal(mu, ts.parameters[failing]):
+                raise NewtonDiverged("injected", [1.0])
+            sol = solve_ocp(model, mu)
+            solutions.append(sol)
+            return sol
+
+        def recorded(system, x, *args):
+            starts.append(x)
+            return newton(system, x, *args)
+
+        monkeypatch.setattr(FullOrderModel, "solve_ocp", fails_at_one_point)
+        monkeypatch.setattr(numerics, "newton", recorded)
+        snaps = collect_snapshots(model, ts)
+        assert [(i, mu.tolist()) for i, mu, _ in snaps.failures] == [
+            (failing, ts.parameters[failing].tolist())]
+        assert snaps.failures[0][2] == "injected"
+        assert np.array_equal(snaps.parameters, np.delete(ts.parameters, failing, axis=0))
+        # the path 0 -> 1 -> 3 -> 2 (a tie goes to the first row): the solve
+        # at 3 starts from the solution at 0, the one at 2 from that at 3
+        assert len(starts) == 3
+        nf = model.free.shape[0]
+        for start, sol in zip(starts[1:], solutions):
+            assert np.array_equal(start[:nf], sol.v_hom[model.free])
+        monkeypatch.undo()
+        _assert_columns_match_cold_solves(model, snaps)
+
+    def test_diverged_warm_start_retried_cold(self, graft_ns_model, monkeypatch):
+        """A warm start that diverges (here: allowed no step) is retried
+        once from the Stokes start with a fresh step solver, which is the
+        solve outside a build bit for bit."""
+        model = graft_ns_model
+        ts = training_grid(_domain(model), 2)
+        newton, warm = numerics.newton, []
+
+        def warm_diverges(system, x, tol_rel, tol_abs, max_iter):
+            if tol_rel == 0.0:  # only a warm start drops the relative test
+                warm.append(x)
+                max_iter = 0
+            return newton(system, x, tol_rel, tol_abs, max_iter)
+
+        monkeypatch.setattr(numerics, "newton", warm_diverges)
+        snaps = collect_snapshots(model, ts)
+        assert len(warm) == len(ts) - 1
+        assert not snaps.failures
+        assert np.array_equal(snaps.parameters, ts.parameters)
+        monkeypatch.undo()
+        _assert_columns_match_cold_solves(model, snaps, exact=True)
+
+    def test_build_factorizes_less_than_once_per_point(self, graft_ns_model, monkeypatch):
+        model = graft_ns_model
+        ts = training_grid(_domain(model), 2)
+        model.solve_ocp(ts.parameters[0])  # warm-up: the Stokes factorization is cached
+        calls = []
+        factorize = numerics.factorize
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(numerics, "factorize", counted)
+        snaps = collect_snapshots(model, ts)
+        assert len(snaps) == len(ts) == 4
+        assert len(calls) < len(ts)
+        assert model._path is None  # the path and its factorization are released
 
 
 def _identity_products(n):
@@ -778,16 +900,14 @@ class TestNavierStokesRom:
 
 
 @pytest.fixture(scope="module")
-def graft_ns_offline():
-    """A two-inlet Navier-Stokes graft model shaped like the serving
-    benchmark's: the coarsest graft, 7 random training points (seed 0) on
+def graft_ns_offline(graft_ns_model):
+    """The reduced model of ``graft_ns_model``, built as the serving
+    benchmark builds its own: 7 random training points (seed 0) on
     [20, 30]^2, n_max 7."""
-    mesh = generate_graft(graft_geometry(2.5, 1.0, 0.7, 35.0, 1.6, resolution=0.68))
-    model = FullOrderModel(mesh, OcpConfig(equation="navier-stokes",
-                                           domain={2: (20.0, 30.0), 3: (20.0, 30.0)}))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiency)
-        return build_offline(model, training_random([(20.0, 30.0)] * 2, 7, seed=0), n_max=7)
+        return build_offline(graft_ns_model, training_random([(20.0, 30.0)] * 2, 7, seed=0),
+                             n_max=7)
 
 
 _NS_OFFLINE = ["ns_offline", "graft_ns_offline"]
