@@ -1,8 +1,11 @@
-"""Sparse direct solves, dense symmetric eigendecomposition and the Newton
-driver.
+"""Sparse and dense direct solves, dense symmetric eigendecomposition and
+the Newton driver.
 
 Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
-every solve is residual-checked.  A Newton solve's successive Jacobians,
+every solve is residual-checked.  Small dense systems that one factorization
+serves several times (a reduced Jacobian) go to LAPACK ``getrf``/``getrs``
+directly (``dense_lu``), without the per-call checks of the
+``scipy.linalg`` wrappers.  A Newton solve's successive Jacobians,
 or a path of such solves', share one factorization (``newton_step_solver``):
 later steps run GMRES preconditioned with it, and factorize afresh when
 GMRES misses the LU bound.
@@ -18,6 +21,7 @@ driver owns the stop test and the divergence rule.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     ConvergenceFailure,
@@ -36,6 +40,8 @@ _GMRES_RTOL = 1e-11
 
 
 _RCM_THRESHOLD = 20000
+
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class LuFactor:
@@ -127,6 +133,29 @@ def factorize(A):
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[1]}, not square")
     return LuFactor(A)
+
+
+def dense_lu(a, name):
+    """Solve function of one LU factorization with partial pivoting of the
+    square dense matrix ``a``, for one right-hand side or a matrix of them.
+
+    Raises :class:`SingularMatrix`, its message starting with ``name``, for
+    an exactly zero pivot or a non-finite factor, and at a solve for a
+    non-finite solution.
+    """
+    lu, piv, info = _GETRF(a)
+    if info > 0:
+        raise SingularMatrix(f"{name}: exactly zero pivot U[{info - 1}, {info - 1}]")
+    if not np.isfinite(lu).all():
+        raise SingularMatrix(f"{name}: non-finite LU factor")
+
+    def solve(b):
+        x = _GETRS(lu, piv, b)[0]
+        if not np.isfinite(x).all():
+            raise SingularMatrix(f"{name}: non-finite solution")
+        return x
+
+    return solve
 
 
 def newton_step_solver():

@@ -33,12 +33,15 @@ query is two products with ``[1; mu]``: one with the coefficient map for the
 coefficients and objective, one with its precomputed full-order lift for
 the fields.  A Navier-Stokes query is dense Newton, run by the package's one
 driver ``numerics.newton``, and lifts its coefficients one basis at a time.
-One routine gives its residual and its Jacobian over coefficients and
-parameters: that matrix plus contractions of one array, the tensor
-symmetrized in its two velocity slots.  The same Jacobian gives each
-training solution's mu-tangent, so a query starts from the nearest training
-solution plus its tangent step (an Euler predictor, solved once on
-construction) and stops at the threshold a start from zero would use.
+One routine gives its residual and its Jacobian over the coefficients, or
+over coefficients and parameters: that matrix plus contractions of one
+array, the tensor symmetrized in its two velocity slots.  The Jacobian
+over both gives each training solution's mu-tangent, so a query starts
+from the nearest training solution plus its tangent step (an Euler
+predictor, solved once on construction) and stops at the threshold a start
+from zero would use.  From there it takes chord steps: one LU of the
+Jacobian at the start serves them while they contract fast, and a chord
+that diverges falls back to full Newton from zero.
 """
 
 import io
@@ -58,6 +61,7 @@ from .errors import (
     InvariantViolation,
     IoError,
     MissingArtifact,
+    NewtonDiverged,
     OcromError,
     ParseError,
     RankDeficiency,
@@ -553,7 +557,12 @@ def reduced_inf_sup(ops):
 
 @dataclass
 class ReducedSolution:
-    """A reduced solution lifted to full-order fields."""
+    """A reduced solution lifted to full-order fields.
+
+    ``newton_iterations`` counts the steps of the reduced solve: none for
+    Stokes, chord steps from a warm start, full Newton steps from zero, and
+    after a fallback the abandoned chord steps plus the Newton steps from
+    zero."""
 
     mu: np.ndarray
     objective: float
@@ -579,11 +588,12 @@ def _reduced_objective(ops, v_ext, u_n):
     )
 
 
-def _reduced_system(ops, mu, x):
+def _reduced_system(ops, mu, x, rmu=None):
     """Residual of the reduced Navier-Stokes optimality system at ``x``,
-    ``K x + R [1; mu]`` plus the convection terms, and a function for its
-    Jacobian over the coefficients and then the parameters,
-    ``[dr/dx | dr/dmu]``.
+    ``K x + rmu`` plus the convection terms, with ``rmu = R [1; mu]``
+    (formed here when not given), and a function for its Jacobian over the
+    coefficients, ``dr/dx``, or with ``mu_columns`` over the coefficients
+    and then the parameters, ``[dr/dx | dr/dmu]``.
 
     With v = [x_v; mu] and d = S.v over b, the state rows (w) get
     E(v) v = d v / 2 and the adjoint rows (v) d^T w; the Jacobian's state
@@ -595,25 +605,35 @@ def _reduced_system(ops, mu, x):
     nv, n = ops.n_velocity_modes, ops.dimension()
     v, w = np.concatenate([x[sv], mu]), x[sw]
     d = (ops.S.reshape(-1, v.size) @ v).reshape(nv, v.size)
-    res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
+    res = ops.K @ x + (_affine(ops, mu) if rmu is None else rmu)
     res[sv] += w @ d[:, :nv]
     res[sw] += 0.5 * (d @ v)
 
-    def jacobian():
+    def jacobian(mu_columns=False):
         g = (w @ ops.S.reshape(nv, -1)).reshape(v.size, v.size)
-        jac = np.hstack([ops.K, ops.R[:, 1:]])
+        jac = np.hstack([ops.K, ops.R[:, 1:]]) if mu_columns else ops.K.copy()
         for rows, block in ((sv, g[:nv]), (sw, d)):
             jac[rows, sv] += block[:, :nv]
-            jac[rows, n:] += block[:, nv:]
+            if mu_columns:
+                jac[rows, n:] += block[:, nv:]
         jac[sv, sw] += d[:, :nv].T
         return jac
 
     return res, jacobian
 
 
+def _affine(ops, mu):
+    """The affine term ``R [1; mu]`` of the reduced optimality system."""
+    return ops.R @ np.concatenate([[1.0], mu])
+
+
 NEWTON_TOL_REL = 1e-11
 NEWTON_TOL_ABS = 1e-13
 NEWTON_MAX_ITER = 30
+# a chord step whose residual norm ratio exceeds this gets a fresh Jacobian:
+# the default contraction bound below which RADAU5 keeps its Jacobian on
+# small systems (Hairer & Wanner, Solving ODEs II, IV.8)
+_CHORD_CONTRACTION = 1e-3
 
 
 def _dense_solve(a, b):
@@ -624,14 +644,35 @@ def _dense_solve(a, b):
         raise SingularMatrix(f"reduced Jacobian: {exc}") from exc
 
 
-def _newton(ops, mu, x, tol_rel, tol_abs):
+def _newton(ops, mu, x, tol_rel, tol_abs, rmu=None, chord=False):
     """Reduced Navier-Stokes Newton from ``x``; returns (x, iterations).
-    A step builds its Jacobian; the last residual evaluation does not."""
-    n = ops.dimension()
+
+    Full Newton builds each step's Jacobian dr/dx and solves it with
+    ``np.linalg.solve``.  With ``chord`` (the chord method) one LU of the
+    Jacobian at ``x`` (``numerics.dense_lu``) serves the steps, and is made
+    again at an iterate only where a step's residual norm ratio exceeded
+    ``_CHORD_CONTRACTION``.  The last residual evaluation builds no
+    Jacobian, so a start that already meets the threshold factorizes
+    nothing."""
+    lu, last = None, np.inf
 
     def system(x):
-        res, jacobian = _reduced_system(ops, mu, x)
-        return res, lambda rhs: _dense_solve(jacobian()[:, :n], rhs)
+        nonlocal lu, last
+        res, jacobian = _reduced_system(ops, mu, x, rmu)
+        if not chord:
+            return res, lambda rhs: _dense_solve(jacobian(), rhs)
+        norm = np.linalg.norm(res)
+        if norm > _CHORD_CONTRACTION * last:
+            lu = None
+        last = norm
+
+        def solve(rhs):
+            nonlocal lu
+            if lu is None:
+                lu = numerics.dense_lu(jacobian(), "reduced Jacobian")
+            return lu(rhs)
+
+        return res, solve
 
     x, _, iters = numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
     return x, iters
@@ -639,15 +680,16 @@ def _newton(ops, mu, x, tol_rel, tol_abs):
 
 def _training_starts(ops):
     """(mu_i, x_i, D_i) arrays over the training parameters: the reduced
-    solution x_i at mu_i, solved from zero, and its mu-tangent
-    D_i = -J_x^{-1} J_mu from the Jacobian [J_x | J_mu] at x_i.  A point
-    whose solve raises is left out; Nones when none is left."""
+    solution x_i at mu_i, solved by full Newton from zero, and its
+    mu-tangent D_i = -J_x^{-1} J_mu from the Jacobian [J_x | J_mu] at x_i.
+    A point whose solve raises is left out; Nones when none is left."""
     n = ops.dimension()
     starts = []
     for mu in ops.training_parameters:
         try:
             x, _ = _newton(ops, mu, np.zeros(n), NEWTON_TOL_REL, NEWTON_TOL_ABS)
-            jac = _reduced_system(ops, mu, x)[1]()
+            jacobian = _reduced_system(ops, mu, x)[1]
+            jac = jacobian(mu_columns=True)
             starts.append((mu, x, -_dense_solve(jac[:, :n], jac[:, n:])))
         except OcromError:
             continue
@@ -656,20 +698,21 @@ def _training_starts(ops):
     return tuple(np.array(a) for a in zip(*starts))
 
 
-def _start(ops, mu):
+def _start(ops, mu, rmu=None):
     """Newton start and stop thresholds (tol_rel, tol_abs) of a
     Navier-Stokes query.  Without training solutions: zero, with the
     relative and absolute thresholds.  With them: the nearest training
     solution (distance scaled by the domain width) plus its tangent step,
     stopping at the zero start's threshold max(NEWTON_TOL_REL ||r(0; mu)||,
-    NEWTON_TOL_ABS), with r(0; mu) = R [1; mu] plus the lifting's
-    convection S[:, nv:, nv:] mu mu / 2 on the state momentum (w) rows."""
+    NEWTON_TOL_ABS), with r(0; mu) = R [1; mu] (``rmu``, formed here when
+    not given) plus the lifting's convection S[:, nv:, nv:] mu mu / 2 on the
+    state momentum (w) rows."""
     if ops.warm_mu is None:
         return np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS
     i = _nearest(ops.warm_mu, mu, ops.domain_lo, ops.domain_hi)
     x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
     nv = ops.n_velocity_modes
-    r0 = ops.R @ np.concatenate([[1.0], mu])
+    r0 = (_affine(ops, mu) if rmu is None else rmu).copy()
     r0[ops.blocks[3]] += 0.5 * (ops.S[:, nv:, nv:] @ mu @ mu)
     return x, 0.0, max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
 
@@ -680,10 +723,23 @@ def solve_reduced_coefficients(ops, mu):
 
 
 def _solve_coefficients(ops, mu):
+    """A Stokes query is one product.  A Navier-Stokes query takes chord
+    steps from its warm start (``_start``); if they diverge, or without
+    training solutions, it takes full Newton steps from zero.  The
+    iterations count every step, the abandoned chord steps of a fallback
+    included."""
     if ops.equation == "stokes":
         x, iters = ops.X @ np.concatenate([[1.0], mu]), 0
     else:
-        x, iters = _newton(ops, mu, *_start(ops, mu))
+        rmu, warm = _affine(ops, mu), ops.warm_mu is not None
+        try:
+            x, iters = _newton(ops, mu, *_start(ops, mu, rmu), rmu, chord=warm)
+        except NewtonDiverged as exc:
+            if not warm:
+                raise
+            x, iters = _newton(ops, mu, np.zeros(ops.dimension()), NEWTON_TOL_REL,
+                               NEWTON_TOL_ABS, rmu)
+            iters += len(exc.residual_norms) - 1
     sv, _, su, _, _ = ops.blocks
     return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
 

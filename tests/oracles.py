@@ -19,7 +19,9 @@ precomputed constant KKT matrix and affine right-hand side replace), whose
 tensor convection terms come from three contractions of the stored tensor
 (the path the symmetrized tensor replaces).  A zero-start reduced Newton
 that builds every Jacobian with its residual is the reference for queries
-without training starts.  The per-basis lift of
+without training starts, and a full Newton from the warm start, each step
+solving the x columns of the Jacobian over [x; mu], for warm-started
+queries (the path the chord steps replace).  The per-basis lift of
 reduced coefficients to full-order fields is the reference for the Stokes
 one-product lift.
 """
@@ -393,6 +395,22 @@ def zero_start_reduced_solve(ops, mu):
 
     x, _, iters = numerics.newton(system, np.zeros(ops.dimension()), rom.NEWTON_TOL_REL,
                                   rom.NEWTON_TOL_ABS, rom.NEWTON_MAX_ITER)
+    return x, iters
+
+
+def warm_newton_reduced_solve(ops, mu):
+    """Reduced Navier-Stokes Newton from the warm start and to the stop
+    threshold of ``rom._start``, each step building the Jacobian over
+    [x; mu], cutting out its x columns and solving them with
+    ``np.linalg.solve``: the warm-started query before chord steps.
+    Returns (coefficients, iterations)."""
+    n = ops.dimension()
+
+    def system(x):
+        res, jacobian = rom._reduced_system(ops, mu, x)
+        return res, lambda rhs: np.linalg.solve(jacobian(mu_columns=True)[:, :n], rhs)
+
+    x, _, iters = numerics.newton(system, *rom._start(ops, mu), rom.NEWTON_MAX_ITER)
     return x, iters
 
 

@@ -11,7 +11,7 @@ from ocrom.errors import (
     NotSymmetric,
     SingularMatrix,
 )
-from ocrom.numerics import factorize, newton, symmetric_eig
+from ocrom.numerics import dense_lu, factorize, newton, symmetric_eig
 
 from oracles import gauss_solve
 
@@ -67,6 +67,44 @@ class TestSparseLuSolve:
             b = rng.standard_normal(25)
             x = lu.solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+class TestDenseLu:
+    """One LAPACK getrf of a dense matrix, getrs for each right-hand side."""
+
+    @pytest.mark.parametrize("rhs_shape", [(40,), (40, 1), (40, 3)])
+    def test_agrees_with_numpy_solve(self, rhs_shape):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((40, 40))
+        b = rng.standard_normal(rhs_shape)
+        solve = dense_lu(a, "test matrix")
+        for _ in range(2):  # the factorization serves every solve
+            x, ref = solve(b), np.linalg.solve(a, b)
+            assert x.shape == rhs_shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_leaves_matrix_unchanged(self):
+        a = np.array([[0.0, 2.0], [3.0, 1.0]])
+        before = a.copy()
+        assert np.allclose(dense_lu(a, "test matrix")(np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.array_equal(a, before)
+
+    def test_zero_pivot(self):
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SingularMatrix, match=r"^test matrix: exactly zero pivot"):
+            dense_lu(a, "test matrix")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry(self, value):
+        a = np.eye(4) + 0.1
+        a[2, 1] = value
+        with pytest.raises(SingularMatrix, match=r"^test matrix: non-finite"):
+            dense_lu(a, "test matrix")
+
+    def test_non_finite_solution(self):
+        solve = dense_lu(np.eye(3), "test matrix")
+        with pytest.raises(SingularMatrix, match=r"^test matrix: non-finite solution"):
+            solve(np.array([1.0, np.nan, 0.0]))
 
 
 def _laplacian_2d(n):

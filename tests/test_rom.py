@@ -598,8 +598,9 @@ class TestReducedSystem:
             mu = np.array([0.7, -0.4][:n_lift])
             x = rng.standard_normal(n) * 0.3
             _, jacobian = _reduced_system(ops, mu, x)
-            jac = jacobian()
+            jac = jacobian(mu_columns=True)
             assert jac.shape == (n, n + n_lift)
+            assert np.array_equal(jacobian(), jac[:, :n])
             eps = 1e-6
             for k in range(n + n_lift):
                 step = np.zeros(n + n_lift)
@@ -975,6 +976,49 @@ class TestWarmStart:
             x_ref, iters_ref = oracles.zero_start_reduced_solve(cold, mu)
             assert np.array_equal(x, x_ref) and iters == iters_ref
 
+    def test_chord_steps_match_warm_newton(self, graft_ns_offline, monkeypatch):
+        """The first 1 000 queries of the serving benchmark's seed-0 stream:
+        the chord steps' coefficients are within 1e-9 max|x| of full Newton
+        from the same start to the same threshold, no query takes more than
+        4 steps, fewer than 3 on average (2.47 on this model), and a query
+        factorizes its Jacobian once, or not at all at a training
+        parameter, where it takes no step."""
+        _, _, ops = graft_ns_offline
+        mus = np.random.default_rng(0).uniform(ops.domain_lo, ops.domain_hi, size=(1000, 2))
+        refs = [oracles.warm_newton_reduced_solve(ops, mu)[0] for mu in mus]
+        dense_lu, factorizations, steps = numerics.dense_lu, [], []
+        monkeypatch.setattr(numerics, "dense_lu",
+                            lambda a, name: factorizations.append(name) or dense_lu(a, name))
+        for mu, x_ref in zip(mus, refs):
+            factorizations.clear()
+            x, _, iters = rom.solve_reduced_coefficients(ops, mu)
+            assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max(), mu
+            training = bool((ops.warm_mu == mu).all(axis=1).any())
+            assert len(factorizations) == (0 if training else 1), mu
+            assert (iters == 0) == training and iters <= 4, mu
+            steps.append(iters)
+        assert np.mean(steps) < 3.0
+
+    def test_diverged_chord_falls_back_to_zero_start(self, graft_ns_offline, monkeypatch):
+        """A warm start whose chord steps raise ``NewtonDiverged`` is
+        answered by full Newton from zero, bit for bit, and its iteration
+        count adds the abandoned chord steps to that Newton's."""
+        _, _, ops = graft_ns_offline
+        mus = np.random.default_rng(7).uniform(ops.domain_lo, ops.domain_hi, size=(8, 2))
+        refs = [oracles.zero_start_reduced_solve(ops, mu) for mu in mus]
+        newton = numerics.newton
+
+        def chord_diverges(system, x, *args):
+            if x.any():  # the warm start; the fallback starts from zero
+                raise NewtonDiverged("injected", [4.0, 2.0, 3.0])
+            return newton(system, x, *args)
+
+        monkeypatch.setattr(numerics, "newton", chord_diverges)
+        for mu, (x_ref, iters_ref) in zip(mus, refs):
+            x, _, iters = rom.solve_reduced_coefficients(ops, mu)
+            assert np.array_equal(x, x_ref)
+            assert iters == iters_ref + 2 == solve_reduced(ops, mu).newton_iterations
+
     def test_tangent_matches_finite_differences(self, graft_ns_offline):
         _, _, ops = graft_ns_offline
         cold = _zero_start(ops)
@@ -1055,6 +1099,30 @@ def test_singular_reduced_jacobian_raises(ns_offline, tmp_path, capsys):
     assert main(["online", "--artifact", str(path), "--mu", "45.0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and err.count("\n") == 1
+
+
+def test_singular_warm_start_jacobian_raises(graft_ns_offline, tmp_path, capsys,
+                                             monkeypatch):
+    """A warm-started query whose start-point Jacobian is singular (its
+    first column zeroed on the way to the factorization) raises
+    ``SingularMatrix``; it is not a divergence, so there is no fallback.
+    ``ocrom online`` on the saved model exits 3 with a one-line message."""
+    _, _, ops = graft_ns_offline
+    dense_lu = numerics.dense_lu
+
+    def singular(a, name):
+        a[:, 0] = 0.0
+        return dense_lu(a, name)
+
+    monkeypatch.setattr(numerics, "dense_lu", singular)
+    with pytest.raises(SingularMatrix, match="reduced Jacobian"):
+        solve_reduced(ops, np.array([24.0, 26.0]))
+    path = tmp_path / "rom.bin"
+    save_artifact(path, ops)
+    assert load_artifact(path).warm_mu is not None
+    assert main(["online", "--artifact", str(path), "--mu", "24.0", "26.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: reduced Jacobian") and err.count("\n") == 1
 
 
 def _repeat_first_pressure_mode(modes):
