@@ -2,7 +2,9 @@
 the Newton driver.
 
 Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
-every solve is residual-checked.  Small dense systems that one factorization
+every solve is refined and residual-checked by ``refine``, which also
+serves solves assembled from a factorization's raw passes (block
+elimination on a sub-block).  Small dense systems that one factorization
 serves several times (a reduced Jacobian) go to LAPACK ``getrf``/``getrs``
 directly (``dense_lu``), without the per-call checks of the
 ``scipy.linalg`` wrappers.  A Newton solve's successive Jacobians,
@@ -70,7 +72,10 @@ class LuFactor:
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularMatrix(str(exc)) from exc
 
-    def _raw_solve(self, b):
+    def raw_solve(self, b):
+        """One pass of the factorization on ``b``, a vector or a matrix of
+        right-hand side columns (Fortran order avoids a copy): no
+        refinement and no residual check."""
         if self._perm is None:
             return self._lu.solve(b)
         return self._lu.solve(b[self._perm])[self._inv_perm]
@@ -79,25 +84,7 @@ class LuFactor:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._A.shape[0]:
             raise DimensionMismatch(f"rhs length {b.shape[0]} != {self._A.shape[0]}")
-        x = self._raw_solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SingularMatrix("factorization produced non-finite solution")
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        # a couple of refinement sweeps recover the last digits on stiff systems
-        for _ in range(3):
-            r = b - self._A @ x
-            if np.linalg.norm(r) <= _LU_RTOL * bnorm:
-                return x
-            x = x + self._raw_solve(r)
-        r = b - self._A @ x
-        if np.linalg.norm(r) > _LU_RTOL * bnorm:
-            raise SingularMatrix(
-                "relative residual %.3e exceeds %.0e; matrix is singular or "
-                "severely ill-conditioned" % (np.linalg.norm(r) / bnorm, _LU_RTOL)
-            )
-        return x
+        return refine(self._A, b, self.raw_solve)
 
     def solve_near(self, A, b):
         """Solve ``A x = b`` for a matrix of the factored one's size that is
@@ -116,7 +103,7 @@ class LuFactor:
         if bnorm == 0.0:
             return np.zeros_like(b)
         with np.errstate(all="ignore"):
-            M = spla.LinearOperator(A.shape, matvec=self._raw_solve, dtype=float)
+            M = spla.LinearOperator(A.shape, matvec=self.raw_solve, dtype=float)
             x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
                               restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
             rel = np.linalg.norm(b - A @ x) / bnorm
@@ -125,6 +112,34 @@ class LuFactor:
                 "preconditioned GMRES reached relative residual %.3e, above %.0e"
                 % (rel, _LU_RTOL))
         return x
+
+
+def refine(A, b, raw_solve):
+    """Solution of ``A x = b`` from ``raw_solve``, which applies an
+    approximate inverse of ``A`` (a factorization of it, or a solve by
+    parts on one): up to three sweeps of iterative refinement recover the
+    last digits on stiff systems.
+
+    Raises :class:`SingularMatrix` for a non-finite solution, or when the
+    relative residual is still above 1e-10 after the sweeps.
+    """
+    x = raw_solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("factorization produced non-finite solution")
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    for _ in range(3):
+        r = b - A @ x
+        if np.linalg.norm(r) <= _LU_RTOL * bnorm:
+            return x
+        x = x + raw_solve(r)
+    rel = np.linalg.norm(b - A @ x) / bnorm
+    if not rel <= _LU_RTOL:  # NaN included
+        raise SingularMatrix(
+            "relative residual %.3e exceeds %.0e; matrix is singular or "
+            "severely ill-conditioned" % (rel, _LU_RTOL))
+    return x
 
 
 def factorize(A):

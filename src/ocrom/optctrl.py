@@ -17,8 +17,12 @@ the system ``K x + R [1; mu] = 0``, affine in the parameters, at both orders
 (here and in ``rom``); the state equations are its w and q rows on the v
 and p columns.
 
-Stokes is one sparse LU solve, with the factorization kept by the model.
-Navier-Stokes is Newton from the Stokes solution, run like the state
+The model factorizes one matrix, the Stokes state block, at construction;
+the liftings, the Stokes pass of a state solve and every Stokes optimality
+solve run on that LU.  An optimality solve eliminates the state and the
+adjoint and solves a small dense Schur complement on the control (built by
+the model's first Stokes solve), then refines against the whole optimality
+matrix.  Navier-Stokes is Newton from the Stokes solution, run like the state
 sub-solve by the one driver ``numerics.newton`` with this module's
 ``NEWTON_*`` settings.  Its Jacobians share one sparsity pattern, built on
 the first Navier-Stokes Jacobian of a model: an assembly adds the element
@@ -240,12 +244,13 @@ class FullOrderModel:
         pin[self.locked_pressure] = 1.0
         self._stokes_matrix = optimality_matrix(
             ops.M[f][:, f], A_ff, B_f, ops.C[f], ops.N_c, config.alpha, sp.diags(pin))
+        self._state_lu = numerics.factorize(self._state_block(self._stokes_matrix))
         self.lifting = L = self._liftings()
         b_lift = ops.B @ L
         b_lift[self.locked_pressure] = 0.0
         self._R = affine_rhs(self._ends, (ops.M @ self._target)[f], (ops.M @ L)[f],
                              (ops.A @ L)[f], b_lift)
-        self._stokes_lu = None
+        self._stokes_solve = None  # built by the first Stokes solve
         self._ns_pattern = None  # built by the first Navier-Stokes Jacobian
         self._path = None  # set inside continuation()
 
@@ -273,7 +278,7 @@ class FullOrderModel:
 
     def _liftings(self):
         """Divergence-free liftings of the unit-Reynolds inflow, one column
-        per inlet, from one factorization of the Stokes state block.
+        per inlet, from the model's factorization of the Stokes state block.
 
         The inflow data vanishes on the free dofs, so A g and B g only see
         its constrained part.
@@ -284,9 +289,52 @@ class FullOrderModel:
                              for tag in self.inlet_tags])
         rhs = -np.vstack([(ops.A @ g)[f], ops.B @ g])
         rhs[nf + self.locked_pressure] = 0.0
-        lu = numerics.factorize(self._state_block(self._stokes_matrix))
-        g[f] = np.column_stack([lu.solve(r)[:nf] for r in rhs.T])
+        g[f] = np.column_stack([self._state_lu.solve(r)[:nf] for r in rhs.T])
         return g
+
+    def _stokes_elimination(self):
+        """Raw solve of the Stokes optimality matrix K by block elimination
+        on the state-block LU: the Schur complement on the control.
+
+        With y = (v, p), l = (w, q) and M0 y = [M_ff v; 0], the state rows
+        of K read S y = r_s - [C_f u; 0] and, S being symmetric, the adjoint
+        rows S l = r_a - M0 y.  A locked pressure's pin sits on p in the
+        adjoint continuity row and on q in the state one, while S pins each
+        in its own block's row; those rows decouple, so the locked entries
+        of r_s = (r_w, r_q) and r_a = (r_v, r_p) trade places.  The control
+        reaches only the rows R where C_f has entries: with W = S^-1 E_R
+        (one block solve) the control rows become
+        H u = r_u - C_R^T W^T (r_a - M0 y0), y0 = S^-1 r_s, for the small
+        dense H = alpha N_c + C_R^T (W_v^T M_ff W_v) C_R.  Then
+        y = y0 - W C_R u and l = S^-1 (r_a - M0 y).
+        """
+        e, nf = self._ends, self.free.shape[0]
+        K, lu = self._stokes_matrix, self._state_lu
+        locked = nf + self.locked_pressure
+        M_ff = K[: e[0], : e[0]]
+        C_f = K[e[2] : e[3], e[1] : e[2]].tocsr()
+        rows = np.flatnonzero(np.diff(C_f.indptr))
+        C_R = C_f[rows].toarray()
+        E_R = np.zeros((e[1], rows.size), order="F")
+        E_R[rows, np.arange(rows.size)] = 1.0
+        W = lu.raw_solve(E_R)
+        W_v = W[:nf]
+        H = K[e[1] : e[2], e[1] : e[2]].toarray() + C_R.T @ (W_v.T @ (M_ff @ W_v)) @ C_R
+        solve_h = numerics.dense_lu(H, "control Schur complement")
+
+        def solve(b):
+            r_v, r_p, r_u, r_w, r_q = np.split(b, e[:-1])
+            r_s, r_a = np.concatenate([r_w, r_q]), np.concatenate([r_v, r_p])
+            r_s[locked], r_a[locked] = r_a[locked], r_s[locked]
+            y = lu.raw_solve(r_s)
+            a = r_a.copy()
+            a[:nf] -= M_ff @ y[:nf]
+            u = solve_h(r_u - C_R.T @ (W.T @ a))
+            y -= W @ (C_R @ u)
+            r_a[:nf] -= M_ff @ y[:nf]
+            return np.concatenate([y, u, lu.raw_solve(r_a)])
+
+        return solve
 
     # -- KKT assembly --------------------------------------------------------
 
@@ -429,8 +477,11 @@ class FullOrderModel:
         )
 
     def solve_ocp(self, mu):
-        """Solve the optimality system at ``mu``: Stokes with the model's
-        factorization, Navier-Stokes by Newton from that solution.
+        """Solve the optimality system at ``mu``: Stokes by block
+        elimination on the model's state-block LU (``_stokes_elimination``,
+        built by the first call), refined and residual-checked against the
+        whole optimality matrix by ``numerics.refine``; Navier-Stokes by
+        Newton from that solution.
 
         Inside ``continuation`` Newton starts instead from the path's last
         converged solution, with the path's step solver, and stops where
@@ -441,9 +492,9 @@ class FullOrderModel:
         """
         mu = self.check_mu(mu)
         K, rhs = self.assemble_kkt(mu)
-        if self._stokes_lu is None:
-            self._stokes_lu = numerics.factorize(K)
-        x = self._stokes_lu.solve(rhs)
+        if self._stokes_solve is None:
+            self._stokes_solve = self._stokes_elimination()
+        x = numerics.refine(K, rhs, self._stokes_solve)
         if self.config.equation == "stokes":
             return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
         path = self._path or _Path()  # outside a build, a path of one solve
@@ -490,8 +541,8 @@ class FullOrderModel:
 
         The residual is the w and q rows of ``kkt_residual`` at zero
         adjoint, with the pin moved to p.  Newton runs once as Stokes (one
-        step), and for Navier-Stokes on from there, each pass with its own
-        step solver.
+        step, on the model's state-block LU), and for Navier-Stokes on from
+        there with its own step solver.
         """
         mu = self.check_mu(mu)
         e, nf = self._ends, self.free.shape[0]
@@ -503,10 +554,10 @@ class FullOrderModel:
             res[locked] += vp[locked]
 
             def solve(b):
-                K = self._stokes_matrix
-                if nonlinear:
-                    K = self._ns_jacobian(self._expand(vp[:nf]) + self.lifting_field(mu))
-                return step(self._state_block(K), b)
+                if not nonlinear:
+                    return self._state_lu.solve(b)
+                J = self._ns_jacobian(self._expand(vp[:nf]) + self.lifting_field(mu))
+                return step(self._state_block(J), b)
 
             return res, solve
 

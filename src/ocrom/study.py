@@ -250,10 +250,12 @@ def run_speedup_study(config, mu_list, model=None):
     """Wall-clock comparison of full-order and reduced online solves.
 
     Each full solve is the first one of a model built for it outside the
-    timed interval, so its timing covers the factorization and the solve
-    itself; online timing covers the reduced solve and the lift of its
-    coefficients to full-order fields, objective timing the reduced solve
-    alone.
+    timed interval.  The model's one factorization, of the state block, is
+    paid at construction, so the timing covers the Stokes elimination's
+    set-up (a block solve and a small dense LU), the solve itself and, for
+    Navier-Stokes, Newton's factorizations.  Online timing covers the
+    reduced solve and the lift of its coefficients to full-order fields,
+    objective timing the reduced solve alone.
     Requires the offline artifact produced by ``run_offline``.
     """
     mu_list = [np.atleast_1d(np.asarray(m, dtype=float)) for m in mu_list]

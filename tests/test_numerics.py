@@ -11,7 +11,7 @@ from ocrom.errors import (
     NotSymmetric,
     SingularMatrix,
 )
-from ocrom.numerics import dense_lu, factorize, newton, symmetric_eig
+from ocrom.numerics import dense_lu, factorize, newton, refine, symmetric_eig
 
 from oracles import gauss_solve
 
@@ -67,6 +67,66 @@ class TestSparseLuSolve:
             b = rng.standard_normal(25)
             x = lu.solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+class TestRefine:
+    """Refinement sweeps over an approximate solve, then the 1e-10
+    relative residual bound."""
+
+    def _system(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((30, 30)) + 30 * np.eye(30)
+        return a, rng.standard_normal(30), rng
+
+    def test_inexact_solve_converges(self):
+        """An LU of a perturbed matrix misses the bound in one pass and
+        meets it after the refinement sweeps."""
+        a, b, rng = self._system()
+        near = a * (1.0 + 1e-4 * rng.standard_normal(a.shape))
+        calls = []
+
+        def raw(r):
+            calls.append(r)
+            return np.linalg.solve(near, r)
+
+        one_pass = np.linalg.norm(a @ raw(b) - b) / np.linalg.norm(b)
+        assert one_pass > 1e-10
+        calls.clear()
+        x = refine(sp.csc_matrix(a), b, raw)
+        assert 2 <= len(calls) <= 4
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.abs(x - np.linalg.solve(a, b)).max() <= 1e-9 * np.abs(x).max()
+
+    def test_unreachable_bound_raises(self):
+        """A raw solve that only halves the residual cannot reach the
+        bound in three sweeps."""
+        a, b, _ = self._system()
+        inv = np.linalg.inv(a)
+        with pytest.raises(SingularMatrix, match=r"^relative residual 6\.2\d*e-02 exceeds 1e-10"):
+            refine(a, b, lambda r: 0.5 * (inv @ r))
+
+    def test_non_finite_correction_raises(self):
+        """A correction sweep that turns non-finite fails the bound rather
+        than passing a NaN solution."""
+        a, b, _ = self._system()
+        inv = np.linalg.inv(a * 1.01)
+        calls = []
+
+        def raw(r):
+            calls.append(r)
+            return inv @ r if len(calls) == 1 else np.full_like(r, np.nan)
+
+        with pytest.raises(SingularMatrix, match=r"^relative residual nan"):
+            refine(a, b, raw)
+
+    def test_non_finite_solution_raises(self):
+        a, b, _ = self._system()
+        with pytest.raises(SingularMatrix, match="non-finite solution"):
+            refine(a, b, lambda r: np.full_like(r, np.inf))
+
+    def test_zero_rhs(self):
+        a, b, _ = self._system()
+        assert np.array_equal(refine(a, np.zeros_like(b), lambda r: r), np.zeros_like(b))
 
 
 class TestDenseLu:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocrom import numerics, optctrl
+from ocrom import numerics, optctrl, rom
 from ocrom.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -22,6 +22,28 @@ from ocrom.study import graft_geometry
 
 import oracles
 from conftest import straight_tube
+
+
+def _count_factorizations(monkeypatch):
+    """The shapes of the matrices ``numerics.factorize`` receives from here
+    on, in call order."""
+    calls = []
+    factorize = numerics.factorize
+
+    def counted(A):
+        calls.append(A.shape)
+        return factorize(A)
+
+    monkeypatch.setattr(numerics, "factorize", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def locked_stokes_model():
+    """Stokes on the default two-inlet graft at resolution 0.6, whose
+    divergence leaves four pressure vertices locked."""
+    mesh = generate_graft(graft_geometry(8.0, 1.0, 0.7, 35.0, 5.0, resolution=0.6))
+    return FullOrderModel(mesh, OcpConfig())
 
 
 class TestConfig:
@@ -220,6 +242,43 @@ class TestStokesSolve:
         assert np.abs(sol.u).max() <= 1e-12
         assert sol.objective <= 1e-20
 
+    def test_one_factorization_per_model(self, tube_mesh, monkeypatch):
+        """A Stokes model factorizes its state block at construction and
+        nothing after: not its first solve, a snapshot build on a grid, nor
+        later solves."""
+        calls = _count_factorizations(monkeypatch)
+        model = FullOrderModel(tube_mesh, OcpConfig(equation="stokes",
+                                                    domain={2: (0.0, 200.0)}))
+        assert calls == [(model._ends[1], model._ends[1])]
+        model.solve_ocp(np.array([80.0]))
+        snaps = rom.collect_snapshots(model, rom.training_grid([[0.0, 200.0]], 5))
+        assert len(snaps) == 5 and not snaps.failures
+        for mu in (20.0, 150.0):
+            assert model.solve_ocp(np.array([mu])).kkt_residual <= 1e-10
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["stokes_model", "locked_stokes_model"])
+    def test_matches_kkt_lu_oracle(self, name, request):
+        """The block elimination gives the solution of one sparse LU of
+        the whole optimality matrix, with and without locked pressures.
+        The optimality right-hand side is zero in the locked rows, so a
+        random one, nonzero there too, checks where their pins go."""
+        model = request.getfixturevalue(name)
+        assert (model.locked_pressure.size > 0) == (name == "locked_stokes_model")
+        mu = np.full(len(model.inlet_tags), 60.0)
+        K, rhs = model.assemble_kkt(mu)
+        lu = numerics.factorize(K)
+        ref = lu.solve(rhs)
+        sol = model.solve_ocp(mu)
+        f = model.free
+        x = np.concatenate([sol.v_hom[f], sol.p, sol.u, sol.w[f], sol.q])
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert sol.kkt_residual <= 1e-10
+        b = np.random.default_rng(4).standard_normal(rhs.shape)
+        ref = lu.solve(b)
+        x = model._stokes_elimination()(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_state_feasibility(self, stokes_model):
         """The optimal (v, u) satisfies the flow equations: re-solving the
         state at the optimal control reproduces v."""
@@ -410,15 +469,8 @@ class TestNavierStokesJacobian:
         """Only the first Jacobian of a solve is factorized, not one per
         Newton step."""
         mu = np.array([80.0])
-        ns_model.solve_ocp(mu)  # warm-up: the Stokes factorization is cached
-        calls = []
-        factorize = numerics.factorize
-
-        def counted(A):
-            calls.append(A.shape)
-            return factorize(A)
-
-        monkeypatch.setattr(numerics, "factorize", counted)
+        ns_model.solve_ocp(mu)  # warm-up: the Stokes elimination, the Jacobian pattern
+        calls = _count_factorizations(monkeypatch)
         sol = ns_model.solve_ocp(mu)
         assert sol.newton_iterations >= 2
         assert len(calls) == 1
@@ -428,18 +480,12 @@ class TestNavierStokesJacobian:
         factorization, and the solve takes the same steps."""
         mu = np.array([80.0])
         ref = ns_model.solve_ocp(mu)
-        calls = []
-        factorize = numerics.factorize
-
-        def counted(A):
-            calls.append(A.shape)
-            return factorize(A)
 
         def no_gmres(self, A, b):
             raise ConvergenceFailure("forced refactorization")
 
         monkeypatch.setattr(numerics.LuFactor, "solve_near", no_gmres)
-        monkeypatch.setattr(numerics, "factorize", counted)
+        calls = _count_factorizations(monkeypatch)
         sol = ns_model.solve_ocp(mu)
         assert sol.newton_iterations == ref.newton_iterations
         assert len(calls) == sol.newton_iterations
@@ -491,32 +537,26 @@ class TestStateEquations:
         assert abs(S - oracles.saddle_matrix(model, X_ff)).max() == 0.0
 
     def test_liftings_share_one_factorization(self, graft_mesh, monkeypatch):
-        calls = []
-        factorize = numerics.factorize
-
-        def counted(A):
-            calls.append(A.shape)
-            return factorize(A)
-
-        monkeypatch.setattr(numerics, "factorize", counted)
+        calls = _count_factorizations(monkeypatch)
         model = FullOrderModel(graft_mesh, OcpConfig())
         assert model.lifting.shape[1] == 2
         assert len(calls) == 1
 
     def test_state_solve_reuses_factorization(self, ns_model, monkeypatch):
-        """A state solve factorizes the first Jacobian of its Stokes pass and
-        of its Navier-Stokes pass, not one per Newton step."""
-        calls = []
-        factorize = numerics.factorize
-
-        def counted(A):
-            calls.append(A.shape)
-            return factorize(A)
-
-        monkeypatch.setattr(numerics, "factorize", counted)
+        """A state solve's Stokes pass runs on the model's state-block LU,
+        and its Navier-Stokes pass factorizes its first Jacobian only, not
+        one per Newton step."""
+        calls = _count_factorizations(monkeypatch)
         v, p = ns_model.solve_state(np.array([80.0]), np.zeros(ns_model.spaces.n_control))
         assert np.isfinite(v).all() and np.isfinite(p).all()
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
+
+    def test_stokes_state_solve_factorizes_nothing(self, stokes_model, monkeypatch):
+        calls = _count_factorizations(monkeypatch)
+        u = np.full(stokes_model.spaces.n_control, 5.0)
+        v, p = stokes_model.solve_state(np.array([80.0]), u)
+        assert np.isfinite(v).all() and np.isfinite(p).all()
+        assert calls == []
 
 
 class TestRenumberingInvariance:

@@ -298,7 +298,7 @@ class TestSnapshotPath:
     def test_build_factorizes_less_than_once_per_point(self, graft_ns_model, monkeypatch):
         model = graft_ns_model
         ts = training_grid(_domain(model), 2)
-        model.solve_ocp(ts.parameters[0])  # warm-up: the Stokes factorization is cached
+        model.solve_ocp(ts.parameters[0])  # warm-up: builds the Stokes elimination
         calls = []
         factorize = numerics.factorize
 
