@@ -43,16 +43,15 @@ def _parser():
     mesh = sub.add_parser("mesh", help="mesh generation and validation")
     msub = mesh.add_subparsers(dest="action", required=True)
     mg = msub.add_parser("gen", help="generate a mesh from a config file")
-    mg.add_argument("--config", "--spec", dest="config", required=True)
-    mg.add_argument("--output", "--out", dest="output", required=True)
+    mg.add_argument("--config", required=True)
+    mg.add_argument("--output", required=True)
     mc = msub.add_parser("check", help="validate a mesh file")
     mc.add_argument("path")
 
     sv = sub.add_parser("solve", help="full-order optimal control solve")
     sv.add_argument("--config", required=True)
     sv.add_argument("--mu", required=True, nargs="+", type=float)
-    sv.add_argument("--output", "--out", dest="output",
-                    help="write a JSON solve summary")
+    sv.add_argument("--output", help="write a JSON solve summary")
     sv.add_argument("--dump", help="write solution vectors to an .npz file")
 
     off = sub.add_parser("offline", help="snapshots, POD, projection, artifact")

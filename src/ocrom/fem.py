@@ -213,8 +213,8 @@ def _scatter(rows, cols, vals, shape):
 
 def assemble_operators(spaces, viscosity):
     """Assemble all bilinear-form matrices of the optimality system."""
-    if viscosity <= 0.0:
-        raise DimensionMismatch("viscosity must be positive")
+    if not 0.0 < viscosity < np.inf:  # NaN included
+        raise DimensionMismatch(f"viscosity must be positive and finite: {viscosity}")
     mesh = spaces.mesh
     ns = spaces.n_scalar
     m = mesh.tets.shape[0]

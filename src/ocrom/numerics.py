@@ -52,6 +52,10 @@ class LuFactor:
     Large structurally-symmetric systems (FEM saddle points) are permuted
     with reverse Cuthill-McKee before factorization: the banded profile cuts
     SuperLU fill-in severalfold compared with its default column ordering.
+    No matrix the package factorizes on the benchmark workloads reaches
+    that size any more: the largest is the 12 069-row Stokes state block of
+    ``stokes-tube`` (on ``ns-graft-online``, a 1 941-row Jacobian).  Only a
+    whole optimality matrix, such as the benchmark's own KKT probe, does.
     """
 
     def __init__(self, A):

@@ -15,30 +15,32 @@ same order: adjoint momentum, adjoint continuity, optimality, state
 momentum, state continuity.  ``optimality_matrix`` and ``affine_rhs`` build
 the system ``K x + R [1; mu] = 0``, affine in the parameters, at both orders
 (here and in ``rom``); the state equations are its w and q rows on the v
-and p columns.
+and p columns.  Locked pressures (empty divergence rows) are pinned to
+zero on q in the adjoint continuity rows and on p in the state ones, so
+the state block and the adjoint block (v and p rows on the w and q
+columns) are one and the same slice S of K.
 
-The model factorizes one matrix, the Stokes state block, at construction;
-the liftings, the Stokes pass of a state solve and every Stokes optimality
-solve run on that LU.  An optimality solve eliminates the state and the
-adjoint and solves a small dense Schur complement on the control (built by
-the model's first Stokes solve), then refines against the whole optimality
-matrix.  Navier-Stokes is Newton from the Stokes solution, run like the state
-sub-solve by the one driver ``numerics.newton`` with this module's
-``NEWTON_*`` settings.  Its Jacobians share one sparsity pattern, built on
-the first Navier-Stokes Jacobian of a model: an assembly adds the element
-convection blocks to the constant Stokes values in place, and the
-residual's convection terms are evaluated element-wise without a matrix.
-Both solves take their Newton steps from ``numerics.newton_step_solver``,
-which factorizes the first Jacobian it meets and serves later steps by
-GMRES preconditioned with that factorization.  A solve has its own step
-solver, except inside ``FullOrderModel.continuation``: there successive
-solves follow one path, each starting from the previous converged solution
-and all sharing one step solver, so a snapshot build factorizes about once.
+The model factorizes S at construction; the liftings, the Stokes state
+solve and every Stokes optimality solve run on that LU.  An optimality
+solve eliminates the state and the adjoint and solves a small dense Schur
+complement on the control (built by the model's first Stokes solve), then
+refines against the whole optimality matrix.  Navier-Stokes is Newton from
+the Stokes solution, run like the state sub-solve by the one driver
+``numerics.newton`` with this module's ``NEWTON_*`` settings.  Its
+Jacobians share one sparsity pattern, built on the first Navier-Stokes
+Jacobian of a model: an assembly adds the element convection blocks to the
+constant Stokes values in place, and the residual's convection terms are
+evaluated element-wise without a matrix.  Both solves take their Newton
+steps from ``numerics.newton_step_solver``, which factorizes the first
+Jacobian it meets and serves later steps by GMRES preconditioned with that
+factorization.  A solve has its own step solver, except inside
+``FullOrderModel.continuation``: there successive solves follow one path,
+each starting from the previous converged solution and all sharing one
+step solver, so a snapshot build factorizes about once.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,15 +66,18 @@ class OcpConfig:
     domain: dict = field(default_factory=dict)  # inlet tag -> (Re_min, Re_max)
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise DimensionMismatch("penalization alpha must be positive")
-        if self.viscosity <= 0.0:
-            raise DimensionMismatch("viscosity must be positive")
+        # the comparisons are false for NaN
+        if not 0.0 < self.alpha < np.inf:
+            raise DimensionMismatch(f"penalty alpha must be positive and finite: {self.alpha}")
+        if not 0.0 < self.viscosity < np.inf:
+            raise DimensionMismatch(f"viscosity must be positive and finite: {self.viscosity}")
+        if not np.isfinite(self.v_const):
+            raise DimensionMismatch(f"target speed v_const must be finite: {self.v_const}")
         if self.equation not in ("stokes", "navier-stokes"):
             raise DimensionMismatch(f"unknown equation kind {self.equation!r}")
         for tag, (lo, hi) in self.domain.items():
-            if lo > hi:
-                raise DimensionMismatch(f"domain interval for tag {tag} reversed")
+            if not lo <= hi:
+                raise DimensionMismatch(f"domain interval for tag {tag} reversed or NaN")
 
 
 def check_parameters(mu, lo, hi):
@@ -131,12 +136,15 @@ class _Path:
 def optimality_matrix(m, a, b, c, n_ctrl, alpha, pin=None):
     """The optimality matrix K in the (v, p, u, w, q) layout from its
     blocks: mass ``m``, stiffness ``a``, divergence ``b``, control ``c``,
-    control mass ``n_ctrl``, and ``pin`` on the two pressure diagonals."""
+    control mass ``n_ctrl``, and ``pin`` in the adjoint continuity rows on
+    q and in the state continuity rows on p.  The state block (rows w, q;
+    columns v, p) and the adjoint block (rows v, p; columns w, q) are then
+    one matrix S = [[a, b^T], [b, pin]]."""
     return sp.bmat([[m, None, None, a, b.T],
-                    [None, pin, None, b, None],
+                    [None, None, None, b, pin],
                     [None, None, alpha * n_ctrl, c.T, None],
                     [a, b.T, c, None, None],
-                    [b, None, None, None, pin]], format="csc")
+                    [b, pin, None, None, None]], format="csc")
 
 
 def affine_rhs(ends, h, m_lift, a_lift, b_lift):
@@ -231,9 +239,9 @@ class FullOrderModel:
             [domain[tag] for tag in self.inlet_tags], dtype=float).T.copy()
         self.free = f = self.spaces.free_velocity
         # ends of the (v, p, u, w, q) blocks of a KKT vector
-        self._ends = np.cumsum([f.shape[0], self.spaces.n_pressure,
-                                self.spaces.n_control, f.shape[0],
-                                self.spaces.n_pressure]).tolist()
+        self._ends = e = np.cumsum([f.shape[0], self.spaces.n_pressure,
+                                    self.spaces.n_control, f.shape[0],
+                                    self.spaces.n_pressure]).tolist()
         A_ff, B_f = ops.A[f][:, f], ops.B[:, f]
         # Pressure vertices whose whole velocity stencil is Dirichlet (corner
         # tets at rims/seams) have empty divergence rows on the free space and
@@ -244,7 +252,7 @@ class FullOrderModel:
         pin[self.locked_pressure] = 1.0
         self._stokes_matrix = optimality_matrix(
             ops.M[f][:, f], A_ff, B_f, ops.C[f], ops.N_c, config.alpha, sp.diags(pin))
-        self._state_lu = numerics.factorize(self._state_block(self._stokes_matrix))
+        self._state_lu = numerics.factorize(self._stokes_matrix[e[2] :, : e[1]])
         self.lifting = L = self._liftings()
         b_lift = ops.B @ L
         b_lift[self.locked_pressure] = 0.0
@@ -267,15 +275,6 @@ class FullOrderModel:
     def lifting_field(self, mu):
         return self.lifting @ np.atleast_1d(mu)
 
-    def _state_block(self, K):
-        """State equations' matrix: the w and q rows of the optimality
-        matrix (or Jacobian) ``K`` on the v and p columns, with the locked
-        pressures pinned."""
-        e = self._ends
-        pin = np.zeros(e[1])
-        pin[e[0] + self.locked_pressure] = 1.0
-        return K[:, : e[1]][e[2] :] + sp.diags(pin)
-
     def _liftings(self):
         """Divergence-free liftings of the unit-Reynolds inflow, one column
         per inlet, from the model's factorization of the Stokes state block.
@@ -297,20 +296,16 @@ class FullOrderModel:
         on the state-block LU: the Schur complement on the control.
 
         With y = (v, p), l = (w, q) and M0 y = [M_ff v; 0], the state rows
-        of K read S y = r_s - [C_f u; 0] and, S being symmetric, the adjoint
-        rows S l = r_a - M0 y.  A locked pressure's pin sits on p in the
-        adjoint continuity row and on q in the state one, while S pins each
-        in its own block's row; those rows decouple, so the locked entries
-        of r_s = (r_w, r_q) and r_a = (r_v, r_p) trade places.  The control
-        reaches only the rows R where C_f has entries: with W = S^-1 E_R
-        (one block solve) the control rows become
+        of K read S y = r_s - [C_f u; 0] and the adjoint rows
+        S l = r_a - M0 y, with r_s = (r_w, r_q) and r_a = (r_v, r_p).  The
+        control reaches only the rows R where C_f has entries: with
+        W = S^-1 E_R (one block solve) the control rows become
         H u = r_u - C_R^T W^T (r_a - M0 y0), y0 = S^-1 r_s, for the small
         dense H = alpha N_c + C_R^T (W_v^T M_ff W_v) C_R.  Then
         y = y0 - W C_R u and l = S^-1 (r_a - M0 y).
         """
         e, nf = self._ends, self.free.shape[0]
         K, lu = self._stokes_matrix, self._state_lu
-        locked = nf + self.locked_pressure
         M_ff = K[: e[0], : e[0]]
         C_f = K[e[2] : e[3], e[1] : e[2]].tocsr()
         rows = np.flatnonzero(np.diff(C_f.indptr))
@@ -324,15 +319,12 @@ class FullOrderModel:
 
         def solve(b):
             r_v, r_p, r_u, r_w, r_q = np.split(b, e[:-1])
-            r_s, r_a = np.concatenate([r_w, r_q]), np.concatenate([r_v, r_p])
-            r_s[locked], r_a[locked] = r_a[locked], r_s[locked]
-            y = lu.raw_solve(r_s)
-            a = r_a.copy()
-            a[:nf] -= M_ff @ y[:nf]
+            y = lu.raw_solve(np.concatenate([r_w, r_q]))
+            a = np.concatenate([r_v - M_ff @ y[:nf], r_p])
             u = solve_h(r_u - C_R.T @ (W.T @ a))
             y -= W @ (C_R @ u)
-            r_a[:nf] -= M_ff @ y[:nf]
-            return np.concatenate([y, u, lu.raw_solve(r_a)])
+            l = lu.raw_solve(np.concatenate([r_v - M_ff @ y[:nf], r_p]))
+            return np.concatenate([y, u, l])
 
         return solve
 
@@ -540,31 +532,29 @@ class FullOrderModel:
         """Flow solve at fixed control; returns (v_total, p).
 
         The residual is the w and q rows of ``kkt_residual`` at zero
-        adjoint, with the pin moved to p.  Newton runs once as Stokes (one
-        step, on the model's state-block LU), and for Navier-Stokes on from
-        there with its own step solver.
+        adjoint, whose Jacobian is the state block of K (or of the
+        Navier-Stokes Jacobian).  The Stokes solve is one solve on the
+        model's state-block LU; Navier-Stokes runs Newton on from there
+        with its own step solver.
         """
         mu = self.check_mu(mu)
         e, nf = self._ends, self.free.shape[0]
-        locked = nf + self.locked_pressure
 
-        def system(nonlinear, step, vp):
+        def residual(vp, nonlinear):
             x = np.concatenate([vp, u, np.zeros_like(vp)])  # (v, p, u, w, q)
-            res = self.kkt_residual(x, mu, nonlinear)[e[2] :]
-            res[locked] += vp[locked]
+            return self.kkt_residual(x, mu, nonlinear)[e[2] :]
 
-            def solve(b):
-                if not nonlinear:
-                    return self._state_lu.solve(b)
-                J = self._ns_jacobian(self._expand(vp[:nf]) + self.lifting_field(mu))
-                return step(self._state_block(J), b)
-
-            return res, solve
-
-        vp = np.zeros(e[1])
-        passes = [False, True] if self.config.equation == "navier-stokes" else [False]
-        for nonlinear in passes:
+        vp = self._state_lu.solve(-residual(np.zeros(e[1]), False))
+        if self.config.equation == "navier-stokes":
             step = numerics.newton_step_solver()
-            vp, _, _ = numerics.newton(partial(system, nonlinear, step), vp,
-                                       NEWTON_TOL_REL, NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+
+            def system(vp):
+                def solve(b):
+                    J = self._ns_jacobian(self._expand(vp[:nf]) + self.lifting_field(mu))
+                    return step(J[e[2] :, : e[1]], b)
+
+                return residual(vp, True), solve
+
+            vp, _, _ = numerics.newton(system, vp, NEWTON_TOL_REL, NEWTON_TOL_ABS,
+                                       NEWTON_MAX_ITER)
         return self._expand(vp[:nf]) + self.lifting_field(mu), vp[nf:]

@@ -1,7 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread: on a small host OpenBLAS's default thread count makes
+# small dense LAPACK calls orders of magnitude slower whenever another
+# process holds a core, so test timings would follow the host's load.  It
+# must be set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))

@@ -428,10 +428,10 @@ def bmat_jacobian(model, v_total, w_total):
     return sp.bmat(
         [
             [J11, None, None, J41.T, B_f.T],
-            [None, pin, None, B_f, None],
+            [None, None, None, B_f, pin],
             [None, None, model.config.alpha * model.operators.N_c, C_f.T, None],
             [J41, B_f.T, C_f, None, None],
-            [B_f, None, None, None, pin],
+            [B_f, pin, None, None, None],
         ],
         format="csc",
     )
@@ -455,6 +455,6 @@ def matrix_kkt_residual(model, x, mu, nonlinear):
     r_p = ops.B @ w_t
     r_u = model.config.alpha * (ops.N_c @ u) + ops.C.T @ w_t
     r_q = ops.B @ v_t
-    r_p[model.locked_pressure] = p[model.locked_pressure]
-    r_q[model.locked_pressure] = q[model.locked_pressure]
+    r_p[model.locked_pressure] = q[model.locked_pressure]
+    r_q[model.locked_pressure] = p[model.locked_pressure]
     return np.concatenate([r_v, r_p, r_u, r_w, r_q])

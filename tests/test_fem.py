@@ -165,6 +165,11 @@ class TestAssembleOperators:
         for m1, m2 in ((o1.A, o2.A), (o1.M, o2.M), (o1.B, o2.B)):
             assert abs(m1 - m2).max() <= 1e-13 * abs(m1).max()
 
+    @pytest.mark.parametrize("viscosity", [np.nan, 0.0, -1.0, np.inf])
+    def test_non_finite_or_non_positive_viscosity(self, tube_spaces, viscosity):
+        with pytest.raises(DimensionMismatch):
+            assemble_operators(tube_spaces, viscosity)
+
 
 class TestConvection:
     def test_zero_field(self, tube_spaces):

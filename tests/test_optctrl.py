@@ -59,6 +59,20 @@ class TestConfig:
         with pytest.raises(DimensionMismatch):
             OcpConfig(domain={2: (10.0, 1.0)})
 
+    @pytest.mark.parametrize("settings", [
+        {"alpha": np.nan}, {"alpha": -1.0}, {"alpha": np.inf},
+        {"viscosity": np.nan}, {"viscosity": 0.0}, {"viscosity": np.inf},
+        {"v_const": np.inf}, {"v_const": np.nan},
+        {"domain": {2: (np.nan, 1.0)}}, {"domain": {2: (0.0, np.nan)}},
+    ], ids=["alpha-nan", "alpha-negative", "alpha-inf", "viscosity-nan", "viscosity-zero",
+            "viscosity-inf", "v_const-inf", "v_const-nan", "domain-lo-nan", "domain-hi-nan"])
+    def test_non_finite_or_non_positive_setting(self, settings):
+        with pytest.raises(DimensionMismatch):
+            OcpConfig(**settings)
+
+    def test_infinite_domain_bounds_allowed(self):
+        assert OcpConfig(domain={2: (-np.inf, np.inf)}).domain == {2: (-np.inf, np.inf)}
+
     def test_wrong_domain_tags(self, tube_mesh):
         with pytest.raises(UnknownTag):
             FullOrderModel(tube_mesh, OcpConfig(domain={3: (0.0, 1.0)}))
@@ -279,12 +293,22 @@ class TestStokesSolve:
         x = model._stokes_elimination()(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_state_feasibility(self, stokes_model):
+    @staticmethod
+    def _check_state_feasibility(model):
         """The optimal (v, u) satisfies the flow equations: re-solving the
-        state at the optimal control reproduces v."""
-        sol = stokes_model.solve_ocp(np.array([60.0]))
-        v_chk, _ = stokes_model.solve_state(np.array([60.0]), sol.u)
+        state at the optimal control reproduces v and p."""
+        mu = np.full(len(model.inlet_tags), 60.0)
+        sol = model.solve_ocp(mu)
+        v_chk, p_chk = model.solve_state(mu, sol.u)
         assert np.abs(v_chk - sol.v).max() <= 1e-8 * max(np.abs(sol.v).max(), 1.0)
+        assert np.abs(p_chk - sol.p).max() <= 1e-8 * max(np.abs(sol.p).max(), 1.0)
+
+    def test_state_feasibility(self, stokes_model):
+        self._check_state_feasibility(stokes_model)
+
+    def test_state_feasibility_with_locked_pressures(self, locked_stokes_model):
+        assert locked_stokes_model.locked_pressure.size > 0
+        self._check_state_feasibility(locked_stokes_model)
 
     def test_optimality_against_competitors(self, stokes_model):
         """J(u*) <= J(u') for random competitor controls (global optimality
@@ -516,14 +540,21 @@ class TestNavierStokesJacobian:
 
 
 class TestStateEquations:
-    @pytest.mark.parametrize("nonlinear", [False, True])
-    def test_state_block_matches_saddle_oracle(self, ns_model, nonlinear):
-        """The state block is [[X_ff, B_f^T], [B_f, pin]]: X_ff is the
-        free-free stiffness for Stokes, and for Navier-Stokes the J41 block
-        of the Jacobian at zero adjoint (whose values
-        test_assembly_matches_bmat_oracle checks)."""
-        model = ns_model
-        mu = np.array([80.0])
+    @pytest.mark.parametrize("name, nonlinear", [
+        pytest.param("ns_model", False, id="False"),
+        pytest.param("ns_model", True, id="True"),
+        pytest.param("locked_stokes_model", False, id="locked_stokes_model-False"),
+        pytest.param("locked_stokes_model", True, id="locked_stokes_model-True"),
+    ])
+    def test_state_block_matches_saddle_oracle(self, name, nonlinear, request):
+        """The state block, rows w and q on columns v and p of K, is
+        [[X_ff, B_f^T], [B_f, pin]]: X_ff is the free-free stiffness for
+        Stokes, and for Navier-Stokes the J41 block of the Jacobian at zero
+        adjoint (whose values test_assembly_matches_bmat_oracle checks).
+        For Stokes the adjoint block, rows v and p on columns w and q, is
+        the same matrix."""
+        model = request.getfixturevalue(name)
+        mu = np.full(len(model.inlet_tags), 80.0)
         e = model._ends
         X_ff = oracles.free_blocks(model)[1]
         K, _ = model.assemble_kkt(mu)
@@ -532,9 +563,11 @@ class TestStateEquations:
             v[model.free] += np.random.default_rng(9).standard_normal(e[0])
             K, _ = model.assemble_kkt(mu, (v, np.zeros_like(v)))
             X_ff = K[e[2] : e[3], : e[0]]
-        S = model._state_block(K)
+        S = K[e[2] :, : e[1]]
         assert S.shape == (e[1], e[1])
         assert abs(S - oracles.saddle_matrix(model, X_ff)).max() == 0.0
+        if not nonlinear:
+            assert abs(K[: e[1], e[2] :] - S).max() == 0.0
 
     def test_liftings_share_one_factorization(self, graft_mesh, monkeypatch):
         calls = _count_factorizations(monkeypatch)

@@ -351,6 +351,21 @@ class TestCli:
         assert main(["solve", "--config", str(config_file),
                      "--mu", "9999.0"]) == 2
 
+    @pytest.mark.parametrize("old, new", [
+        ("alpha = 1e-2", "alpha = nan"),
+        ("viscosity = 3.6", "viscosity = nan"),
+        ("v_const = 350.0", "v_const = inf"),
+    ], ids=["alpha-nan", "viscosity-nan", "v_const-inf"])
+    def test_solve_non_finite_setting(self, config_file, capsys, old, new):
+        """A non-finite physics setting is an input error: exit 2 with one
+        stderr line, before any solve."""
+        text = config_file.read_text()
+        assert old in text
+        config_file.write_text(text.replace(old, new))
+        assert main(["solve", "--config", str(config_file), "--mu", "60.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_offline_then_online(self, study_run, capsys):
         cfg, _, cfg_path = study_run
         artifact = f"{cfg.output_dir}/rom.bin"
