@@ -39,9 +39,15 @@ array, the tensor symmetrized in its two velocity slots.  The Jacobian
 over both gives each training solution's mu-tangent, so a query starts
 from the nearest training solution plus its tangent step (an Euler
 predictor, solved once on construction) and stops at the threshold a start
-from zero would use.  From there it takes chord steps: one LU of the
-Jacobian at the start serves them while they contract fast, and a chord
-that diverges falls back to full Newton from zero.
+from zero would use.  From there it takes chord steps in null-space
+coordinates z: the divergence rows and the control rows are linear, so the
+velocities are eliminated onto the kernel of the reduced divergence block
+and the control onto the adjoint velocity, which leaves 2 (n_v - n_p)
+unknowns.  The same routine, on a matrix and a tensor projected once on
+construction, gives the residual and Jacobian in z; one LU of that
+Jacobian at the start serves the steps while they contract fast, the
+pressures are recovered once at the end, and a chord that diverges falls
+back to full Newton from zero on the whole system.
 """
 
 import io
@@ -417,7 +423,13 @@ class ReducedOperators:
     derives the Newton starts of its queries: ``warm_mu`` (the training
     parameters whose reduced solve succeeded), ``warm_x`` (their
     coefficients) and ``warm_dx`` (their mu-tangents); all three are None
-    otherwise.
+    otherwise, and also when the homogeneous divergence block
+    ``b[:, :n_v]`` has rank below n_p.  With warm starts it also derives
+    the system its queries iterate on (``_null_space_system``): ``N`` (an
+    orthonormal basis of that block's kernel), ``Y`` (its right inverse),
+    ``F`` (the map from [z; mu] to the coefficients, pressures left zero),
+    and ``Kz``, ``Rz`` and ``Sz``, the matrix, affine term and symmetrized
+    convection tensor of the system in z; all six are None otherwise.
     """
 
     y_v: np.ndarray
@@ -459,8 +471,14 @@ class ReducedOperators:
             self.Z = np.vstack(lifts)
             self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
         self.warm_mu = self.warm_x = self.warm_dx = None
+        self.N = self.Y = self.F = self.Kz = self.Rz = self.Sz = None
         if self.equation == "navier-stokes" and self.training_parameters is not None:
-            self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
+            null = _null_space(self.b[:, :nv], self.K)
+            if null is not None:
+                self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
+            if self.warm_mu is not None:
+                self.N, self.Y = null
+                self.F, self.Kz, self.Rz, self.Sz = _null_space_system(self)
 
     @property
     def n_velocity_modes(self):
@@ -560,9 +578,9 @@ class ReducedSolution:
     """A reduced solution lifted to full-order fields.
 
     ``newton_iterations`` counts the steps of the reduced solve: none for
-    Stokes, chord steps from a warm start, full Newton steps from zero, and
-    after a fallback the abandoned chord steps plus the Newton steps from
-    zero."""
+    Stokes, chord steps in null-space coordinates from a warm start, full
+    Newton steps on the whole system from zero, and after a fallback the
+    abandoned chord steps plus the Newton steps from zero."""
 
     mu: np.ndarray
     objective: float
@@ -593,28 +611,39 @@ def _reduced_system(ops, mu, x, rmu=None):
     ``K x + rmu`` plus the convection terms, with ``rmu = R [1; mu]``
     (formed here when not given), and a function for its Jacobian over the
     coefficients, ``dr/dx``, or with ``mu_columns`` over the coefficients
-    and then the parameters, ``[dr/dx | dr/dmu]``.
-
-    With v = [x_v; mu] and d = S.v over b, the state rows (w) get
-    E(v) v = d v / 2 and the adjoint rows (v) d^T w; the Jacobian's state
-    block is d and its adjoint block G(w) + G(w)^T = w.S over g.  A
-    parameter is a pinned velocity coefficient, so d and w.S carry its
-    columns too.
-    """
+    and then the parameters, ``[dr/dx | dr/dmu]``."""
     sv, _, _, sw, _ = ops.blocks
-    nv, n = ops.n_velocity_modes, ops.dimension()
+    res, jacobian = _convective_system(ops.K, ops.S, sv, sw, x, mu,
+                                       _affine(ops, mu) if rmu is None else rmu)
+    return res, lambda mu_columns=False: jacobian(ops.R[:, 1:] if mu_columns else None)
+
+
+def _convective_system(K, S, sv, sw, x, mu, affine):
+    """Residual ``K x + affine`` plus the convection terms of a system whose
+    velocity rows and columns ``sv`` and ``sw`` pair as the state velocity
+    v (with the pinned parameters ``mu`` appended) and the adjoint velocity
+    w, through the tensor ``S`` symmetrized in its last two slots, and a
+    function for its Jacobian over ``x``, or given ``mu_cols``, the
+    linear part's mu columns, over ``x`` and then ``mu``.
+
+    With d = S.v over the last slot, the state rows (w) get E(v) v = d v / 2
+    and the adjoint rows (v) d^T w; the Jacobian's state block is d and its
+    adjoint block G(w) + G(w)^T = w.S over the first slot.  A parameter is
+    a pinned velocity coefficient, so d and w.S carry its columns too.
+    """
+    nv, n = sv.stop - sv.start, K.shape[1]
     v, w = np.concatenate([x[sv], mu]), x[sw]
-    d = (ops.S.reshape(-1, v.size) @ v).reshape(nv, v.size)
-    res = ops.K @ x + (_affine(ops, mu) if rmu is None else rmu)
+    d = (S.reshape(-1, v.size) @ v).reshape(nv, v.size)
+    res = K @ x + affine
     res[sv] += w @ d[:, :nv]
     res[sw] += 0.5 * (d @ v)
 
-    def jacobian(mu_columns=False):
-        g = (w @ ops.S.reshape(nv, -1)).reshape(v.size, v.size)
-        jac = np.hstack([ops.K, ops.R[:, 1:]]) if mu_columns else ops.K.copy()
+    def jacobian(mu_cols=None):
+        g = (w @ S.reshape(nv, -1)).reshape(v.size, v.size)
+        jac = K.copy() if mu_cols is None else np.hstack([K, mu_cols])
         for rows, block in ((sv, g[:nv]), (sw, d)):
             jac[rows, sv] += block[:, :nv]
-            if mu_columns:
+            if mu_cols is not None:
                 jac[rows, n:] += block[:, nv:]
         jac[sv, sw] += d[:, :nv].T
         return jac
@@ -625,6 +654,51 @@ def _reduced_system(ops, mu, x, rmu=None):
 def _affine(ops, mu):
     """The affine term ``R [1; mu]`` of the reduced optimality system."""
     return ops.R @ np.concatenate([[1.0], mu])
+
+
+def _null_space(b_hom, K):
+    """``(N, Y)`` of the divergence block ``b_hom`` (n_p x n_v) of the
+    optimality matrix ``K`` from one complete QR b_hom^T = [Q1 Q2] [R1; 0]:
+    N = Q2, an orthonormal basis of its kernel, and Y = Q1 R1^{-T}, so that
+    b_hom Y = I.  None when b_hom has rank below n_p, counted on the
+    diagonal of R1 with numpy's ``matrix_rank`` tolerance for K (its
+    Frobenius norm bounding its largest singular value): a divergence block
+    that is round-off next to the rest of K has no such inverse."""
+    n_p = b_hom.shape[0]
+    q, r = np.linalg.qr(b_hom.T, mode="complete")
+    tol = np.linalg.norm(K) * K.shape[0] * np.finfo(float).eps
+    if np.count_nonzero(np.abs(np.diag(r)) > tol) < n_p:
+        return None
+    return q[:, n_p:], scipy.linalg.solve_triangular(r[:n_p], q[:, :n_p].T).T
+
+
+def _null_space_system(ops):
+    """The reduced optimality system on the divergence-free,
+    control-eliminated subspace, in the coordinates z = (xi, eta) of a
+    warm-started query (Benzi, Golub & Liesen, Acta Numerica 2005, 6).
+
+    Every coefficient vector that meets the divergence rows and the control
+    rows is ``F [z; mu]`` plus pressures: v = N xi - Y b_lift mu,
+    w = N eta and u = -(alpha n_ctrl)^{-1} c^T N eta.  The momentum rows
+    tested with N^T leave the pressures out, so the system in z is
+    ``Kz z + Rz [1; mu]`` plus the convection through ``Sz``, S with its
+    test slot on N and its velocity slots on the affine map
+    [xi; mu] -> [v; mu].  Returns (F, Kz, Rz, Sz)."""
+    N, Y = ops.N, ops.Y
+    sv, _, su, sw, _ = ops.blocks
+    nv, k, nl = ops.n_velocity_modes, N.shape[1], ops.n_lift
+    F = np.zeros((ops.dimension(), 2 * k + nl))
+    F[sv, :k] = N
+    F[sw, k:2 * k] = N
+    F[su, k:2 * k] = -np.linalg.solve(ops.alpha * ops.n_ctrl, ops.c[:nv].T @ N)
+    F[sv, 2 * k:] = -Y @ ops.b[:, nv:]
+    # the linear residual at F [z; mu] over [z; 1; mu], tested with N
+    lin = np.hstack([ops.K @ F[:, :2 * k], ops.R[:, :1], ops.K @ F[:, 2 * k:] + ops.R[:, 1:]])
+    lin = np.vstack([N.T @ lin[sv], N.T @ lin[sw]])
+    P = np.zeros((ops.n_extended, k + nl))
+    P[:nv, :k], P[:nv, k:], P[nv:, k:] = N, F[sv, 2 * k:], np.eye(nl)
+    Sz = np.einsum("gi,gab,aj,bl->ijl", N, ops.S, P, P, optimize=True)
+    return F, lin[:, :2 * k], lin[:, 2 * k:], Sz
 
 
 NEWTON_TOL_REL = 1e-11
@@ -644,25 +718,43 @@ def _dense_solve(a, b):
         raise SingularMatrix(f"reduced Jacobian: {exc}") from exc
 
 
-def _newton(ops, mu, x, tol_rel, tol_abs, rmu=None, chord=False):
-    """Reduced Navier-Stokes Newton from ``x``; returns (x, iterations).
-
-    Full Newton builds each step's Jacobian dr/dx and solves it with
-    ``np.linalg.solve``.  With ``chord`` (the chord method) one LU of the
-    Jacobian at ``x`` (``numerics.dense_lu``) serves the steps, and is made
-    again at an iterate only where a step's residual norm ratio exceeded
-    ``_CHORD_CONTRACTION``.  The last residual evaluation builds no
-    Jacobian, so a start that already meets the threshold factorizes
-    nothing."""
-    lu, last = None, np.inf
+def _newton(ops, mu, rmu=None):
+    """Reduced Navier-Stokes Newton from zero to the relative and absolute
+    thresholds; returns (x, iterations).  Each step builds the Jacobian
+    dr/dx and solves it with ``np.linalg.solve``."""
 
     def system(x):
-        nonlocal lu, last
         res, jacobian = _reduced_system(ops, mu, x, rmu)
-        if not chord:
-            return res, lambda rhs: _dense_solve(jacobian(), rhs)
+        return res, lambda rhs: _dense_solve(jacobian(), rhs)
+
+    x, _, iters = numerics.newton(system, np.zeros(ops.dimension()), NEWTON_TOL_REL,
+                                  NEWTON_TOL_ABS, NEWTON_MAX_ITER)
+    return x, iters
+
+
+def _chord(ops, mu, rmu):
+    """Chord steps in z from the warm start to the stop threshold of
+    ``_start``; returns (x, iterations).
+
+    One LU of the z Jacobian (``numerics.dense_lu``) serves the steps.  It
+    is made again at an iterate only where the step's residual norm ratio
+    exceeded ``_CHORD_CONTRACTION`` and the next residual norm that ratio
+    predicts would still miss the threshold; the last residual evaluation
+    builds no Jacobian, so a start that already meets it factorizes nothing.
+    The coefficients are then recovered once: F [z; mu], with the pressures
+    p = -Y^T and q = -Y^T of the state and adjoint momentum rows' rest."""
+    sv, sp, _, sw, sq = ops.blocks
+    k = ops.N.shape[1]
+    x, _, tol = _start(ops, mu, rmu)
+    rz = ops.Rz @ np.concatenate([[1.0], mu])
+    lu, last = None, np.inf
+
+    def system(z):
+        nonlocal lu, last
+        res, jacobian = _convective_system(ops.Kz, ops.Sz, slice(0, k), slice(k, 2 * k),
+                                           z, mu, rz)
         norm = np.linalg.norm(res)
-        if norm > _CHORD_CONTRACTION * last:
+        if norm > _CHORD_CONTRACTION * last and norm * norm > tol * last:
             lu = None
         last = norm
 
@@ -674,7 +766,11 @@ def _newton(ops, mu, x, tol_rel, tol_abs, rmu=None, chord=False):
 
         return res, solve
 
-    x, _, iters = numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
+    z = np.concatenate([ops.N.T @ x[sv], ops.N.T @ x[sw]])
+    z, _, iters = numerics.newton(system, z, 0.0, tol, NEWTON_MAX_ITER)
+    x = ops.F @ np.concatenate([z, mu])
+    rest, _ = _convective_system(ops.K, ops.S, sv, sw, x, mu, rmu)
+    x[sp], x[sq] = -(ops.Y.T @ rest[sw]), -(ops.Y.T @ rest[sv])
     return x, iters
 
 
@@ -687,7 +783,7 @@ def _training_starts(ops):
     starts = []
     for mu in ops.training_parameters:
         try:
-            x, _ = _newton(ops, mu, np.zeros(n), NEWTON_TOL_REL, NEWTON_TOL_ABS)
+            x, _ = _newton(ops, mu)
             jacobian = _reduced_system(ops, mu, x)[1]
             jac = jacobian(mu_columns=True)
             starts.append((mu, x, -_dense_solve(jac[:, :n], jac[:, n:])))
@@ -699,16 +795,13 @@ def _training_starts(ops):
 
 
 def _start(ops, mu, rmu=None):
-    """Newton start and stop thresholds (tol_rel, tol_abs) of a
-    Navier-Stokes query.  Without training solutions: zero, with the
-    relative and absolute thresholds.  With them: the nearest training
-    solution (distance scaled by the domain width) plus its tangent step,
-    stopping at the zero start's threshold max(NEWTON_TOL_REL ||r(0; mu)||,
-    NEWTON_TOL_ABS), with r(0; mu) = R [1; mu] (``rmu``, formed here when
-    not given) plus the lifting's convection S[:, nv:, nv:] mu mu / 2 on the
-    state momentum (w) rows."""
-    if ops.warm_mu is None:
-        return np.zeros(ops.dimension()), NEWTON_TOL_REL, NEWTON_TOL_ABS
+    """Start and stop thresholds (tol_rel, tol_abs) of a warm-started
+    Navier-Stokes query: the nearest training solution (distance scaled by
+    the domain width) plus its tangent step, stopping at the zero start's
+    threshold max(NEWTON_TOL_REL ||r(0; mu)||, NEWTON_TOL_ABS), with
+    r(0; mu) = R [1; mu] (``rmu``, formed here when not given) plus the
+    lifting's convection S[:, nv:, nv:] mu mu / 2 on the state momentum (w)
+    rows."""
     i = _nearest(ops.warm_mu, mu, ops.domain_lo, ops.domain_hi)
     x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
     nv = ops.n_velocity_modes
@@ -724,21 +817,20 @@ def solve_reduced_coefficients(ops, mu):
 
 def _solve_coefficients(ops, mu):
     """A Stokes query is one product.  A Navier-Stokes query takes chord
-    steps from its warm start (``_start``); if they diverge, or without
-    training solutions, it takes full Newton steps from zero.  The
+    steps in z from its warm start (``_chord``); if they diverge, or
+    without training solutions, it takes full Newton steps from zero.  The
     iterations count every step, the abandoned chord steps of a fallback
     included."""
     if ops.equation == "stokes":
         x, iters = ops.X @ np.concatenate([[1.0], mu]), 0
+    elif ops.warm_mu is None:
+        x, iters = _newton(ops, mu, _affine(ops, mu))
     else:
-        rmu, warm = _affine(ops, mu), ops.warm_mu is not None
+        rmu = _affine(ops, mu)
         try:
-            x, iters = _newton(ops, mu, *_start(ops, mu, rmu), rmu, chord=warm)
+            x, iters = _chord(ops, mu, rmu)
         except NewtonDiverged as exc:
-            if not warm:
-                raise
-            x, iters = _newton(ops, mu, np.zeros(ops.dimension()), NEWTON_TOL_REL,
-                               NEWTON_TOL_ABS, rmu)
+            x, iters = _newton(ops, mu, rmu)
             iters += len(exc.residual_norms) - 1
     sv, _, su, _, _ = ops.blocks
     return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
