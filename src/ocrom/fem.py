@@ -236,6 +236,9 @@ def assemble_operators(spaces, viscosity):
     ent = spaces.cells10
     rows, cols = np.repeat(ent, 10, axis=1).ravel(), np.tile(ent, (1, 10)).ravel()
     K_s = _scatter(rows, cols, np.concatenate(Kvals, axis=None), (ns, ns))
+    # exactly symmetric (summing duplicates leaves round-off asymmetry), so
+    # a Navier-Stokes Jacobian's adjoint block is its state block transposed
+    K_s = (0.5 * (K_s + K_s.T)).tocsr()
     M_s = _scatter(rows, cols, np.concatenate(Mvals, axis=None), (ns, ns))
     del rows, cols  # not held while B's larger index arrays exist
     b_shape = (m, 4, 10, 3)

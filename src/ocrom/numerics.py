@@ -3,14 +3,14 @@ the Newton driver.
 
 Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
 every solve is refined and residual-checked by ``refine``, which also
-serves solves assembled from a factorization's raw passes (block
-elimination on a sub-block).  Small dense systems that one factorization
-serves several times (a reduced Jacobian) go to LAPACK ``getrf``/``getrs``
-directly (``dense_lu``), without the per-call checks of the
-``scipy.linalg`` wrappers.  A Newton solve's successive Jacobians,
-or a path of such solves', share one factorization (``newton_step_solver``):
-later steps run GMRES preconditioned with it, and factorize afresh when
-GMRES misses the LU bound.
+serves solves assembled from a factorization's raw passes, plain or
+transposed (block elimination on a sub-block).  Small dense systems that
+one factorization serves several times (a reduced Jacobian) go to LAPACK
+``getrf``/``getrs`` directly (``dense_lu``), without the per-call checks of
+the ``scipy.linalg`` wrappers.  A Newton solve's successive Jacobians, or
+a path of such solves', share one raw solve that the caller prepares
+(``newton_step_solver``): later steps run GMRES preconditioned with it
+(``solve_near``), and prepare a fresh one when GMRES misses the LU bound.
 Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``):
 ``symmetric_eig`` returns (eigenvalues, eigenvectors), eigenvalues descending
 and eigenvector signs fixed, so repeated runs reproduce identical bases.
@@ -54,8 +54,9 @@ class LuFactor:
     SuperLU fill-in severalfold compared with its default column ordering.
     No matrix the package factorizes on the benchmark workloads reaches
     that size any more: the largest is the 12 069-row Stokes state block of
-    ``stokes-tube`` (on ``ns-graft-online``, a 1 941-row Jacobian).  Only a
-    whole optimality matrix, such as the benchmark's own KKT probe, does.
+    ``stokes-tube`` (on ``ns-graft-online``, the 792-row state block of a
+    Navier-Stokes Jacobian).  Only a whole optimality matrix, such as the
+    benchmark's own KKT probe, does.
     """
 
     def __init__(self, A):
@@ -76,46 +77,45 @@ class LuFactor:
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularMatrix(str(exc)) from exc
 
-    def raw_solve(self, b):
+    def raw_solve(self, b, trans="N"):
         """One pass of the factorization on ``b``, a vector or a matrix of
-        right-hand side columns (Fortran order avoids a copy): no
-        refinement and no residual check."""
-        if self._perm is None:
-            return self._lu.solve(b)
-        return self._lu.solve(b[self._perm])[self._inv_perm]
-
-    def solve(self, b):
-        b = np.asarray(b, dtype=float)
+        right-hand side columns (Fortran order avoids a copy), of ``A`` or,
+        with ``trans="T"``, of its transpose: no refinement and no residual
+        check."""
         if b.shape[0] != self._A.shape[0]:
             raise DimensionMismatch(f"rhs length {b.shape[0]} != {self._A.shape[0]}")
-        return refine(self._A, b, self.raw_solve)
+        if self._perm is None:
+            return self._lu.solve(b, trans)
+        return self._lu.solve(b[self._perm], trans)[self._inv_perm]
 
-    def solve_near(self, A, b):
-        """Solve ``A x = b`` for a matrix of the factored one's size that is
-        close to it, by GMRES preconditioned with this factorization.
+    def solve(self, b):
+        return refine(self._A, np.asarray(b, dtype=float), self.raw_solve)
 
-        The result is returned only if its relative residual is at most
-        1e-10, the bound ``solve`` enforces; otherwise
-        :class:`ConvergenceFailure` is raised and the caller should
-        factorize ``A`` itself.
-        """
-        b = np.asarray(b, dtype=float)
-        if A.shape != self._A.shape or b.shape[0] != A.shape[0]:
-            raise DimensionMismatch(
-                f"system {A.shape} / rhs {b.shape[0]} vs factor {self._A.shape}")
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        with np.errstate(all="ignore"):
-            M = spla.LinearOperator(A.shape, matvec=self.raw_solve, dtype=float)
-            x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
-                              restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
-            rel = np.linalg.norm(b - A @ x) / bnorm
-        if not rel <= _LU_RTOL:  # NaN included
-            raise ConvergenceFailure(
-                "preconditioned GMRES reached relative residual %.3e, above %.0e"
-                % (rel, _LU_RTOL))
-        return x
+
+def solve_near(A, b, raw_solve):
+    """Solve ``A x = b`` by GMRES preconditioned with ``raw_solve``, the
+    raw solve of a matrix of ``A``'s size that is close to it.
+
+    The result is returned only if its relative residual is at most 1e-10,
+    the bound ``refine`` enforces; otherwise :class:`ConvergenceFailure` is
+    raised and the caller should prepare a raw solve of ``A`` itself.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != A.shape[0]:
+        raise DimensionMismatch(f"system {A.shape} / rhs {b.shape[0]}")
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    with np.errstate(all="ignore"):
+        M = spla.LinearOperator(A.shape, matvec=raw_solve, dtype=float)
+        x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
+                          restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
+        rel = np.linalg.norm(b - A @ x) / bnorm
+    if not rel <= _LU_RTOL:  # NaN included
+        raise ConvergenceFailure(
+            "preconditioned GMRES reached relative residual %.3e, above %.0e"
+            % (rel, _LU_RTOL))
+    return x
 
 
 def refine(A, b, raw_solve):
@@ -177,22 +177,24 @@ def dense_lu(a, name):
     return solve
 
 
-def newton_step_solver():
+def newton_step_solver(prepare):
     """``solve(A, b)`` for the successive Jacobians of one Newton solve, or
-    of a path of nearby solves: the first is factorized, later ones go to
-    the last factorization's ``solve_near`` and are factorized only when
-    that misses its bound."""
-    lu = None
+    of a path of nearby solves.  ``prepare(A)`` returns a raw solve of
+    ``A`` (a factorization, or a block elimination on one of its blocks);
+    the first Jacobian gets one, later ones go to ``solve_near`` on the
+    last one and get their own only when that misses its bound.  Every
+    solve by a prepared raw solve is refined against ``A``."""
+    raw = None
 
     def solve(A, b):
-        nonlocal lu
-        if lu is not None:
+        nonlocal raw
+        if raw is not None:
             try:
-                return lu.solve_near(A, b)
+                return solve_near(A, b, raw)
             except ConvergenceFailure:
                 pass
-        lu = factorize(A)
-        return lu.solve(b)
+        raw = prepare(A)
+        return refine(A, b, raw)
 
     return solve
 

@@ -21,19 +21,23 @@ the state block and the adjoint block (v and p rows on the w and q
 columns) are one and the same slice S of K.
 
 The model factorizes S at construction; the liftings, the Stokes state
-solve and every Stokes optimality solve run on that LU.  An optimality
-solve eliminates the state and the adjoint and solves a small dense Schur
-complement on the control (built by the model's first Stokes solve), then
-refines against the whole optimality matrix.  Navier-Stokes is Newton from
-the Stokes solution, run like the state sub-solve by the one driver
+solve and every Stokes optimality solve run on that LU.  Every optimality
+solve, Stokes or a Navier-Stokes Newton step, is one block elimination on
+the LU of its matrix's state block (``_elimination``): the state by that
+LU, the adjoint by its transposed pass, the control by a small dense Schur
+complement, then refinement against the whole matrix.  Nothing of the
+optimality system's size is factorized.  Navier-Stokes is Newton from the
+Stokes solution, run like the state sub-solve by the one driver
 ``numerics.newton`` with this module's ``NEWTON_*`` settings.  Its
-Jacobians share one sparsity pattern, built on the first Navier-Stokes
-Jacobian of a model: an assembly adds the element convection blocks to the
-constant Stokes values in place, and the residual's convection terms are
-evaluated element-wise without a matrix.  Both solves take their Newton
-steps from ``numerics.newton_step_solver``, which factorizes the first
-Jacobian it meets and serves later steps by GMRES preconditioned with that
-factorization.  A solve has its own step solver, except inside
+Jacobians keep K's layout (state block S(v), adjoint block S(v)^T, (v, v)
+block M + G(w) + G(w)^T) and share one sparsity pattern, built on the
+first Navier-Stokes Jacobian of a model: an assembly adds the element
+convection blocks to the constant Stokes values in place, and the
+residual's convection terms are evaluated element-wise without a matrix.
+Both solves take their Newton steps from ``numerics.newton_step_solver``,
+which prepares a raw solve of the first Jacobian it meets (the
+elimination, or an LU of the state block) and serves later steps by GMRES
+preconditioned with it.  A solve has its own step solver, except inside
 ``FullOrderModel.continuation``: there successive solves follow one path,
 each starting from the previous converged solution and all sharing one
 step solver, so a snapshot build factorizes about once.
@@ -129,8 +133,8 @@ class _Path:
     """The last converged KKT vector and the step solver of a path of
     Navier-Stokes solves."""
 
+    step: object
     x: np.ndarray = None
-    step: object = field(default_factory=numerics.newton_step_solver)
 
 
 def optimality_matrix(m, a, b, c, n_ctrl, alpha, pin=None):
@@ -291,22 +295,23 @@ class FullOrderModel:
         g[f] = np.column_stack([self._state_lu.solve(r)[:nf] for r in rhs.T])
         return g
 
-    def _stokes_elimination(self):
-        """Raw solve of the Stokes optimality matrix K by block elimination
-        on the state-block LU: the Schur complement on the control.
+    def _elimination(self, K, lu):
+        """Raw solve of an optimality matrix or Navier-Stokes Jacobian ``K``
+        by block elimination on ``lu``, the LU of its state block S (rows
+        w, q; columns v, p): the Schur complement on the control.
 
-        With y = (v, p), l = (w, q) and M0 y = [M_ff v; 0], the state rows
-        of K read S y = r_s - [C_f u; 0] and the adjoint rows
-        S l = r_a - M0 y, with r_s = (r_w, r_q) and r_a = (r_v, r_p).  The
-        control reaches only the rows R where C_f has entries: with
-        W = S^-1 E_R (one block solve) the control rows become
-        H u = r_u - C_R^T W^T (r_a - M0 y0), y0 = S^-1 r_s, for the small
-        dense H = alpha N_c + C_R^T (W_v^T M_ff W_v) C_R.  Then
-        y = y0 - W C_R u and l = S^-1 (r_a - M0 y).
+        K's adjoint block (rows v, p; columns w, q) is S^T and its (v, v)
+        block J11 (M for Stokes).  With y = (v, p), l = (w, q) and
+        J0 y = [J11 v; 0], the state rows of K read S y = r_s - [C_f u; 0]
+        and the adjoint rows S^T l = r_a - J0 y, with r_s = (r_w, r_q) and
+        r_a = (r_v, r_p).  The control reaches only the rows R where C_f has
+        entries: with W = S^-1 E_R (one block solve) the control rows become
+        H u = r_u - C_R^T W^T (r_a - J0 y0), y0 = S^-1 r_s, for the small
+        dense H = alpha N_c + C_R^T (W_v^T J11 W_v) C_R.  Then
+        y = y0 - W C_R u and l = S^-T (r_a - J0 y), a transposed pass.
         """
         e, nf = self._ends, self.free.shape[0]
-        K, lu = self._stokes_matrix, self._state_lu
-        M_ff = K[: e[0], : e[0]]
+        J11 = K[: e[0], : e[0]]
         C_f = K[e[2] : e[3], e[1] : e[2]].tocsr()
         rows = np.flatnonzero(np.diff(C_f.indptr))
         C_R = C_f[rows].toarray()
@@ -314,19 +319,26 @@ class FullOrderModel:
         E_R[rows, np.arange(rows.size)] = 1.0
         W = lu.raw_solve(E_R)
         W_v = W[:nf]
-        H = K[e[1] : e[2], e[1] : e[2]].toarray() + C_R.T @ (W_v.T @ (M_ff @ W_v)) @ C_R
+        H = K[e[1] : e[2], e[1] : e[2]].toarray() + C_R.T @ (W_v.T @ (J11 @ W_v)) @ C_R
         solve_h = numerics.dense_lu(H, "control Schur complement")
 
         def solve(b):
             r_v, r_p, r_u, r_w, r_q = np.split(b, e[:-1])
             y = lu.raw_solve(np.concatenate([r_w, r_q]))
-            a = np.concatenate([r_v - M_ff @ y[:nf], r_p])
+            a = np.concatenate([r_v - J11 @ y[:nf], r_p])
             u = solve_h(r_u - C_R.T @ (W.T @ a))
             y -= W @ (C_R @ u)
-            l = lu.raw_solve(np.concatenate([r_v - M_ff @ y[:nf], r_p]))
+            l = lu.raw_solve(np.concatenate([r_v - J11 @ y[:nf], r_p]), "T")
             return np.concatenate([y, u, l])
 
         return solve
+
+    def _step_solver(self):
+        """Newton step solver whose raw solves are ``_elimination`` on a
+        fresh LU of the Jacobian's state block."""
+        e = self._ends
+        return numerics.newton_step_solver(
+            lambda J: self._elimination(J, numerics.factorize(J[e[2] :, : e[1]])))
 
     # -- KKT assembly --------------------------------------------------------
 
@@ -470,10 +482,11 @@ class FullOrderModel:
 
     def solve_ocp(self, mu):
         """Solve the optimality system at ``mu``: Stokes by block
-        elimination on the model's state-block LU (``_stokes_elimination``,
-        built by the first call), refined and residual-checked against the
-        whole optimality matrix by ``numerics.refine``; Navier-Stokes by
-        Newton from that solution.
+        elimination on the model's state-block LU (``_elimination``, built
+        by the first call), refined and residual-checked against the whole
+        optimality matrix by ``numerics.refine``; Navier-Stokes by Newton
+        from that solution, its steps by the same elimination on the LU of
+        a Jacobian's state block (``_step_solver``).
 
         Inside ``continuation`` Newton starts instead from the path's last
         converged solution, with the path's step solver, and stops where
@@ -485,18 +498,18 @@ class FullOrderModel:
         mu = self.check_mu(mu)
         K, rhs = self.assemble_kkt(mu)
         if self._stokes_solve is None:
-            self._stokes_solve = self._stokes_elimination()
+            self._stokes_solve = self._elimination(K, self._state_lu)
         x = numerics.refine(K, rhs, self._stokes_solve)
         if self.config.equation == "stokes":
             return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
-        path = self._path or _Path()  # outside a build, a path of one solve
+        path = self._path or _Path(self._step_solver())  # outside a build: a path of one
         if path.x is not None:
             r0 = np.linalg.norm(self.kkt_residual(x, mu, True))
             try:
                 path.x, res, iters = self._newton(
                     mu, path.x, path.step, 0.0, max(NEWTON_TOL_REL * r0, NEWTON_TOL_ABS))
             except NewtonDiverged:
-                path.step = numerics.newton_step_solver()
+                path.step = self._step_solver()
             else:
                 return self._pack_solution(path.x, mu, iters, res, rhs)
         path.x, res, iters = self._newton(mu, x, path.step, NEWTON_TOL_REL, NEWTON_TOL_ABS)
@@ -520,7 +533,7 @@ class FullOrderModel:
     def continuation(self):
         """A block whose Navier-Stokes ``solve_ocp`` calls follow one path
         and share one step solver; both are released on exit."""
-        self._path = _Path()
+        self._path = _Path(self._step_solver())
         try:
             yield
         finally:
@@ -546,7 +559,7 @@ class FullOrderModel:
 
         vp = self._state_lu.solve(-residual(np.zeros(e[1]), False))
         if self.config.equation == "navier-stokes":
-            step = numerics.newton_step_solver()
+            step = numerics.newton_step_solver(lambda S: numerics.factorize(S).raw_solve)
 
             def system(vp):
                 def solve(b):

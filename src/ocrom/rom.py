@@ -180,21 +180,26 @@ def collect_snapshots(model, training):
     return SnapshotSet(matrices, ok_mu, failures, len(sols))
 
 
-def _nearest(points, mu, lo, hi):
-    """Index of the row of ``points`` nearest to ``mu``, distances scaled by
-    the domain width [lo, hi] where it is finite and positive."""
+def _domain_scale(lo, hi):
+    """Distance scale of the parameter domain [lo, hi]: its width where
+    that is finite and positive, 1 elsewhere."""
     width = hi - lo
-    scaled = (points - mu) / np.where(np.isfinite(width) & (width > 0), width, 1.0)
-    return int(np.argmin((scaled ** 2).sum(axis=1)))
+    return np.where(np.isfinite(width) & (width > 0), width, 1.0)
+
+
+def _nearest(points, mu, scale):
+    """Index of the row of ``points`` nearest to ``mu``, distances divided
+    by ``scale`` (``_domain_scale``)."""
+    return int(np.argmin((((points - mu) / scale) ** 2).sum(axis=1)))
 
 
 def _path_order(mus, lo, hi):
     """Row indices of ``mus`` in the order of a greedy nearest-neighbour
     path (``_nearest``) that starts at the first row; it depends on the
     rows and the domain alone, not on how the solves along it end."""
-    order, left = [], list(range(mus.shape[0]))
+    order, left, scale = [], list(range(mus.shape[0])), _domain_scale(lo, hi)
     while left:
-        order.append(left.pop(_nearest(mus[left], mus[order[-1]], lo, hi) if order else 0))
+        order.append(left.pop(_nearest(mus[left], mus[order[-1]], scale) if order else 0))
     return order
 
 
@@ -425,11 +430,13 @@ class ReducedOperators:
     coefficients) and ``warm_dx`` (their mu-tangents); all three are None
     otherwise, and also when the homogeneous divergence block
     ``b[:, :n_v]`` has rank below n_p.  With warm starts it also derives
-    the system its queries iterate on (``_null_space_system``): ``N`` (an
-    orthonormal basis of that block's kernel), ``Y`` (its right inverse),
-    ``F`` (the map from [z; mu] to the coefficients, pressures left zero),
-    and ``Kz``, ``Rz`` and ``Sz``, the matrix, affine term and symmetrized
-    convection tensor of the system in z; all six are None otherwise.
+    ``mu_scale``, the distance scale by which a query picks its nearest
+    start (``_domain_scale``), and the system its queries iterate on
+    (``_null_space_system``): ``N`` (an orthonormal basis of that block's
+    kernel), ``Y`` (its right inverse), ``F`` (the map from [z; mu] to the
+    coefficients, pressures left zero), and ``Kz``, ``Rz`` and ``Sz``, the
+    matrix, affine term and symmetrized convection tensor of the system in
+    z; all seven are None otherwise.
     """
 
     y_v: np.ndarray
@@ -470,13 +477,14 @@ class ReducedOperators:
             lifts = _lift(self, self.X, np.eye(1 + self.n_lift)[1:])
             self.Z = np.vstack(lifts)
             self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
-        self.warm_mu = self.warm_x = self.warm_dx = None
+        self.warm_mu = self.warm_x = self.warm_dx = self.mu_scale = None
         self.N = self.Y = self.F = self.Kz = self.Rz = self.Sz = None
         if self.equation == "navier-stokes" and self.training_parameters is not None:
             null = _null_space(self.b[:, :nv], self.K)
             if null is not None:
                 self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
             if self.warm_mu is not None:
+                self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
                 self.N, self.Y = null
                 self.F, self.Kz, self.Rz, self.Sz = _null_space_system(self)
 
@@ -802,7 +810,7 @@ def _start(ops, mu, rmu=None):
     r(0; mu) = R [1; mu] (``rmu``, formed here when not given) plus the
     lifting's convection S[:, nv:, nv:] mu mu / 2 on the state momentum (w)
     rows."""
-    i = _nearest(ops.warm_mu, mu, ops.domain_lo, ops.domain_hi)
+    i = _nearest(ops.warm_mu, mu, ops.mu_scale)
     x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
     nv = ops.n_velocity_modes
     r0 = (_affine(ops, mu) if rmu is None else rmu).copy()

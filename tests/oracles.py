@@ -4,13 +4,14 @@ The finite-element oracles are written from the quadratic-tetrahedron
 definitions directly (shape functions, geometric mapping, Gauss rules),
 deliberately not sharing assembly code with the package under test.  The
 inf-sup reference solves the dense generalized eigenproblem of a
-velocity-pressure pairing.  The gradient references take a full-order
-model: J(u) at the state a control drives, and its adjoint gradient from
-one state and one adjoint solve, for the optimality and finite-difference
-checks; they build their own free-restricted blocks and saddle-point
-matrix.  The Navier-Stokes references at the end build on the assembled
-sparse convection matrices: the full-order KKT Jacobian and residual as a
-``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
+velocity-pressure pairing.  A sparse LU of a whole optimality matrix is
+the reference for the block elimination on its state block.  The gradient
+references take a full-order model: J(u) at the state a control drives,
+and its adjoint gradient from one state and one adjoint solve, for the
+optimality and finite-difference checks; they build their own
+free-restricted blocks and saddle-point matrix.  The Navier-Stokes
+references at the end build on the assembled sparse convection matrices:
+the full-order KKT Jacobian and residual as a ``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
 fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
 (the path the precomputed reduced tensor replaces) on a reduced system
@@ -205,6 +206,13 @@ def inf_sup_constant(B, X_v, X_p, free_velocity):
     S = Bf @ np.column_stack([lu.solve(Bt[:, k]) for k in range(Bt.shape[1])])
     w = eigh(0.5 * (S + S.T), np.asarray(X_p.todense()), eigvals_only=True)
     return float(np.sqrt(max(float(w[0]), 0.0)))
+
+
+def kkt_lu(K):
+    """Solve function of one sparse LU of a whole optimality matrix or
+    Navier-Stokes Jacobian (the path the block elimination on its state
+    block replaces)."""
+    return numerics.factorize(K).solve
 
 
 def free_blocks(model):

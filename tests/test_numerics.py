@@ -68,6 +68,22 @@ class TestSparseLuSolve:
             x = lu.solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
+    @pytest.mark.parametrize("threshold", [numerics._RCM_THRESHOLD, 0],
+                             ids=["colamd", "rcm"])
+    def test_transposed_raw_solve(self, threshold, monkeypatch):
+        """``raw_solve(b, "T")`` solves with the transpose, on both
+        orderings and for a block of right-hand sides."""
+        monkeypatch.setattr(numerics, "_RCM_THRESHOLD", threshold)
+        rng = np.random.default_rng(12)
+        a = sp.csc_matrix(rng.standard_normal((20, 20)) + 20 * np.eye(20))
+        b = rng.standard_normal((20, 3))
+        lu = factorize(a)
+        for trans, op in (("N", a), ("T", a.T)):
+            x = lu.raw_solve(np.asfortranarray(b), trans)
+            assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
+        with pytest.raises(DimensionMismatch):
+            lu.raw_solve(np.ones(21), "T")
+
 
 class TestRefine:
     """Refinement sweeps over an approximate solve, then the 1e-10
@@ -186,25 +202,25 @@ class TestSolveNear:
 
     def test_near_matrix_solved_to_lu_bound(self):
         a0, a, b = self._perturbed(0.05)
-        x = factorize(a0).solve_near(a, b)
+        x = numerics.solve_near(a, b, factorize(a0).raw_solve)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_far_matrix_raises(self):
         a0, a, b = self._perturbed(3.0, seed=1)
         with pytest.raises(ConvergenceFailure):
-            factorize(a0).solve_near(a, b)
+            numerics.solve_near(a, b, factorize(a0).raw_solve)
 
     def test_zero_rhs(self):
         a0, a, _ = self._perturbed(0.05)
-        x = factorize(a0).solve_near(a, np.zeros(a.shape[0]))
+        x = numerics.solve_near(a, np.zeros(a.shape[0]), factorize(a0).raw_solve)
         assert np.array_equal(x, np.zeros(a.shape[0]))
 
     def test_dimension_mismatch(self):
         lu = factorize(_laplacian_2d(4))
         with pytest.raises(DimensionMismatch):
-            lu.solve_near(_laplacian_2d(5), np.ones(25))
+            numerics.solve_near(_laplacian_2d(5), np.ones(25), lu.raw_solve)
         with pytest.raises(DimensionMismatch):
-            lu.solve_near(_laplacian_2d(4), np.ones(25))
+            numerics.solve_near(_laplacian_2d(4), np.ones(25), lu.raw_solve)
 
     def test_newton_step_solver_factorizes_when_gmres_misses(self, monkeypatch):
         """The first matrix is factorized; a near one is served by GMRES, a
@@ -214,7 +230,7 @@ class TestSolveNear:
         calls = []
         monkeypatch.setattr(numerics, "factorize",
                             lambda A: calls.append(A.shape) or factorize(A))
-        solve = numerics.newton_step_solver()
+        solve = numerics.newton_step_solver(lambda A: numerics.factorize(A).raw_solve)
         counts = []
         for a in (a0, near, far, far):
             x = solve(a, b)

@@ -281,16 +281,16 @@ class TestStokesSolve:
         assert (model.locked_pressure.size > 0) == (name == "locked_stokes_model")
         mu = np.full(len(model.inlet_tags), 60.0)
         K, rhs = model.assemble_kkt(mu)
-        lu = numerics.factorize(K)
-        ref = lu.solve(rhs)
+        kkt_solve = oracles.kkt_lu(K)
+        ref = kkt_solve(rhs)
         sol = model.solve_ocp(mu)
         f = model.free
         x = np.concatenate([sol.v_hom[f], sol.p, sol.u, sol.w[f], sol.q])
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert sol.kkt_residual <= 1e-10
         b = np.random.default_rng(4).standard_normal(rhs.shape)
-        ref = lu.solve(b)
-        x = model._stokes_elimination()(b)
+        ref = kkt_solve(b)
+        x = model._elimination(K, model._state_lu)(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @staticmethod
@@ -489,15 +489,40 @@ class TestNavierStokesJacobian:
             res_ref = oracles.matrix_kkt_residual(model, x, mu, nonlinear)
             assert np.linalg.norm(res - res_ref) <= 1e-11 * np.linalg.norm(res_ref)
 
+    def test_state_and_adjoint_blocks_transposed(self, graft_ns_model):
+        """At an iterate with a nonzero adjoint the Jacobian's adjoint block
+        (rows v, p; columns w, q) is exactly the transpose of its state
+        block (rows w, q; columns v, p), so one LU serves both."""
+        model = graft_ns_model
+        mu, _, v, w = _linearization_point(model, np.random.default_rng(3))
+        assert np.abs(w).max() > 0.0
+        J, _ = model.assemble_kkt(mu, (v, w))
+        e = model._ends
+        assert abs(J[: e[1], e[2] :] - J[e[2] :, : e[1]].T).max() == 0.0
+
+    def test_elimination_matches_kkt_lu_oracle(self, graft_ns_model):
+        """One refined elimination solve on the LU of a Jacobian's state
+        block gives the solution of one sparse LU of the whole Jacobian."""
+        model = graft_ns_model
+        mu, _, v, w = _linearization_point(model, np.random.default_rng(5))
+        J, _ = model.assemble_kkt(mu, (v, w))
+        e = model._ends
+        b = np.random.default_rng(6).standard_normal(e[-1])
+        ref = oracles.kkt_lu(J)(b)
+        elim = model._elimination(J, numerics.factorize(J[e[2] :, : e[1]]))
+        x = numerics.refine(J, b, elim)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_one_factorization_per_solve(self, ns_model, monkeypatch):
         """Only the first Jacobian of a solve is factorized, not one per
-        Newton step."""
+        Newton step, and only its state block."""
         mu = np.array([80.0])
         ns_model.solve_ocp(mu)  # warm-up: the Stokes elimination, the Jacobian pattern
         calls = _count_factorizations(monkeypatch)
         sol = ns_model.solve_ocp(mu)
         assert sol.newton_iterations >= 2
-        assert len(calls) == 1
+        e = ns_model._ends
+        assert calls == [(e[-1] - e[2], e[1])]
 
     def test_refactorization_fallback_matches(self, ns_model, monkeypatch):
         """When GMRES misses its bound every step falls back to a fresh
@@ -505,10 +530,10 @@ class TestNavierStokesJacobian:
         mu = np.array([80.0])
         ref = ns_model.solve_ocp(mu)
 
-        def no_gmres(self, A, b):
+        def no_gmres(A, b, raw_solve):
             raise ConvergenceFailure("forced refactorization")
 
-        monkeypatch.setattr(numerics.LuFactor, "solve_near", no_gmres)
+        monkeypatch.setattr(numerics, "solve_near", no_gmres)
         calls = _count_factorizations(monkeypatch)
         sol = ns_model.solve_ocp(mu)
         assert sol.newton_iterations == ref.newton_iterations

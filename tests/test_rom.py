@@ -310,6 +310,8 @@ class TestSnapshotPath:
         snaps = collect_snapshots(model, ts)
         assert len(snaps) == len(ts) == 4
         assert len(calls) < len(ts)
+        e = model._ends
+        assert set(calls) == {(e[-1] - e[2], e[1])}  # state blocks only
         assert model._path is None  # the path and its factorization are released
 
 
