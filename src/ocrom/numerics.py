@@ -1,16 +1,19 @@
 """Sparse and dense direct solves, dense symmetric eigendecomposition and
 the Newton driver.
 
-Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``) and
-every solve is refined and residual-checked by ``refine``, which also
-serves solves assembled from a factorization's raw passes, plain or
-transposed (block elimination on a sub-block).  Small dense systems that
-one factorization serves several times (a reduced Jacobian) go to LAPACK
-``getrf``/``getrs`` directly (``dense_lu``), without the per-call checks of
-the ``scipy.linalg`` wrappers.  A Newton solve's successive Jacobians, or
-a path of such solves', share one raw solve that the caller prepares
-(``newton_step_solver``): later steps run GMRES preconditioned with it
-(``solve_near``), and prepare a fresh one when GMRES misses the LU bound.
+Sparse systems are factored by SuperLU (``scipy.sparse.linalg.splu``),
+an exactly symmetric matrix in SuperLU's symmetric mode (minimum degree on
+A + A^T, diagonal pivots preferred) and any other with its default COLAMD
+ordering (``LuFactor``).  Every solve is refined and residual-checked by
+``refine``, which also serves solves assembled from a factorization's raw
+passes, plain or transposed (block elimination on a sub-block).  Small
+dense systems that one factorization serves several times (a reduced
+Jacobian) go to LAPACK ``getrf``/``getrs`` directly (``dense_lu``),
+without the per-call checks of the ``scipy.linalg`` wrappers.  A Newton
+solve's successive Jacobians, or a path of such solves', share one raw
+solve that the caller prepares (``newton_step_solver``): later steps run
+GMRES preconditioned with it (``solve_near``), and prepare a fresh one
+when GMRES misses the LU bound.
 Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``):
 ``symmetric_eig`` returns (eigenvalues, eigenvectors), eigenvalues descending
 and eigenvector signs fixed, so repeated runs reproduce identical bases.
@@ -40,8 +43,9 @@ _GMRES_RESTART = 40
 _GMRES_CYCLES = 3
 _GMRES_RTOL = 1e-11
 
-
-_RCM_THRESHOLD = 20000
+# SuperLU's symmetric mode, for exactly symmetric matrices (see LuFactor)
+_SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                       options=dict(SymmetricMode=True))
 
 _GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -49,31 +53,33 @@ _GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 class LuFactor:
     """Reusable LU factorization exposing a residual-checked solve.
 
-    Large structurally-symmetric systems (FEM saddle points) are permuted
-    with reverse Cuthill-McKee before factorization: the banded profile cuts
-    SuperLU fill-in severalfold compared with its default column ordering.
-    No matrix the package factorizes on the benchmark workloads reaches
-    that size any more: the largest is the 12 069-row Stokes state block of
-    ``stokes-tube`` (on ``ns-graft-online``, the 792-row state block of a
-    Navier-Stokes Jacobian).  Only a whole optimality matrix, such as the
-    benchmark's own KKT probe, does.
+    The ordering follows from one property of the matrix, exact symmetry.
+    A symmetric matrix, such as the Stokes state block
+    S = [[A, B^T], [B, pin]], is factorized in SuperLU's symmetric mode:
+    minimum degree on A + A^T, pivots taken on the diagonal unless one is
+    below 0.01 of its column's largest entry.  Any other matrix, such as a
+    Navier-Stokes Jacobian's state block, gets SuperLU's default COLAMD.
+    On ``stokes-tube``'s 12 069-row S the symmetric mode leaves 3.63 M L+U
+    entries against COLAMD's 4.60 M, on ``ns-graft-offline``'s 2 458-row S
+    0.34 M against 0.69 M; on that graft's unsymmetric Navier-Stokes state
+    block COLAMD leaves 0.68 M against 0.90 M.  A diagonal threshold of 0
+    left a relative residual of 1e-2 on the graft's S.
+
+    The symmetric mode suits S because few of its diagonal entries are
+    zero: its pressure rows, 8 % of them on ``stokes-tube``, 13-15 % on the
+    grafts.  A whole optimality matrix has zeros on about half its diagonal
+    (the w, p and q rows) and fills catastrophically under it: on
+    ``stokes-tube``'s 24 321-row K it took 475 s and 190 M L+U entries,
+    against 7-8 s and 38 M under COLAMD.  No solve of the package
+    factorizes such a matrix.
     """
 
     def __init__(self, A):
         self._A = A
-        self._perm = None
+        mode = _SYMMETRIC_MODE if (A != A.T).nnz == 0 else {}
         try:
             with np.errstate(all="ignore"):
-                if A.shape[0] >= _RCM_THRESHOLD:
-                    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-                    perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
-                    self._perm = perm
-                    self._inv_perm = np.argsort(perm)
-                    Ap = A.tocsr()[perm][:, perm].tocsc()
-                    self._lu = spla.splu(Ap, permc_spec="NATURAL")
-                else:
-                    self._lu = spla.splu(A)
+                self._lu = spla.splu(A, **mode)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularMatrix(str(exc)) from exc
 
@@ -84,9 +90,7 @@ class LuFactor:
         check."""
         if b.shape[0] != self._A.shape[0]:
             raise DimensionMismatch(f"rhs length {b.shape[0]} != {self._A.shape[0]}")
-        if self._perm is None:
-            return self._lu.solve(b, trans)
-        return self._lu.solve(b[self._perm], trans)[self._inv_perm]
+        return self._lu.solve(b, trans)
 
     def solve(self, b):
         return refine(self._A, np.asarray(b, dtype=float), self.raw_solve)

@@ -68,14 +68,32 @@ class TestSparseLuSolve:
             x = lu.solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
-    @pytest.mark.parametrize("threshold", [numerics._RCM_THRESHOLD, 0],
-                             ids=["colamd", "rcm"])
-    def test_transposed_raw_solve(self, threshold, monkeypatch):
+    @staticmethod
+    def _unsymmetric():
+        rng = np.random.default_rng(12)
+        return sp.csc_matrix(rng.standard_normal((20, 20)) + 20 * np.eye(20))
+
+    @staticmethod
+    def _saddle_point():
+        """Symmetric [[A, B^T], [B, pin]] with a zero pressure block but
+        for one pinned row, the shape of the Stokes state block."""
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((14, 14))
+        a = m @ m.T + 14 * np.eye(14)
+        b = rng.standard_normal((6, 14))
+        b[0] = 0.0  # a pressure row with no velocity coupling, pinned
+        pin = np.zeros((6, 6))
+        pin[0, 0] = 1.0
+        return sp.csc_matrix(np.block([[a, b.T], [b, pin]]))
+
+    @pytest.mark.parametrize("matrix", ["_unsymmetric", "_saddle_point"],
+                             ids=["colamd", "symmetric"])
+    def test_transposed_raw_solve(self, matrix):
         """``raw_solve(b, "T")`` solves with the transpose, on both
         orderings and for a block of right-hand sides."""
-        monkeypatch.setattr(numerics, "_RCM_THRESHOLD", threshold)
+        a = getattr(self, matrix)()
+        assert ((a != a.T).nnz == 0) == (matrix == "_saddle_point")
         rng = np.random.default_rng(12)
-        a = sp.csc_matrix(rng.standard_normal((20, 20)) + 20 * np.eye(20))
         b = rng.standard_normal((20, 3))
         lu = factorize(a)
         for trans, op in (("N", a), ("T", a.T)):

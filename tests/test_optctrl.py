@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ocrom import numerics, optctrl, rom
 from ocrom.errors import (
@@ -562,6 +563,34 @@ class TestNavierStokesJacobian:
         norms = info.value.residual_norms
         assert len(norms) == 2 and all(np.isfinite(norms))
         assert norms[1] < norms[0]
+
+
+def _fill(lu):
+    """L+U entries of a SuperLU factorization."""
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestStateBlockOrdering:
+    """The state-block LU's ordering follows from the block's symmetry,
+    told apart by fill: the Stokes block is symmetric and fills less than
+    under COLAMD, a Navier-Stokes Jacobian's is not and gets COLAMD."""
+
+    @pytest.mark.parametrize("name", ["stokes_model", "locked_stokes_model"])
+    def test_stokes_state_block_fills_less_than_colamd(self, name, request):
+        model = request.getfixturevalue(name)
+        e = model._ends
+        S = model._stokes_matrix[e[2] :, : e[1]].tocsc()
+        assert (S != S.T).nnz == 0
+        assert _fill(model._state_lu._lu) < _fill(spla.splu(S))
+
+    def test_navier_stokes_state_block_keeps_colamd(self, graft_ns_model):
+        model = graft_ns_model
+        mu, _, v, w = _linearization_point(model, np.random.default_rng(9))
+        J, _ = model.assemble_kkt(mu, (v, w))
+        e = model._ends
+        S = J[e[2] :, : e[1]].tocsc()
+        assert (S != S.T).nnz > 0
+        assert _fill(numerics.factorize(S)._lu) == _fill(spla.splu(S))
 
 
 class TestStateEquations:
