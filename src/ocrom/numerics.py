@@ -164,8 +164,11 @@ def dense_lu(a, name):
 
     Raises :class:`SingularMatrix`, its message starting with ``name``, for
     an exactly zero pivot or a non-finite factor, and at a solve for a
-    non-finite solution.
+    non-finite solution.  An empty ``a``, which LAPACK rejects, solves to
+    the empty right-hand side.
     """
+    if not a.size:
+        return lambda b: b
     lu, piv, info = _GETRF(a)
     if info > 0:
         raise SingularMatrix(f"{name}: exactly zero pivot U[{info - 1}, {info - 1}]")

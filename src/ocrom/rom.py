@@ -31,23 +31,23 @@ KKT matrix plus terms affine in the parameters, by the builders the full
 order uses (``optctrl.optimality_matrix`` and ``affine_rhs``).  A Stokes
 query is two products with ``[1; mu]``: one with the coefficient map for the
 coefficients and objective, one with its precomputed full-order lift for
-the fields.  A Navier-Stokes query is dense Newton, run by the package's one
-driver ``numerics.newton``, and lifts its coefficients one basis at a time.
-One routine gives its residual and its Jacobian over the coefficients, or
-over coefficients and parameters: that matrix plus contractions of one
-array, the tensor symmetrized in its two velocity slots.  The Jacobian
-over both gives each training solution's mu-tangent, so a query starts
-from the nearest training solution plus its tangent step (an Euler
-predictor, solved once on construction) and stops at the threshold a start
-from zero would use.  From there it takes chord steps in null-space
-coordinates z: the divergence rows and the control rows are linear, so the
-velocities are eliminated onto the kernel of the reduced divergence block
-and the control onto the adjoint velocity, which leaves 2 (n_v - n_p)
-unknowns.  The same routine, on a matrix and a tensor projected once on
-construction, gives the residual and Jacobian in z; one LU of that
-Jacobian at the start serves the steps while they contract fast, the
-pressures are recovered once at the end, and a chord that diverges falls
-back to full Newton from zero on the whole system.
+the fields.  A Navier-Stokes query solves in null-space coordinates z: the
+divergence rows and the control rows are linear, so the velocities are
+eliminated onto the kernel of the reduced divergence block and the control
+onto the adjoint velocity, which leaves 2 (n_v - n_p) unknowns.  One
+routine gives the residual and the Jacobian in z, over z or over z and the
+parameters: a matrix plus contractions of one tensor, both projected once
+on construction.  Every solve is chord steps, run by the package's one
+driver ``numerics.newton``, on one LU of that Jacobian made again only
+where the steps stop contracting fast; the pressures are recovered once at
+the end, and the fields are lifted one basis at a time.  The training
+solves start from z = 0, and the Jacobian over z and the parameters gives
+each one's mu-tangent, so a query starts from the nearest training solution
+plus its tangent step (an Euler predictor), stops at the threshold a start
+from zero would use, and starts again from z = 0 if its steps diverge.  The
+null space needs a divergence block of full row rank, which supremizers
+give: a model without it (a saddle point that is not inf-sup stable)
+answers every query with ``SingularMatrix``.
 """
 
 import io
@@ -420,23 +420,24 @@ class ReducedOperators:
     affine right-hand side ``R`` (residual ``K x + R [1; mu]`` plus
     convection), for Navier-Stokes the symmetrized convection tensor
     ``S[g, a, b] = t[g, a, b] + t[g, b, a]`` on the n_v homogeneous test
-    rows g of ``tensor`` t, which alone gives every convection term and
-    Jacobian block, and for Stokes ``X = -K^{-1} R`` and its full-order lift
-    ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends`` their row ends),
-    so that a query's coefficients are ``X [1; mu]`` and its fields
-    ``Z [1; mu]``.  A Navier-Stokes model with ``training_parameters``
-    derives the Newton starts of its queries: ``warm_mu`` (the training
-    parameters whose reduced solve succeeded), ``warm_x`` (their
-    coefficients) and ``warm_dx`` (their mu-tangents); all three are None
-    otherwise, and also when the homogeneous divergence block
-    ``b[:, :n_v]`` has rank below n_p.  With warm starts it also derives
+    rows g of ``tensor`` t, ``N`` and ``Y`` (an orthonormal basis of the
+    kernel of the homogeneous divergence block ``b[:, :n_v]`` and its right
+    inverse, ``_null_space``), and then for Stokes ``X = -K^{-1} R`` and its
+    full-order lift ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends``
+    their row ends), so that a query's coefficients are ``X [1; mu]`` and its
+    fields ``Z [1; mu]``.  For Navier-Stokes it derives the system in z every
+    query solves (``_null_space_system``): ``F`` (the map from [z; mu] to
+    the coefficients, pressures left zero), ``Kz``, ``Rz`` and ``Sz`` (the
+    matrix, affine term and symmetrized convection tensor in z), and
     ``mu_scale``, the distance scale by which a query picks its nearest
-    start (``_domain_scale``), and the system its queries iterate on
-    (``_null_space_system``): ``N`` (an orthonormal basis of that block's
-    kernel), ``Y`` (its right inverse), ``F`` (the map from [z; mu] to the
-    coefficients, pressures left zero), and ``Kz``, ``Rz`` and ``Sz``, the
-    matrix, affine term and symmetrized convection tensor of the system in
-    z; all seven are None otherwise.
+    start (``_domain_scale``).  With ``training_parameters`` it also derives
+    the starts of its queries: ``warm_mu`` (the training parameters whose
+    reduced solve succeeded), ``warm_x`` (their solutions in z) and
+    ``warm_dx`` (their mu-tangents in z); all three are None otherwise.
+    Where the divergence block has rank below n_p, or ``K`` or the control
+    block is singular, ``unsolvable`` holds the message every query raises
+    as ``SingularMatrix``, and the arrays past that point are None;
+    construction and loading still succeed.
     """
 
     y_v: np.ndarray
@@ -470,23 +471,26 @@ class ReducedOperators:
                             self.b[:, nv:])
         t = self.tensor
         self.S = None if t is None else t[:nv] + t[:nv].transpose(0, 2, 1)
-        self.X = self.Z = self.Z_ends = None
-        if self.equation == "stokes":
-            self.X = -np.linalg.solve(self.K, self.R)
-            # X [1; mu] lifted: the mu columns carry the inflow lifting
-            lifts = _lift(self, self.X, np.eye(1 + self.n_lift)[1:])
-            self.Z = np.vstack(lifts)
-            self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
-        self.warm_mu = self.warm_x = self.warm_dx = self.mu_scale = None
-        self.N = self.Y = self.F = self.Kz = self.Rz = self.Sz = None
-        if self.equation == "navier-stokes" and self.training_parameters is not None:
-            null = _null_space(self.b[:, :nv], self.K)
-            if null is not None:
-                self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
-            if self.warm_mu is not None:
-                self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
-                self.N, self.Y = null
+        self.X = self.Z = self.Z_ends = self.N = self.Y = self.unsolvable = None
+        self.F = self.Kz = self.Rz = self.Sz = self.mu_scale = None
+        self.warm_mu = self.warm_x = self.warm_dx = None
+        try:
+            self.N, self.Y = _null_space(self.b[:, :nv], self.K)
+            if self.equation == "stokes":
+                self.X = -np.linalg.solve(self.K, self.R)
+                # X [1; mu] lifted: the mu columns carry the inflow lifting
+                lifts = _lift(self, self.X, np.eye(1 + self.n_lift)[1:])
+                self.Z = np.vstack(lifts)
+                self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
+            else:
                 self.F, self.Kz, self.Rz, self.Sz = _null_space_system(self)
+                self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
+                if self.training_parameters is not None:
+                    self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
+        except SingularMatrix as exc:
+            self.unsolvable = str(exc)
+        except np.linalg.LinAlgError as exc:  # a singular K or control block
+            self.unsolvable = f"reduced Jacobian: {exc}"
 
     @property
     def n_velocity_modes(self):
@@ -586,9 +590,8 @@ class ReducedSolution:
     """A reduced solution lifted to full-order fields.
 
     ``newton_iterations`` counts the steps of the reduced solve: none for
-    Stokes, chord steps in null-space coordinates from a warm start, full
-    Newton steps on the whole system from zero, and after a fallback the
-    abandoned chord steps plus the Newton steps from zero."""
+    Stokes, and for Navier-Stokes the chord steps in null-space coordinates,
+    after a fallback the abandoned ones plus those from z = 0."""
 
     mu: np.ndarray
     objective: float
@@ -614,18 +617,6 @@ def _reduced_objective(ops, v_ext, u_n):
     )
 
 
-def _reduced_system(ops, mu, x, rmu=None):
-    """Residual of the reduced Navier-Stokes optimality system at ``x``,
-    ``K x + rmu`` plus the convection terms, with ``rmu = R [1; mu]``
-    (formed here when not given), and a function for its Jacobian over the
-    coefficients, ``dr/dx``, or with ``mu_columns`` over the coefficients
-    and then the parameters, ``[dr/dx | dr/dmu]``."""
-    sv, _, _, sw, _ = ops.blocks
-    res, jacobian = _convective_system(ops.K, ops.S, sv, sw, x, mu,
-                                       _affine(ops, mu) if rmu is None else rmu)
-    return res, lambda mu_columns=False: jacobian(ops.R[:, 1:] if mu_columns else None)
-
-
 def _convective_system(K, S, sv, sw, x, mu, affine):
     """Residual ``K x + affine`` plus the convection terms of a system whose
     velocity rows and columns ``sv`` and ``sw`` pair as the state velocity
@@ -647,7 +638,7 @@ def _convective_system(K, S, sv, sw, x, mu, affine):
     res[sw] += 0.5 * (d @ v)
 
     def jacobian(mu_cols=None):
-        g = (w @ S.reshape(nv, -1)).reshape(v.size, v.size)
+        g = (w @ S.reshape(nv, v.size * v.size)).reshape(v.size, v.size)
         jac = K.copy() if mu_cols is None else np.hstack([K, mu_cols])
         for rows, block in ((sv, g[:nv]), (sw, d)):
             jac[rows, sv] += block[:, :nv]
@@ -668,22 +659,27 @@ def _null_space(b_hom, K):
     """``(N, Y)`` of the divergence block ``b_hom`` (n_p x n_v) of the
     optimality matrix ``K`` from one complete QR b_hom^T = [Q1 Q2] [R1; 0]:
     N = Q2, an orthonormal basis of its kernel, and Y = Q1 R1^{-T}, so that
-    b_hom Y = I.  None when b_hom has rank below n_p, counted on the
-    diagonal of R1 with numpy's ``matrix_rank`` tolerance for K (its
-    Frobenius norm bounding its largest singular value): a divergence block
-    that is round-off next to the rest of K has no such inverse."""
+    b_hom Y = I.  Raises ``SingularMatrix`` when b_hom has rank below n_p,
+    counted on the diagonal of R1 with numpy's ``matrix_rank`` tolerance for
+    K (its Frobenius norm bounding its largest singular value): a divergence
+    block that is round-off next to the rest of K, as without supremizers,
+    has no such inverse, and the reduced saddle point is not inf-sup
+    stable."""
     n_p = b_hom.shape[0]
     q, r = np.linalg.qr(b_hom.T, mode="complete")
     tol = np.linalg.norm(K) * K.shape[0] * np.finfo(float).eps
-    if np.count_nonzero(np.abs(np.diag(r)) > tol) < n_p:
-        return None
+    rank = np.count_nonzero(np.abs(np.diag(r)) > tol)
+    if rank < n_p:
+        raise SingularMatrix(f"reduced divergence block has rank {rank} < {n_p} pressure "
+                             f"modes: the model is not inf-sup stable (no supremizers?)")
     return q[:, n_p:], scipy.linalg.solve_triangular(r[:n_p], q[:, :n_p].T).T
 
 
 def _null_space_system(ops):
     """The reduced optimality system on the divergence-free,
-    control-eliminated subspace, in the coordinates z = (xi, eta) of a
-    warm-started query (Benzi, Golub & Liesen, Acta Numerica 2005, 6).
+    control-eliminated subspace, in the coordinates z = (xi, eta) in which
+    every Navier-Stokes query solves (Benzi, Golub & Liesen, Acta Numerica
+    2005, 6).
 
     Every coefficient vector that meets the divergence rows and the control
     rows is ``F [z; mu]`` plus pressures: v = N xi - Y b_lift mu,
@@ -691,7 +687,8 @@ def _null_space_system(ops):
     tested with N^T leave the pressures out, so the system in z is
     ``Kz z + Rz [1; mu]`` plus the convection through ``Sz``, S with its
     test slot on N and its velocity slots on the affine map
-    [xi; mu] -> [v; mu].  Returns (F, Kz, Rz, Sz)."""
+    [xi; mu] -> [v; mu].  Returns (F, Kz, Rz, Sz); a singular control block
+    raises ``LinAlgError``."""
     N, Y = ops.N, ops.Y
     sv, _, su, sw, _ = ops.blocks
     nv, k, nl = ops.n_velocity_modes, N.shape[1], ops.n_lift
@@ -718,49 +715,27 @@ NEWTON_MAX_ITER = 30
 _CHORD_CONTRACTION = 1e-3
 
 
-def _dense_solve(a, b):
-    """``np.linalg.solve``, raising ``SingularMatrix`` for a singular ``a``."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"reduced Jacobian: {exc}") from exc
+def _z_system(ops, z, mu, rz):
+    """``_convective_system`` in z, with its affine term ``rz = Rz [1; mu]``."""
+    k = ops.N.shape[1]
+    return _convective_system(ops.Kz, ops.Sz, slice(0, k), slice(k, 2 * k), z, mu, rz)
 
 
-def _newton(ops, mu, rmu=None):
-    """Reduced Navier-Stokes Newton from zero to the relative and absolute
-    thresholds; returns (x, iterations).  Each step builds the Jacobian
-    dr/dx and solves it with ``np.linalg.solve``."""
-
-    def system(x):
-        res, jacobian = _reduced_system(ops, mu, x, rmu)
-        return res, lambda rhs: _dense_solve(jacobian(), rhs)
-
-    x, _, iters = numerics.newton(system, np.zeros(ops.dimension()), NEWTON_TOL_REL,
-                                  NEWTON_TOL_ABS, NEWTON_MAX_ITER)
-    return x, iters
-
-
-def _chord(ops, mu, rmu):
-    """Chord steps in z from the warm start to the stop threshold of
-    ``_start``; returns (x, iterations).
+def _chord(ops, mu, z, tol):
+    """Chord steps in z from ``z`` until the residual norm is at most
+    ``tol``; returns (z, iterations).
 
     One LU of the z Jacobian (``numerics.dense_lu``) serves the steps.  It
     is made again at an iterate only where the step's residual norm ratio
     exceeded ``_CHORD_CONTRACTION`` and the next residual norm that ratio
     predicts would still miss the threshold; the last residual evaluation
-    builds no Jacobian, so a start that already meets it factorizes nothing.
-    The coefficients are then recovered once: F [z; mu], with the pressures
-    p = -Y^T and q = -Y^T of the state and adjoint momentum rows' rest."""
-    sv, sp, _, sw, sq = ops.blocks
-    k = ops.N.shape[1]
-    x, _, tol = _start(ops, mu, rmu)
+    builds no Jacobian, so a start that already meets it factorizes nothing."""
     rz = ops.Rz @ np.concatenate([[1.0], mu])
     lu, last = None, np.inf
 
     def system(z):
         nonlocal lu, last
-        res, jacobian = _convective_system(ops.Kz, ops.Sz, slice(0, k), slice(k, 2 * k),
-                                           z, mu, rz)
+        res, jacobian = _z_system(ops, z, mu, rz)
         norm = np.linalg.norm(res)
         if norm > _CHORD_CONTRACTION * last and norm * norm > tol * last:
             lu = None
@@ -774,27 +749,34 @@ def _chord(ops, mu, rmu):
 
         return res, solve
 
-    z = np.concatenate([ops.N.T @ x[sv], ops.N.T @ x[sw]])
     z, _, iters = numerics.newton(system, z, 0.0, tol, NEWTON_MAX_ITER)
+    return z, iters
+
+
+def _coefficients(ops, z, mu):
+    """The reduced coefficients of ``z``: F [z; mu], with the pressures
+    p = -Y^T and q = -Y^T of the rest of the state and adjoint momentum
+    rows."""
+    sv, sp, _, sw, sq = ops.blocks
     x = ops.F @ np.concatenate([z, mu])
-    rest, _ = _convective_system(ops.K, ops.S, sv, sw, x, mu, rmu)
+    rest, _ = _convective_system(ops.K, ops.S, sv, sw, x, mu, _affine(ops, mu))
     x[sp], x[sq] = -(ops.Y.T @ rest[sw]), -(ops.Y.T @ rest[sv])
-    return x, iters
+    return x
 
 
 def _training_starts(ops):
-    """(mu_i, x_i, D_i) arrays over the training parameters: the reduced
-    solution x_i at mu_i, solved by full Newton from zero, and its
-    mu-tangent D_i = -J_x^{-1} J_mu from the Jacobian [J_x | J_mu] at x_i.
-    A point whose solve raises is left out; Nones when none is left."""
-    n = ops.dimension()
+    """(mu_i, z_i, D_i) arrays over the training parameters: the reduced
+    solution z_i at mu_i, by chord steps from z = 0, and its mu-tangent
+    D_i = -J_z^{-1} J_mu from the Jacobian [J_z | J_mu] in z at z_i.  A
+    point whose solve raises is left out; Nones when none is left."""
+    n = ops.Kz.shape[0]
     starts = []
     for mu in ops.training_parameters:
         try:
-            x, _ = _newton(ops, mu)
-            jacobian = _reduced_system(ops, mu, x)[1]
-            jac = jacobian(mu_columns=True)
-            starts.append((mu, x, -_dense_solve(jac[:, :n], jac[:, n:])))
+            z, _ = _chord(ops, mu, *_start(ops, mu))
+            _, jacobian = _z_system(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))
+            jac = jacobian(ops.Rz[:, 1:])
+            starts.append((mu, z, -numerics.dense_lu(jac[:, :n], "reduced Jacobian")(jac[:, n:])))
         except OcromError:
             continue
     if not starts:
@@ -802,20 +784,23 @@ def _training_starts(ops):
     return tuple(np.array(a) for a in zip(*starts))
 
 
-def _start(ops, mu, rmu=None):
-    """Start and stop thresholds (tol_rel, tol_abs) of a warm-started
-    Navier-Stokes query: the nearest training solution (distance scaled by
-    the domain width) plus its tangent step, stopping at the zero start's
-    threshold max(NEWTON_TOL_REL ||r(0; mu)||, NEWTON_TOL_ABS), with
-    r(0; mu) = R [1; mu] (``rmu``, formed here when not given) plus the
-    lifting's convection S[:, nv:, nv:] mu mu / 2 on the state momentum (w)
-    rows."""
-    i = _nearest(ops.warm_mu, mu, ops.mu_scale)
-    x = ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i])
+def _start(ops, mu):
+    """Start in z and stop threshold of a Navier-Stokes solve.  The start is
+    the nearest training solution (distance scaled by ``mu_scale``) plus
+    its tangent step, or z = 0 without training solutions; z = 0 is
+    v = -Y b_lift mu, which meets the divergence rows, and w = u = 0.  The
+    threshold is that of a start from zero on the whole system,
+    max(NEWTON_TOL_REL ||r(0; mu)||, NEWTON_TOL_ABS), with r(0; mu) =
+    R [1; mu] plus the lifting's convection S[:, nv:, nv:] mu mu / 2 on the
+    state momentum (w) rows."""
     nv = ops.n_velocity_modes
-    r0 = (_affine(ops, mu) if rmu is None else rmu).copy()
+    r0 = _affine(ops, mu)
     r0[ops.blocks[3]] += 0.5 * (ops.S[:, nv:, nv:] @ mu @ mu)
-    return x, 0.0, max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
+    tol = max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
+    if ops.warm_mu is None:
+        return np.zeros(ops.Kz.shape[0]), tol
+    i = _nearest(ops.warm_mu, mu, ops.mu_scale)
+    return ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i]), tol
 
 
 def solve_reduced_coefficients(ops, mu):
@@ -825,21 +810,24 @@ def solve_reduced_coefficients(ops, mu):
 
 def _solve_coefficients(ops, mu):
     """A Stokes query is one product.  A Navier-Stokes query takes chord
-    steps in z from its warm start (``_chord``); if they diverge, or
-    without training solutions, it takes full Newton steps from zero.  The
-    iterations count every step, the abandoned chord steps of a fallback
-    included."""
+    steps in z from its start (``_start``); if they diverge from a training
+    solution's start, it takes them again from z = 0.  The iterations count
+    every step, the abandoned ones of a fallback included.  A model whose
+    system could not be formed (``unsolvable``) raises ``SingularMatrix``."""
+    if ops.unsolvable is not None:
+        raise SingularMatrix(ops.unsolvable)
     if ops.equation == "stokes":
         x, iters = ops.X @ np.concatenate([[1.0], mu]), 0
-    elif ops.warm_mu is None:
-        x, iters = _newton(ops, mu, _affine(ops, mu))
     else:
-        rmu = _affine(ops, mu)
+        z, tol = _start(ops, mu)
         try:
-            x, iters = _chord(ops, mu, rmu)
+            z, iters = _chord(ops, mu, z, tol)
         except NewtonDiverged as exc:
-            x, iters = _newton(ops, mu, rmu)
+            if ops.warm_mu is None:
+                raise
+            z, iters = _chord(ops, mu, np.zeros_like(z), tol)
             iters += len(exc.residual_norms) - 1
+        x = _coefficients(ops, z, mu)
     sv, _, su, _, _ = ops.blocks
     return x, _reduced_objective(ops, np.concatenate([x[sv], mu]), x[su]), iters
 

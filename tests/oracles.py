@@ -18,12 +18,16 @@ reduced Newton that reassembles the full-order matrices at every iterate
 assembled block by block from the projected operators (the path the
 precomputed constant KKT matrix and affine right-hand side replace), whose
 tensor convection terms come from three contractions of the stored tensor
-(the path the symmetrized tensor replaces).  A zero-start reduced Newton
-that builds every Jacobian with its residual is the reference for queries
-without training starts, and a full Newton from the warm start, each step
-solving the x columns of the Jacobian over [x; mu], for warm-started
-queries (the path the chord steps replace).  The per-basis lift of
-reduced coefficients to full-order fields is the reference for the Stokes
+(the path the symmetrized tensor replaces).  The residual and Jacobian of
+the whole reduced system from the symmetrized tensor serve the references
+that solve on the whole system: a zero-start reduced Newton that builds
+every Jacobian with its residual, the reference for zero starts (the path
+the chord steps in null-space coordinates replace), and a full Newton from
+the warm start, each step solving the x columns of the Jacobian over
+[x; mu], for warm-started queries.  A point in null-space coordinates is
+lifted to the whole system's coefficients with pressures fitted to the
+momentum rows in least squares.  The per-basis lift of reduced
+coefficients to full-order fields is the reference for the Stokes
 one-product lift.
 """
 
@@ -270,7 +274,7 @@ def reduced_dimension(basis, n_lift):
 def blockwise_reduced_system(ops, mu, x, conv):
     """Residual and Jacobian of the reduced optimality system at ``x``,
     assembled slice by slice from the projected operators, as
-    ``rom._reduced_system`` returns them (``conv`` None for Stokes), plus
+    ``reduced_system`` returns them (``conv`` None for Stokes), plus
     (v_ext, u_n)."""
     nv, np_, nu = ops.n_velocity_modes, ops.y_p.shape[1], ops.y_u.shape[1]
     sv = slice(0, nv)
@@ -338,20 +342,18 @@ def reassembled_convection(ops, model):
     return conv
 
 
-def reassembled_reduced_solve(ops, model, mu, start):
+def reassembled_reduced_solve(ops, model, mu):
     """Reduced Navier-Stokes Newton with per-iteration reassembly of the
     convection terms on the block-by-block reduced system, from the start
-    and stop thresholds ``start`` = (x, tol_rel, tol_abs) that
-    ``rom._start`` gives the tensor path; returns (coefficients, objective,
-    iterations)."""
+    (lifted by ``lift_z``) and to the stop threshold that ``rom._start``
+    gives the tensor path; returns (coefficients, objective, iterations)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     conv = reassembled_convection(ops, model)
-    x, tol_rel, tol_abs = start
+    z, tol = rom._start(ops, mu)
+    x = lift_z(ops, mu, z)
     res, jac, (v_ext, u_n) = blockwise_reduced_system(ops, mu, x, conv)
-    norm0 = np.linalg.norm(res)
     for it in range(rom.NEWTON_MAX_ITER + 1):
-        norm = np.linalg.norm(res)
-        if norm <= tol_abs or (it > 0 and norm <= tol_rel * norm0):
+        if np.linalg.norm(res) <= tol:
             return x, rom._reduced_objective(ops, v_ext, u_n), it
         x = x + np.linalg.solve(jac, -res)
         res, jac, (v_ext, u_n) = blockwise_reduced_system(ops, mu, x, conv)
@@ -377,12 +379,38 @@ def tensor_convection(ops):
     return conv
 
 
+def reduced_system(ops, mu, x, rmu=None):
+    """Residual of the whole reduced Navier-Stokes optimality system at
+    ``x``, ``K x + rmu`` plus the convection terms, with ``rmu = R [1; mu]``
+    (formed here when not given), and a function for its Jacobian over the
+    coefficients, ``dr/dx``, or with ``mu_columns`` over the coefficients
+    and then the parameters, ``[dr/dx | dr/dmu]``."""
+    sv, _, _, sw, _ = ops.blocks
+    if rmu is None:
+        rmu = ops.R @ np.concatenate([[1.0], mu])
+    res, jacobian = rom._convective_system(ops.K, ops.S, sv, sw, x, mu, rmu)
+    return res, lambda mu_columns=False: jacobian(ops.R[:, 1:] if mu_columns else None)
+
+
+def lift_z(ops, mu, z):
+    """Coefficients of the whole reduced system at the point ``z`` in
+    null-space coordinates: ``ops.F [z; mu]``, with the state and adjoint
+    pressures that fit the state and adjoint momentum rows of the
+    block-by-block system best in least squares."""
+    sv, sp, _, sw, sq = ops.blocks
+    x = ops.F @ np.concatenate([z, mu])
+    res, _, _ = blockwise_reduced_system(ops, mu, x, tensor_convection(ops))
+    b_hom_t = ops.b[:, :ops.n_velocity_modes].T
+    x[sp] = -np.linalg.lstsq(b_hom_t, res[sw], rcond=None)[0]
+    x[sq] = -np.linalg.lstsq(b_hom_t, res[sv], rcond=None)[0]
+    return x
+
+
 def zero_start_reduced_solve(ops, mu):
-    """Reduced Navier-Stokes Newton from zero with the relative stop test,
-    building each iterate's Jacobian with its residual, from the
-    contractions of the symmetrized tensor ``ops.S`` that
-    ``rom._reduced_system`` makes: the query path before training starts and
-    the lazy Jacobian.  Returns (coefficients, iterations)."""
+    """Reduced Navier-Stokes Newton on the whole system from zero with the
+    relative stop test, building each iterate's Jacobian with its residual,
+    from the contractions of the symmetrized tensor ``ops.S`` that
+    ``reduced_system`` makes.  Returns (coefficients, iterations)."""
     s = ops.S
     nv, n = s.shape[:2]
     sv, _, _, sw, _ = ops.blocks
@@ -407,18 +435,19 @@ def zero_start_reduced_solve(ops, mu):
 
 
 def warm_newton_reduced_solve(ops, mu):
-    """Reduced Navier-Stokes Newton from the warm start and to the stop
-    threshold of ``rom._start``, each step building the Jacobian over
-    [x; mu], cutting out its x columns and solving them with
-    ``np.linalg.solve``: the warm-started query before chord steps.
-    Returns (coefficients, iterations)."""
+    """Reduced Navier-Stokes Newton on the whole system from the warm start
+    of ``rom._start`` (lifted by ``lift_z``) to its stop threshold, each
+    step building the Jacobian over [x; mu], cutting out its x columns and
+    solving them with ``np.linalg.solve``.  Returns (coefficients,
+    iterations)."""
     n = ops.dimension()
 
     def system(x):
-        res, jacobian = rom._reduced_system(ops, mu, x)
+        res, jacobian = reduced_system(ops, mu, x)
         return res, lambda rhs: np.linalg.solve(jacobian(mu_columns=True)[:, :n], rhs)
 
-    x, _, iters = numerics.newton(system, *rom._start(ops, mu), rom.NEWTON_MAX_ITER)
+    z, tol = rom._start(ops, mu)
+    x, _, iters = numerics.newton(system, lift_z(ops, mu, z), 0.0, tol, rom.NEWTON_MAX_ITER)
     return x, iters
 
 

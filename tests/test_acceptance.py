@@ -425,7 +425,7 @@ def test_acceptance_9_ns_online_consistency(coarse_graft_mesh):
         mu = rng.uniform(70.0, 80.0, size=2)
         try:
             a, _, _ = rom.solve_reduced_coefficients(ops, mu)
-            b, _, _ = oracles.reassembled_reduced_solve(ops, model, mu, rom._start(ops, mu))
+            b, _, _ = oracles.reassembled_reduced_solve(ops, model, mu)
         except Exception:
             failures += 1
             continue
