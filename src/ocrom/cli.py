@@ -18,9 +18,16 @@ carries its code.
 
 import argparse
 import json
+import os
 import sys
 
-import numpy as np
+# One BLAS thread unless the caller chose a count: OpenBLAS's default makes
+# small dense LAPACK calls, such as a reduced query's LU, orders of
+# magnitude slower whenever another process holds a core.  It must be set
+# before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import rom, study
 from .errors import IoError, OcromError, ParseError

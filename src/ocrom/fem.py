@@ -25,6 +25,9 @@ _CHUNK = 1024
 # Convection elements per chunk: its temporaries (about 7 kB per element
 # each) are allocated at every Newton step while a factorization is held.
 _CONVECTION_CHUNK = 128
+# (element, basis column) pairs per chunk of ``reduced_tensor``: its
+# temporaries hold about 170 floats per pair, 1.4 MB whatever the basis size.
+_TENSOR_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,12 @@ _TET_PTS, _TET_WTS = tet_rule(4)
 _TET_LAM, _TET_N, _TET_DNDL = _p2_tet(_TET_PTS)
 _TRI_PTS, _TRI_WTS = tri_rule(4)
 _TRI_LAM, _TRI_N = _p2_tri(_TRI_PTS)
+# The scalar convection block of a field a on an element as one product:
+# e(a, N_k, N_i) = |det J| sum_{l, b} G[l, b] _CONVECTION[(l, b), (i, k)]
+# with G[l, b] = a_l . grad lambda_b, a_l the field's value at node l: the
+# quadrature sum over the points, taken once for every element.
+_CONVECTION = np.einsum("q,ql,qi,qkb->lbik", _TET_WTS, _TET_N, _TET_N,
+                        _TET_DNDL).reshape(40, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +301,8 @@ class ConvectionKernel:
       linearized in its second slot), block diagonal over components.
     * ``first_slot_matrix(a)``: entries e(phi_j, a, phi_i).
     * ``test_slot_matrix(a)``: entries e(phi_i, phi_j, a).
+    * ``reduced_tensor(y)``: e(y_j, y_b, y_g) over the columns of a basis,
+      from scalar element blocks, with no matrix assembled per column.
 
     and the same forms without a sparse matrix, for the Navier-Stokes Newton
     loop: ``residual_terms`` evaluates them on vectors at the quadrature
@@ -301,8 +312,8 @@ class ConvectionKernel:
     and column ``3 cells10[e, j] + d``, in ``element_dofs()`` order.
 
     The element geometry does not depend on the fields; it is computed on
-    first use and kept (gradients of the barycentric coordinates and the
-    quadrature weights times |det J|, 312 bytes per element).
+    first use and kept (gradients of the barycentric coordinates and
+    |det J|, 104 bytes per element).
     """
 
     def __init__(self, spaces):
@@ -314,6 +325,13 @@ class ConvectionKernel:
         ent = self.spaces.cells10
         return (3 * ent[:, :, None] + np.arange(3)).reshape(ent.shape[0], 30)
 
+    def _element_geometry(self):
+        """(gradlam, |det J|) of every element, computed on first use."""
+        if self._geometry is None:
+            mesh = self.spaces.mesh
+            self._geometry = _tet_geometry(mesh, np.arange(mesh.tets.shape[0]))
+        return self._geometry
+
     def _quadrature(self, *fields):
         """Per chunk of elements: (cells, wdet, gNt, [(value, gradient) of
         each field at the quadrature points]).  gNt[e, q, d, j] = d N_j / d x_d
@@ -322,11 +340,7 @@ class ConvectionKernel:
         for a in fields:
             if a.shape[0] != spaces.n_velocity:
                 raise DimensionMismatch("velocity coefficient length mismatch")
-        if self._geometry is None:
-            mesh = spaces.mesh
-            gradlam, detJ = _tet_geometry(mesh, np.arange(mesh.tets.shape[0]))
-            self._geometry = gradlam, _TET_WTS[None, :] * detJ[:, None]
-        gradlam, wdet = self._geometry
+        gradlam, detJ = self._element_geometry()
         for cells in _chunks(gradlam.shape[0], _CONVECTION_CHUNK):
             gNt = np.einsum("qia,mad->mqdi", _TET_DNDL, gradlam[cells], optimize=True)
             ent = spaces.cells10[cells]
@@ -334,7 +348,7 @@ class ConvectionKernel:
             for a in fields:
                 coeff = a[3 * ent[:, :, None] + np.arange(3)][:, None]  # (c, 1, 10, 3)
                 at_qp.append(((_TET_N @ coeff)[:, 0], gNt @ coeff))
-            yield cells, wdet[cells], gNt, at_qp
+            yield cells, _TET_WTS[None, :] * detJ[cells, None], gNt, at_qp
 
     @staticmethod
     def _state_block(wdet, gNt, aq):
@@ -379,6 +393,45 @@ class ConvectionKernel:
         Es = _scatter(np.concatenate(rows), np.concatenate(cols),
                       np.concatenate(vals), (ns, ns))
         return sp.kron(Es, sp.identity(3, format="csr"), format="csr")
+
+    def reduced_tensor(self, y):
+        """t[g, j, b] = e(y_j, y_b, y_g) over the columns of ``y``
+        (n_velocity x n): y^T E(y_j) y for every column, with E =
+        ``state_matrix``, without assembling E.
+
+        E(a) is E_s(a) (x) I3 with a scalar E_s(a).  One pass over the
+        elements gives the scalar element blocks of every column, all of a
+        chunk's in one product with ``_CONVECTION``, summed chunk by chunk
+        into an n x nnz array of values on the scalar P2 pattern; then
+        t[:, j, :] = y^T (E_s(y_j) (x) I3) y, where E_s(y_j) acts on y
+        viewed as (n_scalar, 3 n), every component at once.
+        """
+        ns, ent = self.spaces.n_scalar, self.spaces.cells10
+        if y.shape[0] != self.spaces.n_velocity:
+            raise DimensionMismatch("velocity basis row count mismatch")
+        n = y.shape[1]
+        y_s = y.reshape(ns, 3 * n)  # row i holds y[3 i + c, b] at c n + b
+        keys = (np.repeat(ent, 10, axis=1) * ns + np.tile(ent, (1, 10))).ravel()
+        pattern, position = np.unique(keys, return_inverse=True)
+        position = position.reshape(ent.shape[0], 100)  # (i, k) of each element
+        gradlam, detJ = self._element_geometry()
+        values = np.zeros((n, pattern.size))
+        for cells in _chunks(ent.shape[0], max(1, _TENSOR_CHUNK // n)):
+            coeff = y_s[ent[cells]].reshape(len(cells), 10, 3, n)
+            g = np.einsum("eldj,ead->jela", coeff, gradlam[cells], optimize=True)
+            g *= detJ[cells, None, None]
+            blocks = (g.reshape(-1, 40) @ _CONVECTION).reshape(n, -1)
+            # summed over the chunk's own pattern entries, not the whole
+            # pattern once per column
+            touched, local = np.unique(position[cells].ravel(), return_inverse=True)
+            for j in range(n):
+                values[j, touched] += np.bincount(local, blocks[j], touched.size)
+        indices, indptr = pattern % ns, np.searchsorted(pattern, ns * np.arange(ns + 1))
+        t = np.empty((n, n, n))
+        for j in range(n):
+            e_s = sp.csr_matrix((values[j], indices, indptr), shape=(ns, ns))
+            t[:, j, :] = y.T @ (e_s @ y_s).reshape(3 * ns, n)
+        return t
 
     def _vector_matrix(self, a, first_slot):
         n = self.spaces.n_velocity

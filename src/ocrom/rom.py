@@ -296,24 +296,30 @@ def pod_compress(snapshots, inner_products, n_max, eps_tol=1e-4):
 
 
 def _mgs(columns, weight):
-    """Modified Gram-Schmidt in the ``weight`` inner product.
+    """Modified Gram-Schmidt in the ``weight`` inner product W, two sweeps.
 
     Orthonormalizes ``columns`` and returns the basis and the indices of the
-    columns it kept; near-dependent columns are dropped.  A column's result
-    depends only on the columns before it, so prefixes give prefixes.
+    columns it kept; near-dependent columns are dropped.  W acts once on all
+    the columns, for their norms, and once on each column's remainder after
+    the sweeps, for its norm and, divided by it, the W b of a kept column b,
+    by which the later columns' sweeps project: n + 1 products for n
+    columns.  A column's result depends only on the columns before it, so
+    prefixes give prefixes.
     """
-    kept, index = [], []
+    w_columns = weight @ columns
+    kept, w_kept, index = [], [], []
     for j in range(columns.shape[1]):
         v = columns[:, j].copy()
-        scale = np.sqrt(max(v @ (weight @ v), 0.0))
-        for b in kept:
-            v -= (b @ (weight @ v)) * b
-        for b in kept:  # second sweep for numerical orthogonality
-            v -= (b @ (weight @ v)) * b
-        nrm = np.sqrt(max(v @ (weight @ v), 0.0))
+        scale = np.sqrt(max(v @ w_columns[:, j], 0.0))
+        for _ in range(2):  # the second sweep for numerical orthogonality
+            for b, wb in zip(kept, w_kept):
+                v -= (wb @ v) * b
+        wv = weight @ v
+        nrm = np.sqrt(max(v @ wv, 0.0))
         if nrm <= _MGS_DROP_TOL * max(scale, 1.0):
             continue
         kept.append(v / nrm)
+        w_kept.append(wv / nrm)
         index.append(j)
     if not kept:
         return np.zeros((columns.shape[0], 0)), np.zeros(0, dtype=int)
@@ -324,17 +330,25 @@ def compute_supremizers(model, *pressure_modes):
     """Velocity enrichment restoring reduced inf-sup stability.
 
     For each pressure mode q solves (T, v)_{X_v} = b(q, v) on the homogeneous
-    velocity space, with one factorization of X_v for all sets; returns per
-    set of modes an X_v-orthonormal basis of the solutions and the indices
-    of the modes whose solutions it kept.
+    velocity space; returns per set of modes an X_v-orthonormal basis of the
+    solutions and the indices of the modes whose solutions it kept.  X_v is
+    X_s (x) I3 and the free velocity dofs are whole entities, so the free
+    block is its component-0 block (x) I3: one factorization of that scalar
+    block serves all sets, and each component of each mode is one
+    right-hand side, solved, refined and checked on its own.
     """
     ops = model.operators
     f = model.free
-    lu = numerics.factorize(ops.X_v[f][:, f])
+    s = f[::3]  # the component-0 dof of each free entity
+    lu = numerics.factorize(ops.X_v[s][:, s])
     rhs = (ops.B.T @ np.column_stack(pressure_modes))[f]
-    raw = np.zeros((model.spaces.n_velocity, rhs.shape[1]))
-    for n in range(rhs.shape[1]):
-        raw[f, n] = lu.solve(rhs[:, n])
+    k = rhs.shape[1]
+    rhs = rhs.reshape(s.size, 3 * k)  # column c k + n: component c of mode n
+    sol = np.empty_like(rhs)
+    for n in range(3 * k):
+        sol[:, n] = lu.solve(rhs[:, n])
+    raw = np.zeros((model.spaces.n_velocity, k))
+    raw[f] = sol.reshape(f.size, k)
     ends = np.cumsum([q.shape[1] for q in pressure_modes])[:-1]
     return [_mgs(cols, ops.X_v) for cols in np.split(raw, ends, axis=1)]
 
@@ -527,13 +541,7 @@ def project_operators(model, basis):
     n_ctrl = basis.y_u.T @ (ops.N_c @ basis.y_u)
     h = y_ext.T @ (ops.M @ model.target)
     j_const = float(0.5 * model.target @ (ops.M @ model.target))
-    tensor = None
-    if cfg.equation == "navier-stokes":
-        n_ext = y_ext.shape[1]
-        tensor = np.empty((n_ext, n_ext, n_ext))
-        for j in range(n_ext):
-            ej = model.kernel.state_matrix(y_ext[:, j])
-            tensor[:, j, :] = y_ext.T @ (ej @ y_ext)
+    tensor = model.kernel.reduced_tensor(y_ext) if cfg.equation == "navier-stokes" else None
     return ReducedOperators(
         y_v=basis.y_v,
         y_p=basis.y_p,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import rom
-from .errors import ConfigError, IoError, MissingArtifact
+from .errors import ConfigError, IoError, MissingArtifact, SingularMatrix
 from .mesh import GeometrySpec, generate_graft, generate_tube, load_mesh
 from .optctrl import FullOrderModel, OcpConfig
 
@@ -202,7 +202,11 @@ def _environment(config):
 
 
 def run_offline(config):
-    """Offline phase at the largest requested basis size; writes the artifact."""
+    """Offline phase at the largest requested basis size; writes the artifact.
+
+    A reduced model that could answer no query (``unsolvable``, as without
+    supremizers) raises ``SingularMatrix`` and writes nothing.
+    """
     model = build_model(config)
     n_top = max([config.n_max, *config.sweep])
     training = training_set_of(config, len(model.inlet_tags))
@@ -212,6 +216,8 @@ def run_offline(config):
     )
     offline_seconds = time.perf_counter() - t0
     rom.check_pod_invariants(model, basis)
+    if ops.unsolvable is not None:
+        raise SingularMatrix(ops.unsolvable)
     os.makedirs(config.output_dir, exist_ok=True)
     rom.save_artifact(os.path.join(config.output_dir, ARTIFACT_NAME), ops)
     return model, snapshots, basis, ops, offline_seconds

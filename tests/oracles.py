@@ -28,7 +28,9 @@ the warm start, each step solving the x columns of the Jacobian over
 lifted to the whole system's coefficients with pressures fitted to the
 momentum rows in least squares.  The per-basis lift of reduced
 coefficients to full-order fields is the reference for the Stokes
-one-product lift.
+one-product lift.  The convection tensor projected column by column, each
+column's state matrix assembled on its own, is the reference for the one
+built from scalar element blocks.
 """
 
 import numpy as np
@@ -360,6 +362,16 @@ def reassembled_reduced_solve(ops, model, mu):
     raise NewtonDiverged(
         f"reassembled reduced Newton: no convergence in {rom.NEWTON_MAX_ITER} iterations"
     )
+
+
+def per_column_tensor(kernel, y):
+    """t[g, j, b] = y_g^T E(y_j) y_b with each E(y_j) assembled by
+    ``kernel.state_matrix``: the loop ``reduced_tensor`` replaces."""
+    n = y.shape[1]
+    t = np.empty((n, n, n))
+    for j in range(n):
+        t[:, j, :] = y.T @ (kernel.state_matrix(y[:, j]) @ y)
+    return t
 
 
 def tensor_convection(ops):

@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 from ocrom.errors import DimensionMismatch
 from ocrom.fem import ConvectionKernel, assemble_operators, build_spaces
-from ocrom.mesh import Mesh
+from ocrom.mesh import Mesh, generate_graft
 from ocrom.quadrature import tet_rule, tri_rule
+from ocrom.study import graft_geometry
 
 import oracles
 from conftest import straight_tube
@@ -75,6 +76,24 @@ class TestBuildSpaces:
         dofs = (3 * tube_spaces.control_entities[:, None] + np.arange(3)).ravel()
         assert np.array_equal(np.sort(dofs), expected)
         assert tube_spaces.n_control == expected.shape[0]
+
+    @pytest.mark.parametrize("mesh", ["tube", "graft"])
+    def test_velocity_operators_act_per_component(self, mesh):
+        """The premise of the offline build's scalar blocks: the free
+        velocity dofs are whole entities, and X_v and its free block are
+        their component-0 blocks (x) I3, exactly."""
+        if mesh == "tube":
+            mesh = straight_tube(resolution=0.6)
+        else:
+            mesh = generate_graft(graft_geometry(2.5, 1.0, 0.7, 35.0, 1.6, resolution=0.68))
+        spaces = build_spaces(mesh)
+        X_v = assemble_operators(spaces, 3.6).X_v
+        f = spaces.free_velocity
+        ents = f[::3] // 3
+        assert np.array_equal(f, (3 * ents[:, None] + np.arange(3)).ravel())
+        X_s, I3 = X_v[::3, ::3], sp.identity(3)
+        assert (X_v != sp.kron(X_s, I3)).nnz == 0
+        assert (X_v[f][:, f] != sp.kron(X_s[ents][:, ents], I3)).nnz == 0
 
     def test_node_permutation_preserves_counts(self):
         mesh = straight_tube(resolution=0.6)

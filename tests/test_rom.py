@@ -423,6 +423,52 @@ class TestSupremizers:
             stokes_model, np.zeros((stokes_model.spaces.n_pressure, 0)))
         assert sup.shape == (stokes_model.spaces.n_velocity, 0) and kept.size == 0
 
+    def test_scalar_block_solves_match_whole_block(self, stokes_model, stokes_offline):
+        """The supremizers solved per component on the scalar block of X_v
+        equal those of solves with the whole free block X_v_ff, put through
+        the same Gram-Schmidt, to 1e-12 relative."""
+        ops, f = stokes_model.operators, stokes_model.free
+        lu = numerics.factorize(ops.X_v[f][:, f])
+        modes = stokes_offline[1].modes
+        for (sup, kept), field in zip(
+                compute_supremizers(stokes_model, modes["p"], modes["q"]), "pq"):
+            rhs = (ops.B.T @ modes[field])[f]
+            raw = np.zeros((stokes_model.spaces.n_velocity, rhs.shape[1]))
+            for n in range(rhs.shape[1]):
+                raw[f, n] = lu.solve(rhs[:, n])
+            ref, ref_kept = rom._mgs(raw, ops.X_v)
+            assert np.array_equal(kept, ref_kept) and sup.shape == ref.shape
+            assert np.abs(sup - ref).max() <= 1e-12 * np.abs(ref).max(), field
+
+
+class _CountedProducts:
+    """A matrix that counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.matrix @ other
+
+
+class TestGramSchmidt:
+    def test_at_most_n_plus_one_weight_products(self, stokes_model, stokes_offline):
+        """``_mgs`` on n columns, one of them a repeat it drops, takes at
+        most n + 1 products with the weight; the wrapper changes no
+        arithmetic, so the basis is the unwrapped one bit for bit, and it
+        is orthonormal."""
+        modes, X_v = stokes_offline[1].modes, stokes_model.operators.X_v
+        columns = np.column_stack([modes["v"], modes["v"][:, :1], modes["w"]])
+        weight = _CountedProducts(X_v)
+        y, kept = rom._mgs(columns, weight)
+        n = columns.shape[1]
+        assert weight.products <= n + 1
+        assert modes["v"].shape[1] not in kept and y.shape[1] < n
+        ref, ref_kept = rom._mgs(columns, X_v)
+        assert np.array_equal(y, ref) and np.array_equal(kept, ref_kept)
+        assert np.abs(y.T @ (X_v @ y) - np.eye(y.shape[1])).max() <= 1e-10
+
 
 @pytest.fixture(scope="module")
 def stokes_offline(stokes_model):
@@ -513,6 +559,18 @@ class TestReducedSpaces:
 
 
 class TestReducedTensor:
+    @pytest.mark.parametrize("model, offline", [("ns_model", "ns_offline"),
+                                                ("graft_ns_model", "graft_ns_offline")],
+                             ids=["tube", "graft"])
+    def test_matches_per_column_assembly(self, request, model, offline):
+        """The tensor from scalar element blocks equals y^T E(y_j) y with
+        each E(y_j) assembled by ``state_matrix``, to 1e-14 relative."""
+        kernel = request.getfixturevalue(model).kernel
+        ops = request.getfixturevalue(offline)[-1]
+        ref = oracles.per_column_tensor(kernel, np.column_stack([ops.y_v, ops.lifting]))
+        assert ops.tensor.shape == ref.shape
+        assert np.abs(ops.tensor - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_matches_trilinear_quadrature(self, ns_model, ns_offline):
         _, _, ops = ns_offline
         y_ext = np.column_stack([ops.y_v, ops.lifting])

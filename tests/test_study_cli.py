@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,6 +461,19 @@ class TestCli:
         assert "n_max=5 exceeds training-set size 4" in capsys.readouterr().err
         assert solves == []
 
+    def test_offline_without_supremizers_exits_3(self, tmp_path, capsys):
+        """A model without supremizers could answer no query: ``ocrom
+        offline`` fails after its build with one line and writes no
+        artifact."""
+        path = tmp_path / "study.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        .replace("supremizers = true", "supremizers = false"))
+        assert main(["offline", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: reduced divergence block has rank")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "rom.bin").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[mesh]\nkind = sphere\n[problem]\nre_min = 1\nre_max = 2\n")
@@ -491,3 +508,20 @@ def test_exit_code_of_every_error_class(monkeypatch, capsys, error):
     assert main(["export", "--json", "r.json", "--csv", "r.csv"]) == \
         EXIT_CODES[error.__name__]
     assert "error: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")],
+                         ids=["unset", "set"])
+def test_cli_sets_one_blas_thread_unless_given(given, expected):
+    """Importing the CLI, which loads numpy, leaves OPENBLAS_NUM_THREADS at
+    1 where it was unset and as it was where it was set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import os, sys, ocrom.cli; assert 'numpy' in sys.modules; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == expected
