@@ -5,9 +5,11 @@ scalar P1, boundary control vector P2 traces on the outlet triangles.
 Scalar dofs are ordered vertices first (by node id) then edges (by sorted
 node pair); a vector dof is ``3 * entity + component``.
 
-All volume integrals use a tetrahedral rule exact to degree 4 and surface
-integrals a triangle rule exact to degree 4, covering every form assembled
-here including the trilinear convection terms.
+Volume integrals use the 27-point conical tetrahedral rule ``tet_rule(4)``
+(3 Gauss-Jacobi points per direction), exact to degree 5: that covers every
+form assembled here, the trilinear convection integrands N_i N_l d N_k of
+degree 5 included, so the convection reference tensors summed from it are
+exact integrals.  Surface integrals use a triangle rule exact to degree 4.
 """
 
 from dataclasses import dataclass
@@ -67,12 +69,17 @@ _TET_PTS, _TET_WTS = tet_rule(4)
 _TET_LAM, _TET_N, _TET_DNDL = _p2_tet(_TET_PTS)
 _TRI_PTS, _TRI_WTS = tri_rule(4)
 _TRI_LAM, _TRI_N = _p2_tri(_TRI_PTS)
-# The scalar convection block of a field a on an element as one product:
+# Reference tensors of the convection blocks: each quadrature sum is taken
+# once for every element, and is the exact integral (degree 5).
 # e(a, N_k, N_i) = |det J| sum_{l, b} G[l, b] _CONVECTION[(l, b), (i, k)]
-# with G[l, b] = a_l . grad lambda_b, a_l the field's value at node l: the
-# quadrature sum over the points, taken once for every element.
+# with G[l, b] = a_l . grad lambda_b, a_l the field's value at node l.
 _CONVECTION = np.einsum("q,ql,qi,qkb->lbik", _TET_WTS, _TET_N, _TET_N,
                         _TET_DNDL).reshape(40, 100)
+# _LNN[r, i, j] = int lambda_r N_i N_j, for the products with a gradient.
+_LNN = np.einsum("q,qr,qi,qj->rij", _TET_WTS, _TET_LAM, _TET_N, _TET_N)
+# P2 derivatives are linear: d N_l / d lambda_b = sum_r lambda_r _KAPPA[l, r, b]
+# (their values at the vertices).
+_KAPPA = _p2_tet(np.vstack([np.zeros(3), np.eye(3)]))[2].transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +191,6 @@ def _chunks(n, size=_CHUNK):
         yield np.arange(s, min(s + size, n))
 
 
-def _tested(x):
-    """sum_q N_i(q) x[e, q, ...] for every element e, as one GEMM: (m, 10, ...)."""
-    m, nq = x.shape[:2]
-    y = _TET_N.T @ np.moveaxis(x, 1, 0).reshape(nq, -1)
-    return np.moveaxis(y.reshape((10, m) + x.shape[2:]), 0, 1)
-
-
 def _grad_shapes(gradlam):
     # (m, nq, 10, 3)
     return np.einsum("qia,mad->mqid", _TET_DNDL, gradlam, optimize=True)
@@ -291,6 +291,40 @@ def assemble_operators(spaces, viscosity):
 # convection kernel
 
 
+def _advection(coeff, gradlam, detJ):
+    """Scalar blocks e(a, N_k, N_i) at [..., e, (i, k)] of the fields with
+    nodal values ``coeff`` (..., m, 10, 3): |det J| (a_l . grad lambda_b)
+    times ``_CONVECTION``."""
+    g = coeff @ (gradlam * detJ[:, None, None]).transpose(0, 2, 1)
+    return (g.reshape(-1, 40) @ _CONVECTION).reshape(g.shape[:-2] + (100,))
+
+
+def _gradient(coeff, gradlam):
+    """The P1 gradient of P2 fields at the vertices, (m, 3, 4, 3): [e, c, r, d]
+    is d a_c / d x_d at vertex r, sum_{l, b} a_lc _KAPPA[l, r, b] grad_d lambda_b."""
+    t = coeff.transpose(0, 2, 1).reshape(-1, 10) @ _KAPPA.reshape(10, 16)
+    return (t.reshape(-1, 12, 4) @ gradlam).reshape(-1, 3, 4, 3)
+
+
+def _first_slot(coeff, gradlam, detJ):
+    """(m, 3, 3, 100) blocks of e(phi_j, a, phi_i) = int N_i N_j d a_c/d x_d
+    at [e, c, d, (i, j)]: |det J| times a's vertex gradients times ``_LNN``."""
+    g = _gradient(coeff * detJ[:, None, None], gradlam).transpose(0, 1, 3, 2)
+    return (g.reshape(-1, 4) @ _LNN.reshape(4, 100)).reshape(-1, 3, 3, 100)
+
+
+def _test_slot(coeff, gradlam, detJ):
+    """(m, 3, 3, 100) blocks of e(phi_i, phi_j, a) = int N_i (d_c N_j) a_d at
+    [e, c, d, (i, j)]: sum_b grad_c lambda_b (sum_l |det J| a_ld
+    ``_CONVECTION``[l, b]), one component d at a time."""
+    ad = coeff * detJ[:, None, None]
+    out = np.empty((detJ.shape[0], 3, 3, 100))
+    for d in range(3):
+        h = (ad[:, :, d] @ _CONVECTION.reshape(10, 400)).reshape(-1, 4, 100)
+        np.matmul(gradlam.transpose(0, 2, 1), h, out=out[:, :, d])
+    return out
+
+
 class ConvectionKernel:
     """Element data for the trilinear form e(a, b, c) = integral (a.grad b).c.
 
@@ -305,11 +339,15 @@ class ConvectionKernel:
       from scalar element blocks, with no matrix assembled per column.
 
     and the same forms without a sparse matrix, for the Navier-Stokes Newton
-    loop: ``residual_terms`` evaluates them on vectors at the quadrature
-    points, and ``jacobian_values`` sums the element blocks into bins the
-    caller maps onto a fixed sparsity pattern.  An element block is
-    (m, 10, 3, 10, 3): entry (i, c, j, d) is row ``3 cells10[e, i] + c``
-    and column ``3 cells10[e, j] + d``, in ``element_dofs()`` order.
+    loop: ``residual_terms`` evaluates them on vectors element by element,
+    and ``jacobian_values`` sums the element blocks into bins the caller
+    maps onto a fixed sparsity pattern.  All of them share the blocks above:
+    per-element coefficients times a constant reference tensor, one product
+    per chunk of elements; the residual terms multiply the same
+    coefficients by ``_LNN`` and ``_KAPPA`` without forming a block.  A
+    vector block is (m, 3, 3, 10, 10): entry (c, d, i, j) is row
+    ``3 cells10[e, i] + c`` and column ``3 cells10[e, j] + d``, the rows
+    and columns of ``element_dofs()``.
 
     The element geometry does not depend on the fields; it is computed on
     first use and kept (gradients of the barycentric coordinates and
@@ -321,9 +359,10 @@ class ConvectionKernel:
         self._geometry = None
 
     def element_dofs(self):
-        """Velocity dofs per element, (m, 30) in (i, c) order."""
+        """Velocity dofs per element, (m, 3, 10): [e, c, i] is
+        ``3 cells10[e, i] + c``."""
         ent = self.spaces.cells10
-        return (3 * ent[:, :, None] + np.arange(3)).reshape(ent.shape[0], 30)
+        return 3 * ent[:, None, :] + np.arange(3)[:, None]
 
     def _element_geometry(self):
         """(gradlam, |det J|) of every element, computed on first use."""
@@ -332,66 +371,25 @@ class ConvectionKernel:
             self._geometry = _tet_geometry(mesh, np.arange(mesh.tets.shape[0]))
         return self._geometry
 
-    def _quadrature(self, *fields):
-        """Per chunk of elements: (cells, wdet, gNt, [(value, gradient) of
-        each field at the quadrature points]).  gNt[e, q, d, j] = d N_j / d x_d
-        and gradient[e, q, d, c] = d a_c / d x_d."""
+    def _fields(self, *fields):
+        """Per chunk of elements: (cells, gradlam, |det J|, [nodal values
+        (len(cells), 10, 3) of each field])."""
         spaces = self.spaces
+        fields = [np.asarray(a, dtype=float) for a in fields]
         for a in fields:
             if a.shape[0] != spaces.n_velocity:
                 raise DimensionMismatch("velocity coefficient length mismatch")
         gradlam, detJ = self._element_geometry()
-        for cells in _chunks(gradlam.shape[0], _CONVECTION_CHUNK):
-            gNt = np.einsum("qia,mad->mqdi", _TET_DNDL, gradlam[cells], optimize=True)
+        for cells in _chunks(detJ.shape[0], _CONVECTION_CHUNK):
             ent = spaces.cells10[cells]
-            at_qp = []
-            for a in fields:
-                coeff = a[3 * ent[:, :, None] + np.arange(3)][:, None]  # (c, 1, 10, 3)
-                at_qp.append(((_TET_N @ coeff)[:, 0], gNt @ coeff))
-            yield cells, _TET_WTS[None, :] * detJ[cells, None], gNt, at_qp
-
-    @staticmethod
-    def _state_block(wdet, gNt, aq):
-        """Scalar (c, 10, 10) block of e(a, N_j, N_i)."""
-        adv = (aq[:, :, None, :] @ gNt)[:, :, 0]  # a.grad N_j, (c, nq, 10)
-        return _tested(wdet[:, :, None] * adv)
-
-    @staticmethod
-    def _first_slot_block(wdet, gaq):
-        """(c, 10, 3, 10, 3) block of e(phi_j, a, phi_i): int N_i N_j d a_c/d x_d."""
-        m, nq = wdet.shape
-        nn = (_TET_N[:, :, None] * _TET_N[:, None, :]).reshape(nq, 100)
-        gq = (wdet[:, :, None, None] * gaq).transpose(1, 0, 2, 3).reshape(nq, -1)
-        return (nn.T @ gq).reshape(10, 10, m, 3, 3).transpose(2, 0, 4, 1, 3)
-
-    @staticmethod
-    def _test_slot_block(wdet, gNt, aq):
-        """(c, 10, 3, 10, 3) block of e(phi_i, phi_j, a): int N_i (d_c N_j) a_d."""
-        m, nq = wdet.shape
-        x = (wdet[:, :, None, None] * _TET_N[None, :, :, None] * aq[:, :, None, :])
-        g = x.reshape(m, nq, 30).transpose(0, 2, 1) @ gNt.reshape(m, nq, 30)
-        return g.reshape(m, 10, 3, 3, 10).transpose(0, 1, 3, 4, 2)
-
-    @classmethod
-    def _convection_block(cls, wdet, gNt, aq, gaq):
-        """(c, 10, 3, 10, 3) block of e(a, phi_j, phi_i) + e(phi_j, a, phi_i)."""
-        el = cls._first_slot_block(wdet, gaq)
-        e = cls._state_block(wdet, gNt, aq)
-        for c in range(3):
-            el[:, :, c, :, c] += e
-        return el
+            yield cells, gradlam[cells], detJ[cells], [a.reshape(-1, 3)[ent] for a in fields]
 
     def state_matrix(self, a):
-        a = np.asarray(a, dtype=float)
-        ns = self.spaces.n_scalar
-        rows, cols, vals = [], [], []
-        for cells, wdet, gNt, [(aq, _)] in self._quadrature(a):
-            ent = self.spaces.cells10[cells]
-            rows.append(np.repeat(ent, 10, axis=1).ravel())
-            cols.append(np.tile(ent, (1, 10)).ravel())
-            vals.append(self._state_block(wdet, gNt, aq).ravel())
-        Es = _scatter(np.concatenate(rows), np.concatenate(cols),
-                      np.concatenate(vals), (ns, ns))
+        ns, ent = self.spaces.n_scalar, self.spaces.cells10
+        vals = [_advection(coeff, gradlam, detJ)
+                for _, gradlam, detJ, [coeff] in self._fields(a)]
+        Es = _scatter(np.repeat(ent, 10, axis=1), np.tile(ent, (1, 10)),
+                      np.concatenate(vals, axis=None), (ns, ns))
         return sp.kron(Es, sp.identity(3, format="csr"), format="csr")
 
     def reduced_tensor(self, y):
@@ -417,10 +415,8 @@ class ConvectionKernel:
         gradlam, detJ = self._element_geometry()
         values = np.zeros((n, pattern.size))
         for cells in _chunks(ent.shape[0], max(1, _TENSOR_CHUNK // n)):
-            coeff = y_s[ent[cells]].reshape(len(cells), 10, 3, n)
-            g = np.einsum("eldj,ead->jela", coeff, gradlam[cells], optimize=True)
-            g *= detJ[cells, None, None]
-            blocks = (g.reshape(-1, 40) @ _CONVECTION).reshape(n, -1)
+            coeff = np.moveaxis(y_s[ent[cells]].reshape(len(cells), 10, 3, n), 3, 0)
+            blocks = _advection(coeff, gradlam[cells], detJ[cells]).reshape(n, -1)
             # summed over the chunk's own pattern entries, not the whole
             # pattern once per column
             touched, local = np.unique(position[cells].ravel(), return_inverse=True)
@@ -433,60 +429,59 @@ class ConvectionKernel:
             t[:, j, :] = y.T @ (e_s @ y_s).reshape(3 * ns, n)
         return t
 
-    def _vector_matrix(self, a, first_slot):
+    def _vector_matrix(self, a, block):
         n = self.spaces.n_velocity
+        vals = [block(coeff, gradlam, detJ)
+                for _, gradlam, detJ, [coeff] in self._fields(a)]
         dofs = self.element_dofs()
-        rows, cols, vals = [], [], []
-        for cells, wdet, gNt, [(aq, gaq)] in self._quadrature(np.asarray(a, dtype=float)):
-            if first_slot:
-                el = self._first_slot_block(wdet, gaq)
-            else:
-                el = self._test_slot_block(wdet, gNt, aq)
-            d = dofs[cells]
-            shape = (d.shape[0], 30, 30)
-            rows.append(np.broadcast_to(d[:, :, None], shape).ravel())
-            cols.append(np.broadcast_to(d[:, None, :], shape).ravel())
-            vals.append(el.ravel())
-        return _scatter(np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals), (n, n))
+        shape = (dofs.shape[0], 3, 3, 10, 10)
+        return _scatter(np.broadcast_to(dofs[:, :, None, :, None], shape),
+                        np.broadcast_to(dofs[:, None, :, None, :], shape),
+                        np.concatenate(vals, axis=None), (n, n))
 
     def first_slot_matrix(self, a):
-        return self._vector_matrix(a, True)
+        return self._vector_matrix(a, _first_slot)
 
     def test_slot_matrix(self, a):
-        return self._vector_matrix(a, False)
+        return self._vector_matrix(a, _test_slot)
 
     def residual_terms(self, v, w):
         """(E(v)^T w + G(w) v, E(v) v) with E = state_matrix and
         G = test_slot_matrix, evaluated without assembling either."""
         n = self.spaces.n_velocity
         dofs = self.element_dofs()
+        lnn = _LNN.reshape(40, 10)  # [(r, l), i], symmetric in (l, i)
+        kappa = _KAPPA.reshape(10, 16).T  # [(r, b), k]
         r_v, r_w = np.zeros(n), np.zeros(n)
-        for cells, wdet, gNt, [(vq, gv), (wq, _)] in self._quadrature(v, w):
-            m, nq = wdet.shape
-            ww = wdet[:, :, None] * wq
-            # tested with N_i: (v.grad) v and (grad v)^T w
-            conv = (wdet[:, :, None, None] * vq[:, :, None, :] @ gv)[:, :, 0]
-            gtw = (gv @ ww[..., None])[..., 0]
-            # w_c (v.grad N_j), summed over the points and d at once
-            vw = (vq[:, :, :, None] * ww[:, :, None, :]).reshape(m, 3 * nq, 3)
-            el_v = _tested(gtw) + gNt.reshape(m, 3 * nq, 10).transpose(0, 2, 1) @ vw
+        for cells, gradlam, detJ, [vc, wc] in self._fields(v, w):
+            grad = _gradient(vc, gradlam)  # [e, c, r, d]
+            vd = (vc * detJ[:, None, None]).transpose(0, 2, 1)  # [e, d, l]
+            wd = (wc * detJ[:, None, None]).transpose(0, 2, 1)
+            # (v.grad) v_c and d_c v . w, tested with N_i: [(e, c), i]
+            conv = (grad.reshape(-1, 12, 3) @ vd).reshape(-1, 40) @ lnn
+            gtw = (grad.transpose(0, 3, 2, 1).reshape(-1, 12, 3) @ wd).reshape(-1, 40) @ lnn
+            # (v.grad N_k) w_c = sum_{r, b} (v.grad lambda_b) lambda_r
+            # _KAPPA[k, r, b] w_c: int lambda_r N_l w_c first, then the sum
+            # over l with v_l . grad lambda_b
+            lw = (wd.reshape(-1, 10) @ lnn.T).reshape(-1, 12, 10)
+            etw = (lw @ (vc @ gradlam.transpose(0, 2, 1))).reshape(-1, 16) @ kappa
             d = dofs[cells].ravel()
-            r_v += np.bincount(d, el_v.ravel(), n)
-            r_w += np.bincount(d, _tested(conv).ravel(), n)
+            r_v += np.bincount(d, (gtw + etw).ravel(), n)
+            r_w += np.bincount(d, conv.ravel(), n)
         return r_v, r_w
 
     def jacobian_values(self, v, w, index, size):
         """Element blocks of E(v) + F(v) and of G(w) (F = first_slot_matrix)
-        summed into ``size`` bins: entry k of element e's flattened block
-        goes to bin ``index[e, k]``.  Returns both sums; G's is None, and
-        not summed, when ``w`` is None."""
+        summed into ``size`` bins: entry k of element e's flattened
+        (c, d, i, j) block goes to bin ``index[e, k]``.  Returns both sums;
+        G's is None, and not summed, when ``w`` is None."""
         fields = (v,) if w is None else (v, w)
         ef, g = np.zeros(size), None if w is None else np.zeros(size)
-        for cells, wdet, gNt, [(vq, gv), *w_at_qp] in self._quadrature(*fields):
+        for cells, gradlam, detJ, [vc, *wc] in self._fields(*fields):
             idx = index[cells].ravel().astype(np.intp)
-            ef += np.bincount(idx, self._convection_block(wdet, gNt, vq, gv).ravel(), size)
+            el = _first_slot(vc, gradlam, detJ)
+            el[:, [0, 1, 2], [0, 1, 2]] += _advection(vc, gradlam, detJ)[:, None]
+            ef += np.bincount(idx, el.ravel(), size)
             if g is not None:
-                [(wq, _)] = w_at_qp
-                g += np.bincount(idx, self._test_slot_block(wdet, gNt, wq).ravel(), size)
+                g += np.bincount(idx, _test_slot(wc[0], gradlam, detJ).ravel(), size)
         return ef, g

@@ -121,7 +121,7 @@ class _JacobianPattern:
     data0: np.ndarray  # the Stokes matrix's values, zero elsewhere
     indices: np.ndarray  # int32 CSC row indices
     indptr: np.ndarray  # int32 CSC column pointers
-    index: np.ndarray  # (m, 900) int32 coupling bin of each element block entry
+    index: np.ndarray  # (m, 900) int32 coupling bin of each (c, d, i, j) block entry
     j11: np.ndarray  # int32 position in .data of each coupling in J11
     j11t: np.ndarray  # ... of its transposed position in J11
     j41: np.ndarray  # ... in J41
@@ -348,8 +348,9 @@ class FullOrderModel:
         It is the union of the Stokes matrix and the free-free velocity
         couplings of the elements in the blocks J11 (rows v, columns v),
         J41 (rows w, columns v) and J14 = J41^T.  Every element block entry
-        gets the int32 bin of its coupling; entries in a constrained row or
-        column go to one last bin that is dropped.  A coupling's E + F sum
+        gets the int32 bin of its coupling, in the (c, d, i, j) order of
+        ``ConvectionKernel.jacobian_values``' blocks; entries in a
+        constrained row or column go to one last bin that is dropped.  A coupling's E + F sum
         goes to its position in J41 and its transposed one in J14, and its
         G sum to its position and its transposed one in J11 (G + G^T).
         """
@@ -366,11 +367,11 @@ class FullOrderModel:
         n_bins = couplings.shape[0]
         local = np.full(self.spaces.n_velocity, -1, dtype=np.int64)
         local[f] = np.arange(nf)
-        dofs = local[self.kernel.element_dofs()]
+        dofs = local[self.kernel.element_dofs()]  # [e, c, i]
         index = np.empty((dofs.shape[0], 900), dtype=np.int32)
         for start in range(0, dofs.shape[0], 1024):
-            rows = dofs[start : start + 1024, :, None]
-            cols = dofs[start : start + 1024, None, :]
+            rows = dofs[start : start + 1024, :, None, :, None]
+            cols = dofs[start : start + 1024, None, :, None, :]
             bins = np.searchsorted(couplings, rows * nf + cols)
             bins[(rows < 0) | (cols < 0)] = n_bins
             index[start : start + 1024] = bins.reshape(-1, 900)

@@ -9,8 +9,11 @@ the reference for the block elimination on its state block.  The gradient
 references take a full-order model: J(u) at the state a control drives,
 and its adjoint gradient from one state and one adjoint solve, for the
 optimality and finite-difference checks; they build their own
-free-restricted blocks and saddle-point matrix.  The Navier-Stokes
-references at the end build on the assembled sparse convection matrices:
+free-restricted blocks and saddle-point matrix.  The convection
+kernel's reference evaluates every field at the quadrature points of each
+element (the path the reference-tensor blocks replace); it takes its shape
+tables and element geometry from the definitions here.  The Navier-Stokes
+references at the end build on its assembled sparse convection matrices:
 the full-order KKT Jacobian and residual as a ``sp.bmat`` of sliced blocks and as matrix-vector products (the paths the
 fixed-pattern Jacobian and the element-wise residual replace), and a
 reduced Newton that reassembles the full-order matrices at every iterate
@@ -134,6 +137,162 @@ def l2_product_quadrature(mesh, spaces, a, b, degree=4):
     return total
 
 
+class QuadratureConvection:
+    """The convection kernel's matrices, residual terms and Jacobian values
+    evaluated at the quadrature points of every element: each field's value
+    and gradient at the 27 points of ``tet_rule(4)``, summed with the shape
+    functions there, 128 elements at a time.  Its shape tables and element
+    geometry come from the definitions above, not from the package.  Its
+    ``jacobian_values`` takes the bin index in (i, c, j, d) block order:
+    entry (i, c, j, d) is row ``3 cells10[e, i] + c`` and column
+    ``3 cells10[e, j] + d``."""
+
+    CHUNK = 128
+
+    def __init__(self, spaces):
+        self.spaces = spaces
+        pts, self.wts = tet_rule(4)
+        lam = np.column_stack([1.0 - pts.sum(axis=1), pts])
+        self.N = np.array([p2_values(l) for l in lam])  # (nq, 10)
+        self.dNdl = np.array([p2_grad_lambda(l) for l in lam])  # (nq, 10, 4)
+        mesh = spaces.mesh
+        mat = np.ones((mesh.tets.shape[0], 4, 4))
+        mat[:, :, 1:] = mesh.nodes[mesh.tets]
+        self.gradlam = np.linalg.inv(mat)[:, 1:, :].transpose(0, 2, 1)  # (m, 4, 3)
+        self.detJ = np.abs(np.linalg.det(mat))  # 6 |tet| = |det J|
+
+    def element_dofs(self):
+        """Velocity dofs per element, (m, 30) in (i, c) order."""
+        ent = self.spaces.cells10
+        return (3 * ent[:, :, None] + np.arange(3)).reshape(ent.shape[0], 30)
+
+    def _chunks(self):
+        m = self.detJ.shape[0]
+        for s in range(0, m, self.CHUNK):
+            yield np.arange(s, min(s + self.CHUNK, m))
+
+    def _tested(self, x):
+        """sum_q N_i(q) x[e, q, ...] for every element e, as one GEMM: (m, 10, ...)."""
+        m, nq = x.shape[:2]
+        y = self.N.T @ np.moveaxis(x, 1, 0).reshape(nq, -1)
+        return np.moveaxis(y.reshape((10, m) + x.shape[2:]), 0, 1)
+
+    def _quadrature(self, *fields):
+        """Per chunk of elements: (cells, wdet, gNt, [(value, gradient) of
+        each field at the quadrature points]).  gNt[e, q, d, j] = d N_j / d x_d
+        and gradient[e, q, d, c] = d a_c / d x_d."""
+        spaces = self.spaces
+        for a in fields:
+            if a.shape[0] != spaces.n_velocity:
+                raise ValueError("velocity coefficient length mismatch")
+        for cells in self._chunks():
+            gNt = np.einsum("qia,mad->mqdi", self.dNdl, self.gradlam[cells], optimize=True)
+            ent = spaces.cells10[cells]
+            at_qp = []
+            for a in fields:
+                coeff = a[3 * ent[:, :, None] + np.arange(3)][:, None]  # (c, 1, 10, 3)
+                at_qp.append(((self.N @ coeff)[:, 0], gNt @ coeff))
+            yield cells, self.wts[None, :] * self.detJ[cells, None], gNt, at_qp
+
+    def _state_block(self, wdet, gNt, aq):
+        """Scalar (c, 10, 10) block of e(a, N_j, N_i)."""
+        adv = (aq[:, :, None, :] @ gNt)[:, :, 0]  # a.grad N_j, (c, nq, 10)
+        return self._tested(wdet[:, :, None] * adv)
+
+    def _first_slot_block(self, wdet, gaq):
+        """(c, 10, 3, 10, 3) block of e(phi_j, a, phi_i): int N_i N_j d a_c/d x_d."""
+        m, nq = wdet.shape
+        nn = (self.N[:, :, None] * self.N[:, None, :]).reshape(nq, 100)
+        gq = (wdet[:, :, None, None] * gaq).transpose(1, 0, 2, 3).reshape(nq, -1)
+        return (nn.T @ gq).reshape(10, 10, m, 3, 3).transpose(2, 0, 4, 1, 3)
+
+    def _test_slot_block(self, wdet, gNt, aq):
+        """(c, 10, 3, 10, 3) block of e(phi_i, phi_j, a): int N_i (d_c N_j) a_d."""
+        m, nq = wdet.shape
+        x = (wdet[:, :, None, None] * self.N[None, :, :, None] * aq[:, :, None, :])
+        g = x.reshape(m, nq, 30).transpose(0, 2, 1) @ gNt.reshape(m, nq, 30)
+        return g.reshape(m, 10, 3, 3, 10).transpose(0, 1, 3, 4, 2)
+
+    def _convection_block(self, wdet, gNt, aq, gaq):
+        """(c, 10, 3, 10, 3) block of e(a, phi_j, phi_i) + e(phi_j, a, phi_i)."""
+        el = self._first_slot_block(wdet, gaq)
+        e = self._state_block(wdet, gNt, aq)
+        for c in range(3):
+            el[:, :, c, :, c] += e
+        return el
+
+    def state_matrix(self, a):
+        a = np.asarray(a, dtype=float)
+        ns = self.spaces.n_scalar
+        rows, cols, vals = [], [], []
+        for cells, wdet, gNt, [(aq, _)] in self._quadrature(a):
+            ent = self.spaces.cells10[cells]
+            rows.append(np.repeat(ent, 10, axis=1).ravel())
+            cols.append(np.tile(ent, (1, 10)).ravel())
+            vals.append(self._state_block(wdet, gNt, aq).ravel())
+        Es = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(ns, ns)).tocsr()
+        return sp.kron(Es, sp.identity(3, format="csr"), format="csr")
+
+    def _vector_matrix(self, a, first_slot):
+        n = self.spaces.n_velocity
+        dofs = self.element_dofs()
+        rows, cols, vals = [], [], []
+        for cells, wdet, gNt, [(aq, gaq)] in self._quadrature(np.asarray(a, dtype=float)):
+            if first_slot:
+                el = self._first_slot_block(wdet, gaq)
+            else:
+                el = self._test_slot_block(wdet, gNt, aq)
+            d = dofs[cells]
+            shape = (d.shape[0], 30, 30)
+            rows.append(np.broadcast_to(d[:, :, None], shape).ravel())
+            cols.append(np.broadcast_to(d[:, None, :], shape).ravel())
+            vals.append(el.ravel())
+        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n)).tocsr()
+
+    def first_slot_matrix(self, a):
+        return self._vector_matrix(a, True)
+
+    def test_slot_matrix(self, a):
+        return self._vector_matrix(a, False)
+
+    def residual_terms(self, v, w):
+        """(E(v)^T w + G(w) v, E(v) v) with E = state_matrix and
+        G = test_slot_matrix, evaluated without assembling either."""
+        n = self.spaces.n_velocity
+        dofs = self.element_dofs()
+        r_v, r_w = np.zeros(n), np.zeros(n)
+        for cells, wdet, gNt, [(vq, gv), (wq, _)] in self._quadrature(v, w):
+            m, nq = wdet.shape
+            ww = wdet[:, :, None] * wq
+            # tested with N_i: (v.grad) v and (grad v)^T w
+            conv = (wdet[:, :, None, None] * vq[:, :, None, :] @ gv)[:, :, 0]
+            gtw = (gv @ ww[..., None])[..., 0]
+            # w_c (v.grad N_j), summed over the points and d at once
+            vw = (vq[:, :, :, None] * ww[:, :, None, :]).reshape(m, 3 * nq, 3)
+            el_v = self._tested(gtw) + gNt.reshape(m, 3 * nq, 10).transpose(0, 2, 1) @ vw
+            d = dofs[cells].ravel()
+            r_v += np.bincount(d, el_v.ravel(), n)
+            r_w += np.bincount(d, self._tested(conv).ravel(), n)
+        return r_v, r_w
+
+    def jacobian_values(self, v, w, index, size):
+        """Element blocks of E(v) + F(v) and of G(w) (F = first_slot_matrix)
+        summed into ``size`` bins: entry k of element e's flattened
+        (i, c, j, d) block goes to bin ``index[e, k]``.  Returns both sums;
+        G's is None, and not summed, when ``w`` is None."""
+        fields = (v,) if w is None else (v, w)
+        ef, g = np.zeros(size), None if w is None else np.zeros(size)
+        for cells, wdet, gNt, [(vq, gv), *w_at_qp] in self._quadrature(*fields):
+            idx = index[cells].ravel().astype(np.intp)
+            ef += np.bincount(idx, self._convection_block(wdet, gNt, vq, gv).ravel(), size)
+            if g is not None:
+                [(wq, _)] = w_at_qp
+                g += np.bincount(idx, self._test_slot_block(wdet, gNt, wq).ravel(), size)
+        return ef, g
+
+
 def p2_tri_values(lam):
     lam = np.asarray(lam, dtype=float)
     vals = [l * (2.0 * l - 1.0) for l in lam]
@@ -246,8 +405,9 @@ def solve_adjoint(model, mu, v_total):
                           np.zeros(model.spaces.n_pressure)])
     X_ff = free_blocks(model)[1]
     if model.config.equation == "navier-stokes":
-        E = model.kernel.state_matrix(v_total)
-        F = model.kernel.first_slot_matrix(v_total)
+        conv = QuadratureConvection(model.spaces)
+        E = conv.state_matrix(v_total)
+        F = conv.first_slot_matrix(v_total)
         X_ff = X_ff + (E + F).T[f][:, f]
     sol = numerics.factorize(saddle_matrix(model, X_ff)).solve(rhs)
     return model._expand(sol[: f.shape[0]]), sol[f.shape[0]:]
@@ -328,13 +488,14 @@ def reassembled_convection(ops, model):
     """Reduced convection terms from freshly assembled full-order matrices,
     in the ``conv`` form ``blockwise_reduced_system`` takes."""
     y_ext = np.column_stack([ops.y_v, ops.lifting])
+    kernel = QuadratureConvection(model.spaces)
 
     def conv(v_ext, w_ext):
         v_full = y_ext @ v_ext
         w_full = y_ext @ w_ext
-        e_mat = model.kernel.state_matrix(v_full)
-        f_mat = model.kernel.first_slot_matrix(v_full)
-        g_mat = model.kernel.test_slot_matrix(w_full)
+        e_mat = kernel.state_matrix(v_full)
+        f_mat = kernel.first_slot_matrix(v_full)
+        g_mat = kernel.test_slot_matrix(w_full)
         cv = y_ext.T @ (g_mat @ v_full + e_mat.T @ w_full)
         cw = y_ext.T @ (e_mat @ v_full)
         d_vv = y_ext.T @ ((g_mat + g_mat.T) @ y_ext)
@@ -366,7 +527,8 @@ def reassembled_reduced_solve(ops, model, mu):
 
 def per_column_tensor(kernel, y):
     """t[g, j, b] = y_g^T E(y_j) y_b with each E(y_j) assembled by
-    ``kernel.state_matrix``: the loop ``reduced_tensor`` replaces."""
+    ``kernel.state_matrix`` (a ``QuadratureConvection``): the loop
+    ``reduced_tensor`` replaces."""
     n = y.shape[1]
     t = np.empty((n, n, n))
     for j in range(n):
@@ -467,7 +629,7 @@ def bmat_jacobian(model, v_total, w_total):
     """Navier-Stokes KKT Jacobian at full velocity vectors, from the
     assembled convection matrices sliced to the free dofs and ``sp.bmat``."""
     f = model.free
-    kernel = model.kernel
+    kernel = QuadratureConvection(model.spaces)
     E = kernel.state_matrix(v_total)
     F = kernel.first_slot_matrix(v_total)
     G = kernel.test_slot_matrix(w_total)
@@ -497,8 +659,9 @@ def matrix_kkt_residual(model, x, mu, nonlinear):
     r_v = (ops.M @ (v_t - model.target) + ops.A @ w_t + ops.B.T @ q)[f]
     r_w = (ops.A @ v_t + ops.B.T @ p)[f] + (ops.C @ u)[f]
     if nonlinear:
-        E = model.kernel.state_matrix(v_t)
-        G = model.kernel.test_slot_matrix(w_t)
+        kernel = QuadratureConvection(model.spaces)
+        E = kernel.state_matrix(v_t)
+        G = kernel.test_slot_matrix(w_t)
         r_v = r_v + (G @ v_t + E.T @ w_t)[f]
         r_w = r_w + (E @ v_t)[f]
     r_p = ops.B @ w_t

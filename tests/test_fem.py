@@ -35,11 +35,15 @@ def two_tet_mesh():
 
 class TestQuadrature:
     def test_tet_rule_exact(self):
-        """Exactness on monomials via the factorial formula
-        int x^a y^b z^c = a! b! c! / (a+b+c+3)! on the reference tet."""
+        """Exactness on every monomial of total degree <= 5 via the
+        factorial formula int x^a y^b z^c = a! b! c! / (a+b+c+3)! on the
+        reference tet: degree 5 is that of the trilinear convection
+        integrands N_i N_l d N_k, so the convection reference tensors are
+        exact integrals."""
         from math import factorial
         pts, wts = tet_rule(4)
-        for (a, b, c) in [(0, 0, 0), (2, 1, 1), (4, 0, 0), (2, 2, 0), (1, 1, 2)]:
+        for (a, b, c) in [(a, b, c) for a in range(6) for b in range(6 - a)
+                          for c in range(6 - a - b)]:
             exact = (factorial(a) * factorial(b) * factorial(c)
                      / factorial(a + b + c + 3))
             approx = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
@@ -190,6 +194,13 @@ class TestAssembleOperators:
             assemble_operators(tube_spaces, viscosity)
 
 
+@pytest.fixture(scope="module")
+def graft_spaces():
+    """The coarsest two-inlet graft the generator accepts."""
+    return build_spaces(generate_graft(graft_geometry(2.5, 1.0, 0.7, 35.0, 1.6,
+                                                      resolution=0.68)))
+
+
 class TestConvection:
     def test_zero_field(self, tube_spaces):
         k = ConvectionKernel(tube_spaces)
@@ -203,10 +214,49 @@ class TestConvection:
         d = abs(k.state_matrix(2 * v) - 2 * k.state_matrix(v)).max()
         assert d <= 1e-13 * abs(k.state_matrix(v)).max()
 
-    def test_dimension_mismatch(self, tube_spaces):
+    @pytest.mark.parametrize("call", [
+        lambda k, ok, bad: k.state_matrix(bad),
+        lambda k, ok, bad: k.first_slot_matrix(bad),
+        lambda k, ok, bad: k.test_slot_matrix(bad),
+        lambda k, ok, bad: k.residual_terms(bad, ok),
+        lambda k, ok, bad: k.residual_terms(ok, bad),
+        lambda k, ok, bad: k.jacobian_values(bad, ok, None, 1),
+        lambda k, ok, bad: k.jacobian_values(ok, bad, None, 1),
+        lambda k, ok, bad: k.jacobian_values(bad, None, None, 1),
+    ], ids=["state", "first_slot", "test_slot", "residual_v", "residual_w",
+            "jacobian_v", "jacobian_w", "jacobian_v_alone"])
+    def test_dimension_mismatch(self, tube_spaces, call):
         k = ConvectionKernel(tube_spaces)
         with pytest.raises(DimensionMismatch):
-            k.state_matrix(np.zeros(5))
+            call(k, np.zeros(tube_spaces.n_velocity), np.zeros(5))
+
+    @pytest.mark.parametrize("fixture", ["tube_spaces", "graft_spaces"])
+    def test_matches_quadrature_point_oracle(self, request, fixture):
+        """The reference-tensor blocks equal the fields evaluated at the 27
+        quadrature points of every element (``oracles.QuadratureConvection``),
+        entry by entry, to 1e-13 of the largest entry: the three matrices,
+        the residual terms, and the Jacobian's element blocks with and
+        without an adjoint, each block entry in a bin of its own."""
+        spaces = request.getfixturevalue(fixture)
+        k, ref = ConvectionKernel(spaces), oracles.QuadratureConvection(spaces)
+        rng = np.random.default_rng(9)
+        v, w = rng.standard_normal((2, spaces.n_velocity))
+
+        def close(a, b):
+            return abs(a - b).max() <= 1e-13 * abs(b).max()
+
+        for name in ("state_matrix", "first_slot_matrix", "test_slot_matrix"):
+            assert close(getattr(k, name)(v), getattr(ref, name)(v)), name
+        for a, b in zip(k.residual_terms(v, w), ref.residual_terms(v, w)):
+            assert close(a, b)
+        m = spaces.cells10.shape[0]
+        index = np.arange(m * 900).reshape(m, 900)  # (c, d, i, j) blocks
+        ref_index = index.reshape(m, 3, 3, 10, 10).transpose(0, 3, 1, 4, 2).reshape(m, 900)
+        ef, g = k.jacobian_values(v, w, index, m * 900)
+        ef_ref, g_ref = ref.jacobian_values(v, w, ref_index, m * 900)
+        assert close(ef, ef_ref) and close(g, g_ref)
+        ef, g = k.jacobian_values(v, None, index, m * 900)
+        assert g is None and close(ef, ef_ref)
 
     def test_direct_quadrature_oracle(self):
         """E(v) v entry i equals direct quadrature of ((v.grad)v).phi_i."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -489,6 +491,29 @@ class TestNavierStokesJacobian:
             res = model.kkt_residual(x, mu, nonlinear)
             res_ref = oracles.matrix_kkt_residual(model, x, mu, nonlinear)
             assert np.linalg.norm(res - res_ref) <= 1e-11 * np.linalg.norm(res_ref)
+
+    @pytest.mark.parametrize("call, peak_bytes", [
+        # the per-quadrature-point kernel's peaks on this mesh
+        (lambda model, v, w: model.kernel.jacobian_values(
+            v, w, model._ns_pattern.index, model._ns_pattern.j11.shape[0] + 1), 5_398_736),
+        (lambda model, v, w: model.kernel.residual_terms(v, w), 3_815_880),
+    ], ids=["jacobian_values", "residual_terms"])
+    def test_convection_memory_peak(self, graft_ns_model, call, peak_bytes):
+        """One Jacobian-value or residual-term call allocates no more at
+        its peak (tracemalloc, the returned arrays included) than the
+        per-quadrature-point kernel did: the reference-tensor blocks are
+        formed chunk by chunk, and the bin index is read in their order."""
+        model = graft_ns_model
+        rng = np.random.default_rng(4)
+        v, w = rng.standard_normal((2, model.spaces.n_velocity))
+        model._ns_jacobian(v, w)  # the pattern and the element geometry
+        tracemalloc.start()
+        try:
+            call(model, v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_bytes
 
     def test_state_and_adjoint_blocks_transposed(self, graft_ns_model):
         """At an iterate with a nonzero adjoint the Jacobian's adjoint block

@@ -564,8 +564,9 @@ class TestReducedTensor:
                              ids=["tube", "graft"])
     def test_matches_per_column_assembly(self, request, model, offline):
         """The tensor from scalar element blocks equals y^T E(y_j) y with
-        each E(y_j) assembled by ``state_matrix``, to 1e-14 relative."""
-        kernel = request.getfixturevalue(model).kernel
+        each E(y_j) assembled at the quadrature points by the oracle's
+        ``state_matrix``, to 1e-14 relative."""
+        kernel = oracles.QuadratureConvection(request.getfixturevalue(model).spaces)
         ops = request.getfixturevalue(offline)[-1]
         ref = oracles.per_column_tensor(kernel, np.column_stack([ops.y_v, ops.lifting]))
         assert ops.tensor.shape == ref.shape
