@@ -132,13 +132,11 @@ def build_spaces(mesh):
         [mesh.nodes, 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])]
     )
 
-    edge_index = {(int(a), int(b)): nv + k for k, (a, b) in enumerate(edges)}
+    # np.unique sorted the edges by (a, b), so their keys a nv + b are sorted
     btris = mesh.boundary_tris
-    btri_entities = np.empty((btris.shape[0], 6), dtype=np.int64)
-    btri_entities[:, :3] = btris
-    for k, (i, j) in enumerate(_TRI_EDGES):
-        pairs = np.sort(btris[:, [i, j]], axis=1)
-        btri_entities[:, 3 + k] = [edge_index[(int(a), int(b))] for a, b in pairs]
+    pairs = np.sort(btris[:, _TRI_EDGES], axis=2)
+    edge = np.searchsorted(edges[:, 0] * nv + edges[:, 1], pairs[..., 0] * nv + pairs[..., 1])
+    btri_entities = np.hstack([btris, nv + edge])
 
     outlet = mesh.boundary_tags >= FIRST_OUTLET_TAG
     control_entities = np.unique(btri_entities[outlet])

@@ -552,6 +552,8 @@ class FullOrderModel:
         with its own step solver.
         """
         mu = self.check_mu(mu)
+        if np.shape(u) != (self.spaces.n_control,):
+            raise DimensionMismatch(f"control shape {np.shape(u)} != ({self.spaces.n_control},)")
         e, nf = self._ends, self.free.shape[0]
 
         def residual(vp, nonlinear):

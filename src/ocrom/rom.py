@@ -39,15 +39,16 @@ routine gives the residual and the Jacobian in z, over z or over z and the
 parameters: a matrix plus contractions of one tensor, both projected once
 on construction.  Every solve is chord steps, run by the package's one
 driver ``numerics.newton``, on one LU of that Jacobian made again only
-where the steps stop contracting fast; the pressures are recovered once at
-the end, and the fields are lifted one basis at a time.  The training
-solves start from z = 0, and the Jacobian over z and the parameters gives
-each one's mu-tangent, so a query starts from the nearest training solution
-plus its tangent step (an Euler predictor), stops at the threshold a start
-from zero would use, and starts again from z = 0 if its steps diverge.  The
-null space needs a divergence block of full row rank, which supremizers
-give: a model without it (a saddle point that is not inf-sup stable)
-answers every query with ``SingularMatrix``.
+where the steps stop contracting fast.  The coefficients of z are one
+product with [z; 1; mu] plus two small tensor contractions for the
+pressures' convection, and the fields are lifted one basis at a time.  The
+training solves start from z = 0, and the Jacobian over z and the
+parameters gives each one's mu-tangent, so a query starts from the nearest
+training solution plus its tangent step (an Euler predictor), stops at the
+threshold a start from zero would use, and starts again from z = 0 if its
+steps diverge.  The null space needs a divergence block of full row rank,
+which supremizers give: a model without it (a saddle point that is not
+inf-sup stable) answers every query with ``SingularMatrix``.
 """
 
 import io
@@ -440,14 +441,15 @@ class ReducedOperators:
     full-order lift ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends``
     their row ends), so that a query's coefficients are ``X [1; mu]`` and its
     fields ``Z [1; mu]``.  For Navier-Stokes it derives the system in z every
-    query solves (``_null_space_system``): ``F`` (the map from [z; mu] to
-    the coefficients, pressures left zero), ``Kz``, ``Rz`` and ``Sz`` (the
-    matrix, affine term and symmetrized convection tensor in z), and
-    ``mu_scale``, the distance scale by which a query picks its nearest
-    start (``_domain_scale``).  With ``training_parameters`` it also derives
-    the starts of its queries: ``warm_mu`` (the training parameters whose
-    reduced solve succeeded), ``warm_x`` (their solutions in z) and
-    ``warm_dx`` (their mu-tangents in z); all three are None otherwise.
+    query solves (``_null_space_system``): ``F`` (the map from [z; 1; mu]
+    to the coefficients, less the pressures' convection, which ``Sp`` and
+    ``Sq`` give), ``Kz``, ``Rz`` and ``Sz`` (the matrix, affine term and
+    symmetrized convection tensor in z), and ``mu_scale``, the distance
+    scale by which a query picks its nearest start (``_domain_scale``).
+    With ``training_parameters`` it also derives the starts of its queries:
+    ``warm_mu`` (the training parameters whose reduced solve succeeded),
+    ``warm_x`` (their solutions in z) and ``warm_dx`` (their mu-tangents in
+    z); all three are None otherwise.
     Where the divergence block has rank below n_p, or ``K`` or the control
     block is singular, ``unsolvable`` holds the message every query raises
     as ``SingularMatrix``, and the arrays past that point are None;
@@ -486,7 +488,7 @@ class ReducedOperators:
         t = self.tensor
         self.S = None if t is None else t[:nv] + t[:nv].transpose(0, 2, 1)
         self.X = self.Z = self.Z_ends = self.N = self.Y = self.unsolvable = None
-        self.F = self.Kz = self.Rz = self.Sz = self.mu_scale = None
+        self.F = self.Kz = self.Rz = self.Sz = self.Sp = self.Sq = self.mu_scale = None
         self.warm_mu = self.warm_x = self.warm_dx = None
         try:
             self.N, self.Y = _null_space(self.b[:, :nv], self.K)
@@ -497,7 +499,7 @@ class ReducedOperators:
                 self.Z = np.vstack(lifts)
                 self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
             else:
-                self.F, self.Kz, self.Rz, self.Sz = _null_space_system(self)
+                self.F, self.Kz, self.Rz, self.Sz, self.Sp, self.Sq = _null_space_system(self)
                 self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
                 if self.training_parameters is not None:
                     self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
@@ -569,8 +571,8 @@ def slice_operators(ops, basis, n):
     projected on the nested spaces of ``basis``: the leading columns of each
     basis, the lifting columns kept, and the matching rows and columns of
     every projected operator and of the tensor."""
-    if n > basis.n_max:
-        raise DimensionMismatch(f"basis size {n} exceeds the built {basis.n_max}")
+    if not 0 <= n <= basis.n_max:
+        raise DimensionMismatch(f"basis size {n} is outside 0..{basis.n_max}, the built sizes")
     nv, n_p, nu = (basis.sizes[f][n] for f in "vpu")
     ext = np.r_[:nv, ops.n_velocity_modes:ops.n_extended]
     return replace(
@@ -625,44 +627,6 @@ def _reduced_objective(ops, v_ext, u_n):
     )
 
 
-def _convective_system(K, S, sv, sw, x, mu, affine):
-    """Residual ``K x + affine`` plus the convection terms of a system whose
-    velocity rows and columns ``sv`` and ``sw`` pair as the state velocity
-    v (with the pinned parameters ``mu`` appended) and the adjoint velocity
-    w, through the tensor ``S`` symmetrized in its last two slots, and a
-    function for its Jacobian over ``x``, or given ``mu_cols``, the
-    linear part's mu columns, over ``x`` and then ``mu``.
-
-    With d = S.v over the last slot, the state rows (w) get E(v) v = d v / 2
-    and the adjoint rows (v) d^T w; the Jacobian's state block is d and its
-    adjoint block G(w) + G(w)^T = w.S over the first slot.  A parameter is
-    a pinned velocity coefficient, so d and w.S carry its columns too.
-    """
-    nv, n = sv.stop - sv.start, K.shape[1]
-    v, w = np.concatenate([x[sv], mu]), x[sw]
-    d = (S.reshape(-1, v.size) @ v).reshape(nv, v.size)
-    res = K @ x + affine
-    res[sv] += w @ d[:, :nv]
-    res[sw] += 0.5 * (d @ v)
-
-    def jacobian(mu_cols=None):
-        g = (w @ S.reshape(nv, v.size * v.size)).reshape(v.size, v.size)
-        jac = K.copy() if mu_cols is None else np.hstack([K, mu_cols])
-        for rows, block in ((sv, g[:nv]), (sw, d)):
-            jac[rows, sv] += block[:, :nv]
-            if mu_cols is not None:
-                jac[rows, n:] += block[:, nv:]
-        jac[sv, sw] += d[:, :nv].T
-        return jac
-
-    return res, jacobian
-
-
-def _affine(ops, mu):
-    """The affine term ``R [1; mu]`` of the reduced optimality system."""
-    return ops.R @ np.concatenate([[1.0], mu])
-
-
 def _null_space(b_hom, K):
     """``(N, Y)`` of the divergence block ``b_hom`` (n_p x n_v) of the
     optimality matrix ``K`` from one complete QR b_hom^T = [Q1 Q2] [R1; 0]:
@@ -687,31 +651,39 @@ def _null_space_system(ops):
     """The reduced optimality system on the divergence-free,
     control-eliminated subspace, in the coordinates z = (xi, eta) in which
     every Navier-Stokes query solves (Benzi, Golub & Liesen, Acta Numerica
-    2005, 6).
+    2005, 6), and the pressures of every z.
 
     Every coefficient vector that meets the divergence rows and the control
-    rows is ``F [z; mu]`` plus pressures: v = N xi - Y b_lift mu,
-    w = N eta and u = -(alpha n_ctrl)^{-1} c^T N eta.  The momentum rows
+    rows is v = N xi - Y b_lift mu, w = N eta and
+    u = -(alpha n_ctrl)^{-1} c^T N eta, plus pressures.  The momentum rows
     tested with N^T leave the pressures out, so the system in z is
     ``Kz z + Rz [1; mu]`` plus the convection through ``Sz``, S with its
     test slot on N and its velocity slots on the affine map
-    [xi; mu] -> [v; mu].  Returns (F, Kz, Rz, Sz); a singular control block
-    raises ``LinAlgError``."""
+    P: a = [xi; mu] -> [v; mu].  Tested with Y^T (b_hom Y = I) they give
+    p = -Y^T and q = -Y^T of the rest of the state (w) and adjoint (v)
+    rows: ``F [z; 1; mu]`` is the coefficients with the pressures' affine
+    parts, and ``Sp[i, j, l] = S(Y_i, P_j, P_l)`` and
+    ``Sq[i, j, l] = S(N_j, Y_i, P_l)`` give their convection.  Returns
+    (F, Kz, Rz, Sz, Sp, Sq); a singular control block raises
+    ``LinAlgError``."""
     N, Y = ops.N, ops.Y
-    sv, _, su, sw, _ = ops.blocks
+    sv, sp, su, sw, sq = ops.blocks
     nv, k, nl = ops.n_velocity_modes, N.shape[1], ops.n_lift
-    F = np.zeros((ops.dimension(), 2 * k + nl))
+    F = np.zeros((ops.dimension(), 2 * k + 1 + nl))
     F[sv, :k] = N
     F[sw, k:2 * k] = N
     F[su, k:2 * k] = -np.linalg.solve(ops.alpha * ops.n_ctrl, ops.c[:nv].T @ N)
-    F[sv, 2 * k:] = -Y @ ops.b[:, nv:]
-    # the linear residual at F [z; mu] over [z; 1; mu], tested with N
-    lin = np.hstack([ops.K @ F[:, :2 * k], ops.R[:, :1], ops.K @ F[:, 2 * k:] + ops.R[:, 1:]])
+    F[sv, 2 * k + 1:] = -Y @ ops.b[:, nv:]
+    # the linear residual at F [z; 1; mu] with zero pressures, over [z; 1; mu]
+    lin = ops.K @ F
+    lin[:, 2 * k:] += ops.R
+    F[sp], F[sq] = -(Y.T @ lin[sw]), -(Y.T @ lin[sv])
     lin = np.vstack([N.T @ lin[sv], N.T @ lin[sw]])
     P = np.zeros((ops.n_extended, k + nl))
-    P[:nv, :k], P[:nv, k:], P[nv:, k:] = N, F[sv, 2 * k:], np.eye(nl)
-    Sz = np.einsum("gi,gab,aj,bl->ijl", N, ops.S, P, P, optimize=True)
-    return F, lin[:, :2 * k], lin[:, 2 * k:], Sz
+    P[:nv, :k], P[:nv, k:], P[nv:, k:] = N, F[sv, 2 * k + 1:], np.eye(nl)
+    Sz, Sp = (np.einsum("gi,gab,aj,bl->ijl", B, ops.S, P, P, optimize=True) for B in (N, Y))
+    Sq = np.einsum("gj,gab,ai,bl->ijl", N, ops.S[:, :nv], Y, P, optimize=True)
+    return F, lin[:, :2 * k], lin[:, 2 * k:], Sz, Sp, Sq
 
 
 NEWTON_TOL_REL = 1e-11
@@ -723,10 +695,34 @@ NEWTON_MAX_ITER = 30
 _CHORD_CONTRACTION = 1e-3
 
 
-def _z_system(ops, z, mu, rz):
-    """``_convective_system`` in z, with its affine term ``rz = Rz [1; mu]``."""
-    k = ops.N.shape[1]
-    return _convective_system(ops.Kz, ops.Sz, slice(0, k), slice(k, 2 * k), z, mu, rz)
+def _z_residual(ops, z, mu, rz):
+    """Residual ``Kz z + rz`` (``rz = Rz [1; mu]``) plus the convection
+    terms of the system in z at ``z``, and a function for its Jacobian over
+    z, or with ``mu_columns`` over z and then mu.
+
+    With a = [xi; mu] and d = Sz.a over the last slot, the state rows
+    (eta) get d a / 2 and the adjoint rows (xi) d^T eta; the Jacobian's
+    state block is d and its adjoint block eta.Sz over the first slot, Sz
+    being symmetric in its last two.  A parameter is a pinned velocity
+    coefficient, so d and eta.Sz carry its columns too.
+    """
+    k, _, m = ops.Sz.shape
+    eta, a = z[k:], np.concatenate([z[:k], mu])
+    d = (ops.Sz.reshape(k * m, m) @ a).reshape(k, m)
+    res = ops.Kz @ z + rz
+    res[:k] += eta @ d[:, :k]
+    res[k:] += 0.5 * (d @ a)
+
+    def jacobian(mu_columns=False):
+        g = (eta @ ops.Sz.reshape(k, m * m)).reshape(m, m)
+        jac = np.hstack([ops.Kz, ops.Rz[:, 1:]])
+        block = np.vstack([g[:k], d])  # over a = [xi; mu], columns xi then mu
+        jac[:, :k] += block[:, :k]
+        jac[:, 2 * k:] += block[:, k:]
+        jac[:k, k:2 * k] += d[:, :k].T
+        return jac if mu_columns else jac[:, :2 * k]
+
+    return res, jacobian
 
 
 def _chord(ops, mu, z, tol):
@@ -743,7 +739,7 @@ def _chord(ops, mu, z, tol):
 
     def system(z):
         nonlocal lu, last
-        res, jacobian = _z_system(ops, z, mu, rz)
+        res, jacobian = _z_residual(ops, z, mu, rz)
         norm = np.linalg.norm(res)
         if norm > _CHORD_CONTRACTION * last and norm * norm > tol * last:
             lu = None
@@ -762,13 +758,15 @@ def _chord(ops, mu, z, tol):
 
 
 def _coefficients(ops, z, mu):
-    """The reduced coefficients of ``z``: F [z; mu], with the pressures
-    p = -Y^T and q = -Y^T of the rest of the state and adjoint momentum
-    rows."""
-    sv, sp, _, sw, sq = ops.blocks
-    x = ops.F @ np.concatenate([z, mu])
-    rest, _ = _convective_system(ops.K, ops.S, sv, sw, x, mu, _affine(ops, mu))
-    x[sp], x[sq] = -(ops.Y.T @ rest[sw]), -(ops.Y.T @ rest[sv])
+    """The reduced coefficients of ``z``: F [z; 1; mu], less the pressures'
+    convection terms, Sp over a = [xi; mu] twice, halved, and Sq over a and
+    eta (``_null_space_system``)."""
+    _, sp, _, _, sq = ops.blocks
+    n_p, k, m = ops.Sq.shape
+    a = np.concatenate([z[:k], mu])
+    x = ops.F @ np.concatenate([z, [1.0], mu])
+    x[sp] -= 0.5 * ((ops.Sp.reshape(n_p * m, m) @ a).reshape(n_p, m) @ a)
+    x[sq] -= (ops.Sq.reshape(n_p * k, m) @ a).reshape(n_p, k) @ z[k:]
     return x
 
 
@@ -782,8 +780,8 @@ def _training_starts(ops):
     for mu in ops.training_parameters:
         try:
             z, _ = _chord(ops, mu, *_start(ops, mu))
-            _, jacobian = _z_system(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))
-            jac = jacobian(ops.Rz[:, 1:])
+            _, jacobian = _z_residual(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))
+            jac = jacobian(mu_columns=True)
             starts.append((mu, z, -numerics.dense_lu(jac[:, :n], "reduced Jacobian")(jac[:, n:])))
         except OcromError:
             continue
@@ -802,7 +800,7 @@ def _start(ops, mu):
     R [1; mu] plus the lifting's convection S[:, nv:, nv:] mu mu / 2 on the
     state momentum (w) rows."""
     nv = ops.n_velocity_modes
-    r0 = _affine(ops, mu)
+    r0 = ops.R @ np.concatenate([[1.0], mu])
     r0[ops.blocks[3]] += 0.5 * (ops.S[:, nv:, nv:] @ mu @ mu)
     tol = max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
     if ops.warm_mu is None:

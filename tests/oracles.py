@@ -426,6 +426,19 @@ def objective_of_control(model, mu, u):
     return evaluate_objective(v_t, u, model.target, model.operators, model.config.alpha)
 
 
+def boundary_triangle_entities(mesh):
+    """Entities (3 vertices, then the edges (0, 1), (0, 2), (1, 2)) of every
+    boundary triangle, each edge looked up in a dict of all tet edges
+    numbered in sorted (a, b) order after the vertices."""
+    pairs = np.sort(mesh.tets[:, TET_EDGES].reshape(-1, 2), axis=1)
+    edges = np.unique(pairs, axis=0)
+    nv = mesh.nodes.shape[0]
+    index = {(int(a), int(b)): nv + k for k, (a, b) in enumerate(edges)}
+    return np.array([list(tri) + [index[tuple(sorted((int(tri[i]), int(tri[j]))))]
+                                  for i, j in ((0, 1), (0, 2), (1, 2))]
+                     for tri in mesh.boundary_tris], dtype=np.int64).reshape(-1, 6)
+
+
 def reduced_dimension(basis, n_lift):
     """Reduced optimality-system size counted from the basis columns:
     velocity and pressure twice (state and adjoint), control once, plus
@@ -558,21 +571,50 @@ def reduced_system(ops, mu, x, rmu=None):
     ``x``, ``K x + rmu`` plus the convection terms, with ``rmu = R [1; mu]``
     (formed here when not given), and a function for its Jacobian over the
     coefficients, ``dr/dx``, or with ``mu_columns`` over the coefficients
-    and then the parameters, ``[dr/dx | dr/dmu]``."""
+    and then the parameters, ``[dr/dx | dr/dmu]``.
+
+    The convection comes from contractions of the symmetrized tensor
+    ``ops.S`` over the whole system: with d = S.v_ext over the last slot,
+    the adjoint momentum rows (v) get w.d, the state momentum rows (w)
+    d v_ext / 2, and the Jacobian the blocks d and w.S over the first
+    slot."""
+    s = ops.S
+    nv, n = s.shape[:2]
     sv, _, _, sw, _ = ops.blocks
     if rmu is None:
         rmu = ops.R @ np.concatenate([[1.0], mu])
-    res, jacobian = rom._convective_system(ops.K, ops.S, sv, sw, x, mu, rmu)
-    return res, lambda mu_columns=False: jacobian(ops.R[:, 1:] if mu_columns else None)
+    v_ext = np.concatenate([x[sv], mu])
+    w = x[sw]
+    d = (s.reshape(nv * n, n) @ v_ext).reshape(nv, n)
+    res = ops.K @ x + rmu
+    res[sv] += w @ d[:, :nv]
+    res[sw] += 0.5 * (d @ v_ext)
+
+    def jacobian(mu_columns=False):
+        g = (w @ s.reshape(nv, n * n)).reshape(n, n)
+        jac = ops.K.copy()
+        jac[sv, sv] += g[:nv, :nv]
+        jac[sv, sw] += d[:, :nv].T
+        jac[sw, sv] += d[:, :nv]
+        if not mu_columns:
+            return jac
+        jac_mu = ops.R[:, 1:].copy()
+        jac_mu[sv] += g[:nv, nv:]
+        jac_mu[sw] += d[:, nv:]
+        return np.hstack([jac, jac_mu])
+
+    return res, jacobian
 
 
 def lift_z(ops, mu, z):
     """Coefficients of the whole reduced system at the point ``z`` in
-    null-space coordinates: ``ops.F [z; mu]``, with the state and adjoint
-    pressures that fit the state and adjoint momentum rows of the
-    block-by-block system best in least squares."""
+    null-space coordinates: the velocities and control of
+    ``ops.F [z; 1; mu]``, with the state and adjoint pressures that fit the
+    state and adjoint momentum rows of the block-by-block system best in
+    least squares."""
     sv, sp, _, sw, sq = ops.blocks
-    x = ops.F @ np.concatenate([z, mu])
+    x = ops.F @ np.concatenate([z, [1.0], mu])
+    x[sp] = x[sq] = 0.0
     res, _, _ = blockwise_reduced_system(ops, mu, x, tensor_convection(ops))
     b_hom_t = ops.b[:, :ops.n_velocity_modes].T
     x[sp] = -np.linalg.lstsq(b_hom_t, res[sw], rcond=None)[0]
@@ -582,25 +624,12 @@ def lift_z(ops, mu, z):
 
 def zero_start_reduced_solve(ops, mu):
     """Reduced Navier-Stokes Newton on the whole system from zero with the
-    relative stop test, building each iterate's Jacobian with its residual,
-    from the contractions of the symmetrized tensor ``ops.S`` that
-    ``reduced_system`` makes.  Returns (coefficients, iterations)."""
-    s = ops.S
-    nv, n = s.shape[:2]
-    sv, _, _, sw, _ = ops.blocks
+    relative stop test, building each iterate's Jacobian with its residual
+    by ``reduced_system``.  Returns (coefficients, iterations)."""
 
     def system(x):
-        v_ext = np.concatenate([x[sv], mu])
-        w = x[sw]
-        d = (s.reshape(nv * n, n) @ v_ext).reshape(nv, n)
-        g = (w @ s.reshape(nv, n * n)).reshape(n, n)
-        res = ops.K @ x + ops.R @ np.concatenate([[1.0], mu])
-        res[sv] += w @ d[:, :nv]
-        res[sw] += 0.5 * (d @ v_ext)
-        jac = ops.K.copy()
-        jac[sv, sv] += g[:nv, :nv]
-        jac[sv, sw] += d[:, :nv].T
-        jac[sw, sv] += d[:, :nv]
+        res, jacobian = reduced_system(ops, mu, x)
+        jac = jacobian()
         return res, lambda rhs: np.linalg.solve(jac, rhs)
 
     x, _, iters = numerics.newton(system, np.zeros(ops.dimension()), rom.NEWTON_TOL_REL,

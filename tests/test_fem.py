@@ -99,6 +99,15 @@ class TestBuildSpaces:
         assert (X_v != sp.kron(X_s, I3)).nnz == 0
         assert (X_v[f][:, f] != sp.kron(X_s[ents][:, ents], I3)).nnz == 0
 
+    @pytest.mark.parametrize("spaces", ["tube_spaces", "graft_spaces"])
+    def test_boundary_triangle_entities(self, spaces, request):
+        """Each boundary triangle's vertices and edges, the edges found by
+        one sorted search, equal a dict lookup of every tet edge."""
+        spaces = request.getfixturevalue(spaces)
+        expected = oracles.boundary_triangle_entities(spaces.mesh)
+        assert spaces.btri_entities.dtype == expected.dtype
+        assert np.array_equal(spaces.btri_entities, expected)
+
     def test_node_permutation_preserves_counts(self):
         mesh = straight_tube(resolution=0.6)
         s1 = build_spaces(mesh)

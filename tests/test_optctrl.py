@@ -671,6 +671,15 @@ class TestStateEquations:
         assert calls == []
 
 
+@pytest.mark.parametrize("missing", [3, -2])
+def test_state_solve_rejects_wrong_control_length(stokes_model, missing):
+    """A control that is not one value per control dof raises the typed
+    error, not numpy's."""
+    u = np.zeros(stokes_model.spaces.n_control - missing)
+    with pytest.raises(DimensionMismatch, match="control"):
+        stokes_model.solve_state(np.array([80.0]), u)
+
+
 class TestRenumberingInvariance:
     def test_objective_invariant(self):
         mesh = straight_tube(resolution=0.55)

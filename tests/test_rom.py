@@ -541,6 +541,13 @@ class TestReducedSpaces:
         with pytest.raises(DimensionMismatch):
             slice_operators(ops, basis, basis.n_max + 1)
 
+    @pytest.mark.parametrize("n", [-1, -2, -3])
+    def test_negative_basis_size_is_rejected(self, stokes_offline, n):
+        """A negative size is not counted from the end of the built sizes."""
+        _, basis, ops = stokes_offline
+        with pytest.raises(DimensionMismatch, match="outside"):
+            slice_operators(ops, basis, n)
+
     def test_inf_sup_with_and_without_enrichment(self, stokes_model):
         ts = training_grid([(40.0, 80.0)], 6)
         with warnings.catch_warnings():
@@ -1146,10 +1153,9 @@ class TestWarmStart:
         mu = rng.uniform(ops.domain_lo, ops.domain_hi)
         rz = ops.Rz @ np.concatenate([[1.0], mu])
         start, _ = rom._start(ops, mu)
-        half = slice(0, start.size // 2), slice(start.size // 2, start.size)
 
         def system(z):
-            return rom._convective_system(ops.Kz, ops.Sz, *half, z, mu, rz)
+            return rom._z_residual(ops, z, mu, rz)
 
         for z in (start, start + rng.standard_normal(start.size) * np.abs(start).max()):
             jac = system(z)[1]()
@@ -1158,6 +1164,54 @@ class TestWarmStart:
                 step = np.where(np.arange(z.size) == k, eps, 0.0)
                 fd = (system(z + step)[0] - system(z - step)[0]) / (2 * eps)
                 assert np.abs(fd - jac[:, k]).max() <= 1e-6 * np.abs(jac).max(), k
+
+    @pytest.mark.parametrize("offline", _NS_OFFLINE)
+    def test_pressures_match_momentum_rows(self, offline, request):
+        """The pressures of ``F``, ``Sp`` and ``Sq`` are -Y^T of the state
+        and adjoint momentum rows of the whole system, contracted by the
+        oracle at ``F [z; 1; mu]`` with zero pressures, at every training
+        solution and at random points; the other rows are F's."""
+        _, _, ops = request.getfixturevalue(offline)
+        sv, sp, _, sw, sq = ops.blocks
+        rng = np.random.default_rng(12)
+        scale = np.abs(ops.warm_x).max()
+        points = list(zip(ops.warm_x, ops.warm_mu))
+        points += [(rng.standard_normal(ops.Kz.shape[0]) * scale,
+                    rng.uniform(ops.domain_lo, ops.domain_hi)) for _ in range(4)]
+        for z, mu in points:
+            x = rom._coefficients(ops, z, mu)
+            x0 = ops.F @ np.concatenate([z, [1.0], mu])
+            x0[sp] = x0[sq] = 0.0
+            res, _ = oracles.reduced_system(ops, mu, x0)
+            for got, ref in ((x[sp], -(ops.Y.T @ res[sw])), (x[sq], -(ops.Y.T @ res[sv]))):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            x[sp] = x[sq] = 0.0
+            assert np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("offline", _NS_OFFLINE)
+    def test_query_reads_no_whole_system_matrix(self, offline, request, monkeypatch):
+        """A query on a copy whose whole-system matrix ``K`` is None answers
+        bit-identically, warm, from z = 0 and after a fallback."""
+        _, _, ops = request.getfixturevalue(offline)
+        mus = np.random.default_rng(13).uniform(ops.domain_lo, ops.domain_hi,
+                                                size=(8, ops.n_lift))
+        newton = numerics.newton
+
+        def chord_diverges(system, x, *args):
+            if x.any():
+                raise NewtonDiverged("injected", [4.0, 2.0, 3.0])
+            return newton(system, x, *args)
+
+        for fallback in (False, True):
+            if fallback:
+                monkeypatch.setattr(numerics, "newton", chord_diverges)
+            for model in (ops, _zero_start(ops)):
+                blind = copy.copy(model)
+                blind.K = None
+                for mu in mus:
+                    a, b = solve_reduced(model, mu), solve_reduced(blind, mu)
+                    for name in ("objective", "newton_iterations", *rom.FIELDS):
+                        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_square_divergence_block_has_empty_z(self):
         """n_v = n_p with b_hom of full rank: z is empty, so a warm query
