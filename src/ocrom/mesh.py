@@ -99,14 +99,11 @@ class GeometrySpec:
     def __post_init__(self):
         if not self.resolution > 0.0:  # NaN included
             raise DegenerateGeometry("resolution must be positive")
-        branches = tuple(
-            (np.asarray(p, dtype=float), np.asarray(r, dtype=float))
-            for p, r in self.branches
-        )
-        object.__setattr__(self, "branches", branches)
-        for pts, rad in branches:
-            if not np.all(rad > 0.0):
-                raise DegenerateGeometry("radius profile must be positive")
+        try:
+            lines = [Centerline(p, r) for p, r in self.branches]
+        except InvariantViolation as exc:
+            raise DegenerateGeometry(f"branch: {exc}") from exc
+        object.__setattr__(self, "branches", tuple((c.points, c.radii) for c in lines))
 
 
 @dataclass

@@ -371,11 +371,11 @@ def build_reduced_spaces(model, basis, enrich=True):
 
 
 def _aggregate(model, basis, sup_v, sup_w):
-    """Orthonormalize each field's columns, given as (columns, mode index of
-    each) pairs, in mode-index order, and record the column counts per size."""
+    """A copy of ``basis`` with each field's (columns, mode index of each)
+    pairs orthonormalized in mode-index order, and its column counts per size."""
     ops = model.operators
     modes = {f: (basis.modes[f], np.arange(basis.n_max)) for f in FIELDS}
-    basis.sizes = {}
+    spaces, sizes = {}, {}
     for name, parts, weight in (
         ("v", [modes["v"], sup_v, modes["w"], sup_w], ops.X_v),
         ("p", [modes["p"], modes["q"]], ops.X_p),
@@ -384,13 +384,13 @@ def _aggregate(model, basis, sup_v, sup_w):
         index = np.concatenate([k for _, k in parts])
         order = np.argsort(index, kind="stable")
         y, kept = _mgs(np.column_stack([c for c, _ in parts])[:, order], weight)
-        setattr(basis, f"y_{name}", y)
-        basis.sizes[name] = np.searchsorted(index[order][kept], np.arange(basis.n_max + 1))
+        spaces[f"y_{name}"] = y
+        sizes[name] = np.searchsorted(index[order][kept], np.arange(basis.n_max + 1))
         if y.shape[1] != index.size:
             warnings.warn(RankDeficiency(
                 f"aggregated {name} basis lost columns to near-dependence: "
                 f"{y.shape[1]}/{index.size}"))
-    return basis
+    return replace(basis, sizes=sizes, **spaces)
 
 
 def check_pod_invariants(model, basis, eps_tol=1e-4):
@@ -430,27 +430,25 @@ class ReducedOperators:
 
     The online system is precomputed on construction, so queries only read
     it: ``g_target``/``j_perp`` (the M-orthogonal target projection and half
-    the squared M-norm of its remainder), ``blocks`` (slices of the
-    (v, p, u, w, q) coefficients), the constant KKT matrix ``K`` and the
-    affine right-hand side ``R`` (residual ``K x + R [1; mu]`` plus
-    convection), for Navier-Stokes the symmetrized convection tensor
-    ``S[g, a, b] = t[g, a, b] + t[g, b, a]`` on the n_v homogeneous test
-    rows g of ``tensor`` t, ``N`` and ``Y`` (an orthonormal basis of the
-    kernel of the homogeneous divergence block ``b[:, :n_v]`` and its right
-    inverse, ``_null_space``), and then for Stokes ``X = -K^{-1} R`` and its
-    full-order lift ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends``
-    their row ends), so that a query's coefficients are ``X [1; mu]`` and its
-    fields ``Z [1; mu]``.  For Navier-Stokes it derives the system in z every
-    query solves (``_null_space_system``): ``F`` (the map from [z; 1; mu]
-    to the coefficients, less the pressures' convection, which ``Sp`` and
-    ``Sq`` give), ``Kz``, ``Rz`` and ``Sz`` (the matrix, affine term and
-    symmetrized convection tensor in z), and ``mu_scale``, the distance
-    scale by which a query picks its nearest start (``_domain_scale``).
+    the squared M-norm of its remainder) and ``blocks`` (slices of the
+    (v, p, u, w, q) coefficients).  The whole system (residual
+    ``K x + R [1; mu]`` plus convection) and its null-space bases are not
+    kept.  For Stokes it keeps ``X = -K^{-1} R`` and its full-order lift
+    ``Z`` (the (v, p, u, w, q) fields stacked, ``Z_ends`` their row ends),
+    so that a query's coefficients are ``X [1; mu]`` and its fields
+    ``Z [1; mu]``.  For Navier-Stokes it keeps the system in z every query
+    solves (``_null_space_system``): ``F`` (the map from [z; 1; mu] to the
+    coefficients, less the pressures' convection, which ``Sp`` and ``Sq``
+    give), ``Kz``, ``Rz`` and ``Sz`` (the matrix, affine term and
+    symmetrized convection tensor in z), ``r_zero`` (the whole system's
+    residual at coefficient zero over [1; mu; mu (x) mu]), and ``mu_scale``,
+    the distance scale by which a query picks its nearest start
+    (``_domain_scale``).
     With ``training_parameters`` it also derives the starts of its queries:
     ``warm_mu`` (the training parameters whose reduced solve succeeded),
     ``warm_x`` (their solutions in z) and ``warm_dx`` (their mu-tangents in
     z); all three are None otherwise.
-    Where the divergence block has rank below n_p, or ``K`` or the control
+    Where the divergence block has rank below n_p, or K or the control
     block is singular, ``unsolvable`` holds the message every query raises
     as ``SingularMatrix``, and the arrays past that point are None;
     construction and loading still succeed.
@@ -481,25 +479,23 @@ class ReducedOperators:
         nv, n_p, nu = self.n_velocity_modes, self.y_p.shape[1], self.y_u.shape[1]
         ends = np.cumsum([nv, n_p, nu, nv, n_p]).tolist()
         self.blocks = tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends))
-        self.K = optimality_matrix(self.m[:nv, :nv], self.a[:nv, :nv], self.b[:, :nv],
-                                   self.c[:nv], self.n_ctrl, self.alpha).toarray()
-        self.R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:],
-                            self.b[:, nv:])
-        t = self.tensor
-        self.S = None if t is None else t[:nv] + t[:nv].transpose(0, 2, 1)
-        self.X = self.Z = self.Z_ends = self.N = self.Y = self.unsolvable = None
-        self.F = self.Kz = self.Rz = self.Sz = self.Sp = self.Sq = self.mu_scale = None
-        self.warm_mu = self.warm_x = self.warm_dx = None
+        K = optimality_matrix(self.m[:nv, :nv], self.a[:nv, :nv], self.b[:, :nv],
+                              self.c[:nv], self.n_ctrl, self.alpha).toarray()
+        R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:], self.b[:, nv:])
+        self.X = self.Z = self.Z_ends = self.unsolvable = None
+        self.F = self.Kz = self.Rz = self.Sz = self.Sp = self.Sq = self.r_zero = None
+        self.mu_scale = self.warm_mu = self.warm_x = self.warm_dx = None
         try:
-            self.N, self.Y = _null_space(self.b[:, :nv], self.K)
+            N, Y = _null_space(self.b[:, :nv], K)
             if self.equation == "stokes":
-                self.X = -np.linalg.solve(self.K, self.R)
+                self.X = -np.linalg.solve(K, R)
                 # X [1; mu] lifted: the mu columns carry the inflow lifting
                 lifts = _lift(self, self.X, np.eye(1 + self.n_lift)[1:])
                 self.Z = np.vstack(lifts)
                 self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
             else:
-                self.F, self.Kz, self.Rz, self.Sz, self.Sp, self.Sq = _null_space_system(self)
+                system = _null_space_system(self, K, R, N, Y)
+                self.F, self.Kz, self.Rz, self.Sz, self.Sp, self.Sq, self.r_zero = system
                 self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
                 if self.training_parameters is not None:
                     self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
@@ -647,11 +643,14 @@ def _null_space(b_hom, K):
     return q[:, n_p:], scipy.linalg.solve_triangular(r[:n_p], q[:, :n_p].T).T
 
 
-def _null_space_system(ops):
+def _null_space_system(ops, K, R, N, Y):
     """The reduced optimality system on the divergence-free,
     control-eliminated subspace, in the coordinates z = (xi, eta) in which
     every Navier-Stokes query solves (Benzi, Golub & Liesen, Acta Numerica
-    2005, 6), and the pressures of every z.
+    2005, 6), the pressures of every z and the residual at zero, from the
+    whole system ``K x + R [1; mu]`` plus convection and ``_null_space``'s
+    N and Y.  The convection is that of S[g, a, b] = t[g, a, b] + t[g, b, a]
+    on the n_v homogeneous test rows g of ``tensor`` t.
 
     Every coefficient vector that meets the divergence rows and the control
     rows is v = N xi - Y b_lift mu, w = N eta and
@@ -663,27 +662,30 @@ def _null_space_system(ops):
     p = -Y^T and q = -Y^T of the rest of the state (w) and adjoint (v)
     rows: ``F [z; 1; mu]`` is the coefficients with the pressures' affine
     parts, and ``Sp[i, j, l] = S(Y_i, P_j, P_l)`` and
-    ``Sq[i, j, l] = S(N_j, Y_i, P_l)`` give their convection.  Returns
-    (F, Kz, Rz, Sz, Sp, Sq); a singular control block raises
-    ``LinAlgError``."""
-    N, Y = ops.N, ops.Y
+    ``Sq[i, j, l] = S(N_j, Y_i, P_l)`` give their convection.  The residual
+    at coefficient zero is ``r_zero [1; mu; mu (x) mu]``: R, plus
+    S[:, nv:, nv:] / 2 on the state momentum (w) rows.  Returns (F, Kz, Rz,
+    Sz, Sp, Sq, r_zero); a singular control block raises ``LinAlgError``."""
     sv, sp, su, sw, sq = ops.blocks
     nv, k, nl = ops.n_velocity_modes, N.shape[1], ops.n_lift
+    S = ops.tensor[:nv] + ops.tensor[:nv].transpose(0, 2, 1)
     F = np.zeros((ops.dimension(), 2 * k + 1 + nl))
     F[sv, :k] = N
     F[sw, k:2 * k] = N
     F[su, k:2 * k] = -np.linalg.solve(ops.alpha * ops.n_ctrl, ops.c[:nv].T @ N)
     F[sv, 2 * k + 1:] = -Y @ ops.b[:, nv:]
     # the linear residual at F [z; 1; mu] with zero pressures, over [z; 1; mu]
-    lin = ops.K @ F
-    lin[:, 2 * k:] += ops.R
+    lin = K @ F
+    lin[:, 2 * k:] += R
     F[sp], F[sq] = -(Y.T @ lin[sw]), -(Y.T @ lin[sv])
     lin = np.vstack([N.T @ lin[sv], N.T @ lin[sw]])
     P = np.zeros((ops.n_extended, k + nl))
     P[:nv, :k], P[:nv, k:], P[nv:, k:] = N, F[sv, 2 * k + 1:], np.eye(nl)
-    Sz, Sp = (np.einsum("gi,gab,aj,bl->ijl", B, ops.S, P, P, optimize=True) for B in (N, Y))
-    Sq = np.einsum("gj,gab,ai,bl->ijl", N, ops.S[:, :nv], Y, P, optimize=True)
-    return F, lin[:, :2 * k], lin[:, 2 * k:], Sz, Sp, Sq
+    Sz, Sp = (np.einsum("gi,gab,aj,bl->ijl", B, S, P, P, optimize=True) for B in (N, Y))
+    Sq = np.einsum("gj,gab,ai,bl->ijl", N, S[:, :nv], Y, P, optimize=True)
+    r_zero = np.hstack([R, np.zeros((R.shape[0], nl * nl))])
+    r_zero[sw, 1 + nl:] = 0.5 * S[:, nv:, nv:].reshape(nv, nl * nl)
+    return F, lin[:, :2 * k], lin[:, 2 * k:], Sz, Sp, Sq, r_zero
 
 
 NEWTON_TOL_REL = 1e-11
@@ -796,12 +798,10 @@ def _start(ops, mu):
     its tangent step, or z = 0 without training solutions; z = 0 is
     v = -Y b_lift mu, which meets the divergence rows, and w = u = 0.  The
     threshold is that of a start from zero on the whole system,
-    max(NEWTON_TOL_REL ||r(0; mu)||, NEWTON_TOL_ABS), with r(0; mu) =
-    R [1; mu] plus the lifting's convection S[:, nv:, nv:] mu mu / 2 on the
-    state momentum (w) rows."""
-    nv = ops.n_velocity_modes
-    r0 = ops.R @ np.concatenate([[1.0], mu])
-    r0[ops.blocks[3]] += 0.5 * (ops.S[:, nv:, nv:] @ mu @ mu)
+    max(NEWTON_TOL_REL ||r(0; mu)||, NEWTON_TOL_ABS), with the residual at
+    coefficient zero r(0; mu) = r_zero [1; mu; mu (x) mu]
+    (``_null_space_system``)."""
+    r0 = ops.r_zero @ np.concatenate([[1.0], mu, np.outer(mu, mu).ravel()])
     tol = max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
     if ops.warm_mu is None:
         return np.zeros(ops.Kz.shape[0]), tol

@@ -57,6 +57,8 @@ class StudyConfig:
             raise ConfigError("n_max must not exceed the training size")
         if min([self.training_size, self.test_size, self.n_max, *self.sweep]) < 1:
             raise ConfigError("sizes, n_max and sweep values must be positive")
+        if min(self.training_seed, self.test_seed) < 0:
+            raise ConfigError("seeds must not be negative")
 
 
 def _get(parser, section, key, cast, default=None):

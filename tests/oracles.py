@@ -21,13 +21,15 @@ reduced Newton that reassembles the full-order matrices at every iterate
 assembled block by block from the projected operators (the path the
 precomputed constant KKT matrix and affine right-hand side replace), whose
 tensor convection terms come from three contractions of the stored tensor
-(the path the symmetrized tensor replaces).  The residual and Jacobian of
-the whole reduced system from the symmetrized tensor serve the references
-that solve on the whole system: a zero-start reduced Newton that builds
-every Jacobian with its residual, the reference for zero starts (the path
-the chord steps in null-space coordinates replace), and a full Newton from
-the warm start, each step solving the x columns of the Jacobian over
-[x; mu], for warm-started queries.  A point in null-space coordinates is
+(the path the symmetrized tensor replaces).  The whole reduced system, its
+KKT matrix, affine right-hand side and symmetrized tensor rebuilt from the
+stored projections, is the reference for the system in null-space
+coordinates; its residual and Jacobian serve the references that solve on
+the whole system: a zero-start reduced Newton that builds every Jacobian
+with its residual, the reference for zero starts (the path the chord
+steps in null-space coordinates replace), and a full Newton from the warm
+start, each step solving the x columns of the Jacobian over [x; mu], for
+warm-started queries.  A point in null-space coordinates is
 lifted to the whole system's coefficients with pressures fitted to the
 momentum rows in least squares.  The per-basis lift of reduced
 coefficients to full-order fields is the reference for the Stokes
@@ -42,7 +44,7 @@ from scipy.linalg import eigh
 
 from ocrom import numerics, rom
 from ocrom.errors import NewtonDiverged
-from ocrom.optctrl import evaluate_objective
+from ocrom.optctrl import affine_rhs, evaluate_objective, optimality_matrix
 from ocrom.quadrature import tet_rule, tri_rule
 
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -566,39 +568,54 @@ def tensor_convection(ops):
     return conv
 
 
-def reduced_system(ops, mu, x, rmu=None):
-    """Residual of the whole reduced Navier-Stokes optimality system at
-    ``x``, ``K x + rmu`` plus the convection terms, with ``rmu = R [1; mu]``
-    (formed here when not given), and a function for its Jacobian over the
-    coefficients, ``dr/dx``, or with ``mu_columns`` over the coefficients
-    and then the parameters, ``[dr/dx | dr/dmu]``.
+def whole_system(ops):
+    """(K, R, S) of the whole reduced optimality system, rebuilt from the
+    stored projections: the constant KKT matrix K and the affine right-hand
+    side R by ``optctrl.optimality_matrix`` and ``affine_rhs`` (residual
+    ``K x + R [1; mu]`` plus convection), and for Navier-Stokes the tensor
+    t symmetrized in its two velocity slots on the homogeneous test rows g,
+    S[g, a, b] = t[g, a, b] + t[g, b, a] (None for Stokes)."""
+    nv = ops.n_velocity_modes
+    K = optimality_matrix(ops.m[:nv, :nv], ops.a[:nv, :nv], ops.b[:, :nv], ops.c[:nv],
+                          ops.n_ctrl, ops.alpha).toarray()
+    R = affine_rhs([s.stop for s in ops.blocks], ops.h[:nv], ops.m[:nv, nv:],
+                   ops.a[:nv, nv:], ops.b[:, nv:])
+    if ops.tensor is None:
+        return K, R, None
+    t = ops.tensor[:nv]
+    return K, R, t + t.transpose(0, 2, 1)
 
-    The convection comes from contractions of the symmetrized tensor
-    ``ops.S`` over the whole system: with d = S.v_ext over the last slot,
-    the adjoint momentum rows (v) get w.d, the state momentum rows (w)
-    d v_ext / 2, and the Jacobian the blocks d and w.S over the first
-    slot."""
-    s = ops.S
+
+def reduced_system(ops, mu, x):
+    """Residual of the whole reduced Navier-Stokes optimality system at
+    ``x``, ``K x + R [1; mu]`` plus the convection terms (``whole_system``),
+    and a function for its Jacobian over the coefficients, ``dr/dx``, or
+    with ``mu_columns`` over the coefficients and then the parameters,
+    ``[dr/dx | dr/dmu]``.
+
+    The convection comes from contractions of the symmetrized tensor S
+    over the whole system: with d = S.v_ext over the last slot, the adjoint
+    momentum rows (v) get w.d, the state momentum rows (w) d v_ext / 2, and
+    the Jacobian the blocks d and w.S over the first slot."""
+    K, R, s = whole_system(ops)
     nv, n = s.shape[:2]
     sv, _, _, sw, _ = ops.blocks
-    if rmu is None:
-        rmu = ops.R @ np.concatenate([[1.0], mu])
     v_ext = np.concatenate([x[sv], mu])
     w = x[sw]
     d = (s.reshape(nv * n, n) @ v_ext).reshape(nv, n)
-    res = ops.K @ x + rmu
+    res = K @ x + R @ np.concatenate([[1.0], mu])
     res[sv] += w @ d[:, :nv]
     res[sw] += 0.5 * (d @ v_ext)
 
     def jacobian(mu_columns=False):
         g = (w @ s.reshape(nv, n * n)).reshape(n, n)
-        jac = ops.K.copy()
+        jac = K.copy()
         jac[sv, sv] += g[:nv, :nv]
         jac[sv, sw] += d[:, :nv].T
         jac[sw, sv] += d[:, :nv]
         if not mu_columns:
             return jac
-        jac_mu = ops.R[:, 1:].copy()
+        jac_mu = R[:, 1:].copy()
         jac_mu[sv] += g[:nv, nv:]
         jac_mu[sw] += d[:, nv:]
         return np.hstack([jac, jac_mu])

@@ -43,10 +43,12 @@ class TestGenerateTube:
         assert abs(mesh.volume() - exact) / exact <= 0.05
 
     def test_degenerate(self):
-        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
-        with pytest.raises(DegenerateGeometry):
-            generate_tube(GeometrySpec(branches=((pts, np.array([0.1, 0.1])),),
-                                       resolution=0.4))
+        """A radius below the resolution, and a branch of zero length."""
+        axis = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+        for pts, radius in ((axis, 0.1), (np.zeros((2, 3)), 1.0)):
+            with pytest.raises(DegenerateGeometry):
+                generate_tube(GeometrySpec(branches=((pts, np.array([radius, radius])),),
+                                           resolution=0.4))
 
     def test_deterministic(self):
         m1 = straight_tube(resolution=0.45)

@@ -548,6 +548,16 @@ class TestReducedSpaces:
         with pytest.raises(DimensionMismatch, match="outside"):
             slice_operators(ops, basis, n)
 
+    def test_build_leaves_its_basis_unchanged(self, stokes_model, stokes_offline):
+        """A build returns a new basis: an enriched build keeps its spaces
+        after a plain build from the same basis, which keeps its own."""
+        basis = replace(stokes_offline[1])
+        y_v = basis.y_v
+        enriched = build_reduced_spaces(stokes_model, basis)
+        plain = build_reduced_spaces(stokes_model, basis, enrich=False)
+        assert enriched.y_v.shape[1] == 2 * plain.y_v.shape[1] == 4 * basis.n_max
+        assert basis.y_v is y_v
+
     def test_inf_sup_with_and_without_enrichment(self, stokes_model):
         ts = training_grid([(40.0, 80.0)], 6)
         with warnings.catch_warnings():
@@ -556,8 +566,7 @@ class TestReducedSpaces:
             basis = pod_compress(snaps, inner_products_of(stokes_model), 2)
             enriched = build_reduced_spaces(stokes_model, basis, enrich=True)
             ops_en = project_operators(stokes_model, enriched)
-            basis2 = pod_compress(snaps, inner_products_of(stokes_model), 2)
-            plain = build_reduced_spaces(stokes_model, basis2, enrich=False)
+            plain = build_reduced_spaces(stokes_model, basis, enrich=False)
             ops_pl = project_operators(stokes_model, plain)
         beta_en = reduced_inf_sup(ops_en)
         beta_pl = reduced_inf_sup(ops_pl)
@@ -986,10 +995,16 @@ def _zero_start(ops):
     return replace(ops, training_parameters=None)
 
 
+def _null_space(ops):
+    """(N, Y) of ``rom._null_space`` on the oracle's whole-system K."""
+    return rom._null_space(ops.b[:, :ops.n_velocity_modes], oracles.whole_system(ops)[0])
+
+
 def _in_z(ops, x):
     """The null-space coordinates (N^T v, N^T w) of the coefficients x."""
     sv, _, _, sw, _ = ops.blocks
-    return np.concatenate([ops.N.T @ x[sv], ops.N.T @ x[sw]])
+    N, _ = _null_space(ops)
+    return np.concatenate([N.T @ x[sv], N.T @ x[sw]])
 
 
 class TestWarmStart:
@@ -1139,10 +1154,11 @@ class TestWarmStart:
         _, _, ops = request.getfixturevalue(offline)
         b_hom = ops.b[:, :ops.n_velocity_modes]
         k = ops.n_velocity_modes - b_hom.shape[0]
-        assert ops.N.shape == (ops.n_velocity_modes, k)
-        assert np.abs(ops.N.T @ ops.N - np.eye(k)).max() <= 1e-14
-        assert np.linalg.norm(b_hom @ ops.N) <= 1e-12 * np.linalg.norm(b_hom)
-        assert np.abs(b_hom @ ops.Y - np.eye(b_hom.shape[0])).max() <= 1e-12
+        N, Y = _null_space(ops)
+        assert N.shape == (ops.n_velocity_modes, k)
+        assert np.abs(N.T @ N - np.eye(k)).max() <= 1e-14
+        assert np.linalg.norm(b_hom @ N) <= 1e-12 * np.linalg.norm(b_hom)
+        assert np.abs(b_hom @ Y - np.eye(b_hom.shape[0])).max() <= 1e-12
 
     @pytest.mark.parametrize("offline", _NS_OFFLINE)
     def test_z_jacobian_matches_finite_differences(self, offline, request):
@@ -1173,6 +1189,7 @@ class TestWarmStart:
         solution and at random points; the other rows are F's."""
         _, _, ops = request.getfixturevalue(offline)
         sv, sp, _, sw, sq = ops.blocks
+        _, Y = _null_space(ops)
         rng = np.random.default_rng(12)
         scale = np.abs(ops.warm_x).max()
         points = list(zip(ops.warm_x, ops.warm_mu))
@@ -1183,14 +1200,15 @@ class TestWarmStart:
             x0 = ops.F @ np.concatenate([z, [1.0], mu])
             x0[sp] = x0[sq] = 0.0
             res, _ = oracles.reduced_system(ops, mu, x0)
-            for got, ref in ((x[sp], -(ops.Y.T @ res[sw])), (x[sq], -(ops.Y.T @ res[sv]))):
+            for got, ref in ((x[sp], -(Y.T @ res[sw])), (x[sq], -(Y.T @ res[sv]))):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             x[sp] = x[sq] = 0.0
             assert np.array_equal(x, x0)
 
     @pytest.mark.parametrize("offline", _NS_OFFLINE)
     def test_query_reads_no_whole_system_matrix(self, offline, request, monkeypatch):
-        """A query on a copy whose whole-system matrix ``K`` is None answers
+        """A query on a copy whose projected operators and tensor are None,
+        and whose whole-system K, R and S would be if it had them, answers
         bit-identically, warm, from z = 0 and after a fallback."""
         _, _, ops = request.getfixturevalue(offline)
         mus = np.random.default_rng(13).uniform(ops.domain_lo, ops.domain_hi,
@@ -1207,7 +1225,8 @@ class TestWarmStart:
                 monkeypatch.setattr(numerics, "newton", chord_diverges)
             for model in (ops, _zero_start(ops)):
                 blind = copy.copy(model)
-                blind.K = None
+                for name in ("a", "b", "c", "h", "tensor", "K", "R", "S"):
+                    setattr(blind, name, None)
                 for mu in mus:
                     a, b = solve_reduced(model, mu), solve_reduced(blind, mu)
                     for name in ("objective", "newton_iterations", *rom.FIELDS):
@@ -1221,7 +1240,7 @@ class TestWarmStart:
         rng = np.random.default_rng(11)
         ops = replace(_random_reduced_operators(rng, nv=2, np_=2),
                       training_parameters=np.array([[-0.5], [0.5]]))
-        assert ops.N.shape == (2, 0) and ops.Kz.shape == (0, 0)
+        assert _null_space(ops)[0].shape == (2, 0) and ops.Kz.shape == (0, 0)
         cold = _zero_start(ops)
         for mu in ([-0.5], [0.1], [0.4]):
             mu = np.array(mu)
@@ -1465,23 +1484,6 @@ def test_slice_equals_fresh_build(request, model, offline, edit):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (n, name)
 
 
-def test_symmetrized_tensor(stokes_offline, ns_offline, tmp_path):
-    """``S`` is the stored tensor plus its transpose in the two velocity
-    slots on the homogeneous test rows, exactly, and a loaded or sliced
-    model derives the same array as the model it came from."""
-    assert stokes_offline[-1].S is None
-    _, basis, ops = ns_offline
-    t = ops.tensor[:ops.n_velocity_modes]
-    assert np.array_equal(ops.S, t + t.transpose(0, 2, 1))
-    path = tmp_path / "rom.bin"
-    save_artifact(path, ops)
-    assert np.array_equal(load_artifact(path).S, ops.S)
-    for n in range(1, basis.n_max + 1):
-        rows = np.arange(basis.sizes["v"][n])
-        ext = np.r_[rows, ops.n_velocity_modes:ops.n_extended]
-        assert np.array_equal(slice_operators(ops, basis, n).S, ops.S[np.ix_(rows, ext, ext)])
-
-
 def _assert_identical(name, x, y):
     if isinstance(x, dict):
         assert isinstance(y, dict) and x.keys() == y.keys(), name
@@ -1511,18 +1513,24 @@ def test_query_leaves_loaded_operators_unchanged(offline, request, tmp_path):
 
 
 @pytest.mark.parametrize("offline", ["stokes_offline", "ns_offline"])
-def test_precomputed_system_matches_blockwise_oracle(offline, request):
+def test_precomputed_system_matches_blockwise_oracle(offline, request, tmp_path):
     """The constant KKT matrix plus the affine right-hand side reproduce the
     reduced residual and Jacobian assembled block by block, at random
-    coefficients and parameters."""
-    ops = request.getfixturevalue(offline)[-1]
+    coefficients and parameters.  No built, loaded or sliced model keeps
+    the whole system or the null-space bases."""
+    _, basis, ops = request.getfixturevalue(offline)
+    path = tmp_path / "rom.bin"
+    save_artifact(path, ops)
+    for model in (ops, load_artifact(path), slice_operators(ops, basis, 1)):
+        assert not [name for name in ("K", "R", "S", "N", "Y") if hasattr(model, name)]
+    K, R, _ = oracles.whole_system(ops)
     conv = None if ops.tensor is None else oracles.tensor_convection(ops)
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = rng.standard_normal(ops.dimension())
         mu = rng.uniform(ops.domain_lo, ops.domain_hi)
         if conv is None:  # Stokes: the constant system alone
-            res, jac = ops.K @ x + ops.R @ np.concatenate([[1.0], mu]), ops.K
+            res, jac = K @ x + R @ np.concatenate([[1.0], mu]), K
         else:
             res, jacobian = oracles.reduced_system(ops, mu, x)
             jac = jacobian()[:, :ops.dimension()]

@@ -115,7 +115,10 @@ class TestLoadConfig:
         ("[test]\nsize = 3", "[test]\nsize = -1"),
         ("n_max = 2", "n_max = 0"),
         ("sweep = 1 2", "sweep = 0 2"),
-    ], ids=["not-utf8", "sweep-token", "boolean", "test-size", "n-max", "sweep-value"])
+        ("sampling = grid\nseed = 0", "sampling = random\nseed = -1"),
+        ("seed = 7", "seed = -3"),
+    ], ids=["not-utf8", "sweep-token", "boolean", "test-size", "n-max", "sweep-value",
+            "training-seed", "test-seed"])
     def test_malformed_value(self, config_file, old, new):
         """Every malformed value is a ConfigError, and the CLI exits 2."""
         text = config_file.read_text()
@@ -294,7 +297,8 @@ class TestCli:
         ("resolution = 0.55", "resolution = -0.5"),
         ("resolution = 0.55", "resolution = nan"),
         ("radius = 1.0", "radius = -1.0"),
-    ], ids=["resolution", "nan-resolution", "radius"])
+        ("length = 5.0", "length = 0"),
+    ], ids=["resolution", "nan-resolution", "radius", "zero-length"])
     def test_mesh_gen_bad_geometry(self, config_file, tmp_path, capsys, old, new):
         config_file.write_text(config_file.read_text().replace(old, new))
         assert main(["mesh", "gen", "--config", str(config_file),
