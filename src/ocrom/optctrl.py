@@ -85,12 +85,12 @@ class OcpConfig:
 
 
 def check_parameters(mu, lo, hi):
-    """``mu`` as a float vector, checked against the box [lo, hi] (NaN is
-    outside it)."""
+    """``mu`` as a float vector, checked against the finite part of the box
+    [lo, hi] (NaN and +-inf are outside it, on an unbounded domain too)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.shape != lo.shape:
         raise DimensionMismatch(f"expected parameters of shape {lo.shape}, got shape {mu.shape}")
-    outside = ~((lo <= mu) & (mu <= hi))
+    outside = ~((lo <= mu) & (mu <= hi) & np.isfinite(mu))
     if outside.any():
         k = int(np.argmax(outside))
         raise ParameterOutOfDomain(

@@ -34,21 +34,22 @@ coefficients and objective, one with its precomputed full-order lift for
 the fields.  A Navier-Stokes query solves in null-space coordinates z: the
 divergence rows and the control rows are linear, so the velocities are
 eliminated onto the kernel of the reduced divergence block and the control
-onto the adjoint velocity, which leaves 2 (n_v - n_p) unknowns.  One
-routine gives the residual and the Jacobian in z, over z or over z and the
-parameters: a matrix plus contractions of one tensor, both projected once
-on construction.  Every solve is chord steps, run by the package's one
-driver ``numerics.newton``, on one LU of that Jacobian made again only
-where the steps stop contracting fast.  The coefficients of z are one
-product with [z; 1; mu] plus two small tensor contractions for the
-pressures' convection, and the fields are lifted one basis at a time.  The
-training solves start from z = 0, and the Jacobian over z and the
-parameters gives each one's mu-tangent, so a query starts from the nearest
-training solution plus its tangent step (an Euler predictor), stops at the
-threshold a start from zero would use, and starts again from z = 0 if its
-steps diverge.  The null space needs a divergence block of full row rank,
-which supremizers give: a model without it (a saddle point that is not
-inf-sup stable) answers every query with ``SingularMatrix``.
+onto the adjoint velocity, which leaves 2 (n_v - n_p) unknowns.  The
+convection is quadratic, so the Jacobian in z over z and the parameters is
+affine in them: one routine gives the residual and that Jacobian from one
+product with a linear map precomputed on construction.  Every solve is
+chord steps, run by the package's one driver ``numerics.newton``, on one
+LU of that Jacobian made again only where the steps stop contracting fast.
+The coefficients of z are one product with [z; 1; mu] plus two small tensor
+contractions for the pressures' convection, and the fields are lifted one
+basis at a time.  The training solves start from z = 0, and the Jacobian
+over z and the parameters gives each one's mu-tangent, so a query starts
+from the nearest training solution plus its tangent step (an Euler
+predictor), stops at the threshold a start from zero would use, and starts
+again from z = 0 if its steps diverge.  The null space needs a divergence
+block of full row rank, which supremizers give: a model without it (a
+saddle point that is not inf-sup stable) answers every query with
+``SingularMatrix``.
 """
 
 import io
@@ -439,10 +440,12 @@ class ReducedOperators:
     ``Z [1; mu]``.  For Navier-Stokes it keeps the system in z every query
     solves (``_null_space_system``): ``F`` (the map from [z; 1; mu] to the
     coefficients, less the pressures' convection, which ``Sp`` and ``Sq``
-    give), ``Kz``, ``Rz`` and ``Sz`` (the matrix, affine term and
-    symmetrized convection tensor in z), ``r_zero`` (the whole system's
-    residual at coefficient zero over [1; mu; mu (x) mu]), and ``mu_scale``,
-    the distance scale by which a query picks its nearest start
+    give), ``Kz`` and ``Rz`` (the matrix and affine term in z), ``J0`` and
+    ``T`` (the constant part ``[Kz | Rz[:, 1:]]`` of the Jacobian over z and
+    mu, and the transposed map whose product with x = [z; mu] is its
+    convection part), ``r_zero`` (the whole system's residual at
+    coefficient zero over [1; mu; mu (x) mu]), and ``mu_scale``, the
+    distance scale by which a query picks its nearest start
     (``_domain_scale``).
     With ``training_parameters`` it also derives the starts of its queries:
     ``warm_mu`` (the training parameters whose reduced solve succeeded),
@@ -483,7 +486,7 @@ class ReducedOperators:
                               self.c[:nv], self.n_ctrl, self.alpha).toarray()
         R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:], self.b[:, nv:])
         self.X = self.Z = self.Z_ends = self.unsolvable = None
-        self.F = self.Kz = self.Rz = self.Sz = self.Sp = self.Sq = self.r_zero = None
+        self.F = self.Kz = self.Rz = self.J0 = self.T = self.Sp = self.Sq = self.r_zero = None
         self.mu_scale = self.warm_mu = self.warm_x = self.warm_dx = None
         try:
             N, Y = _null_space(self.b[:, :nv], K)
@@ -495,7 +498,7 @@ class ReducedOperators:
                 self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
             else:
                 system = _null_space_system(self, K, R, N, Y)
-                self.F, self.Kz, self.Rz, self.Sz, self.Sp, self.Sq, self.r_zero = system
+                self.F, self.Kz, self.Rz, self.J0, self.T, self.Sp, self.Sq, self.r_zero = system
                 self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
                 if self.training_parameters is not None:
                     self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
@@ -664,8 +667,20 @@ def _null_space_system(ops, K, R, N, Y):
     parts, and ``Sp[i, j, l] = S(Y_i, P_j, P_l)`` and
     ``Sq[i, j, l] = S(N_j, Y_i, P_l)`` give their convection.  The residual
     at coefficient zero is ``r_zero [1; mu; mu (x) mu]``: R, plus
-    S[:, nv:, nv:] / 2 on the state momentum (w) rows.  Returns (F, Kz, Rz,
-    Sz, Sp, Sq, r_zero); a singular control block raises ``LinAlgError``."""
+    S[:, nv:, nv:] / 2 on the state momentum (w) rows.
+
+    With a = [xi; mu] and d = Sz.a over the last slot, the convection is
+    d a / 2 on the state rows (eta) and d^T eta on the adjoint rows (xi):
+    quadratic in x = [z; mu], so the convection part C(x) of the Jacobian
+    over x is linear in x and C(x) x / 2 is the convection itself (Sz is
+    symmetric in its last two slots).  C(x)'s state rows are d in the
+    columns of a, its adjoint rows eta.Sz over the first slot in the
+    columns of a and d^T in those of eta.  ``T`` holds that map as
+    C(x) = (x T).reshape(2 k, 2 k + n_lift); it is stored as the map's
+    transpose, (2 k + n_lift) x 2 k (2 k + n_lift), because BLAS forms x T
+    faster than the map times x.  ``J0 = [Kz | Rz[:, 1:]]`` is the rest of
+    that Jacobian.  Returns (F, Kz, Rz, J0, T, Sp, Sq, r_zero); a singular
+    control block raises ``LinAlgError``."""
     sv, sp, su, sw, sq = ops.blocks
     nv, k, nl = ops.n_velocity_modes, N.shape[1], ops.n_lift
     S = ops.tensor[:nv] + ops.tensor[:nv].transpose(0, 2, 1)
@@ -685,7 +700,15 @@ def _null_space_system(ops, K, R, N, Y):
     Sq = np.einsum("gj,gab,ai,bl->ijl", N, S[:, :nv], Y, P, optimize=True)
     r_zero = np.hstack([R, np.zeros((R.shape[0], nl * nl))])
     r_zero[sw, 1 + nl:] = 0.5 * S[:, nv:, nv:].reshape(nv, nl * nl)
-    return F, lin[:, :2 * k], lin[:, 2 * k:], Sz, Sp, Sq, r_zero
+    # T[s, r, c] = dC[r, c] / dx_s over x = [xi; eta; mu], a = [xi; mu] at
+    # the positions a
+    xi, eta, a = np.arange(k), np.arange(k, 2 * k), np.r_[:k, 2 * k:2 * k + nl]
+    T = np.zeros((2 * k + nl, 2 * k, 2 * k + nl))
+    T[np.ix_(a, eta, a)] = Sz.transpose(2, 0, 1)
+    T[np.ix_(eta, xi, a)] = Sz[:, :k]
+    T[np.ix_(a, xi, eta)] = Sz[:, :k].transpose(2, 1, 0)
+    J0 = np.hstack([lin[:, :2 * k], lin[:, 2 * k + 1:]])
+    return (F, lin[:, :2 * k], lin[:, 2 * k:], J0, T.reshape(2 * k + nl, -1), Sp, Sq, r_zero)
 
 
 NEWTON_TOL_REL = 1e-11
@@ -698,31 +721,20 @@ _CHORD_CONTRACTION = 1e-3
 
 
 def _z_residual(ops, z, mu, rz):
-    """Residual ``Kz z + rz`` (``rz = Rz [1; mu]``) plus the convection
-    terms of the system in z at ``z``, and a function for its Jacobian over
-    z, or with ``mu_columns`` over z and then mu.
-
-    With a = [xi; mu] and d = Sz.a over the last slot, the state rows
-    (eta) get d a / 2 and the adjoint rows (xi) d^T eta; the Jacobian's
-    state block is d and its adjoint block eta.Sz over the first slot, Sz
-    being symmetric in its last two.  A parameter is a pinned velocity
-    coefficient, so d and eta.Sz carry its columns too.
-    """
-    k, _, m = ops.Sz.shape
-    eta, a = z[k:], np.concatenate([z[:k], mu])
-    d = (ops.Sz.reshape(k * m, m) @ a).reshape(k, m)
-    res = ops.Kz @ z + rz
-    res[:k] += eta @ d[:, :k]
-    res[k:] += 0.5 * (d @ a)
+    """Residual of the system in z at ``z`` and a function for its
+    Jacobian over z, or with ``mu_columns`` over z and then mu, from one
+    product C = (x T).reshape(...) at x = [z; mu]: the residual is
+    ``Kz z + rz`` (``rz = Rz [1; mu]``) plus C x / 2, the convection being
+    quadratic in x, and the Jacobian a fresh ``J0 + C``
+    (``_null_space_system``)."""
+    n, x = z.size, np.concatenate([z, mu])
+    C = (x @ ops.T).reshape(n, x.size)
+    res = ops.Kz @ z + rz + 0.5 * (C @ x)
 
     def jacobian(mu_columns=False):
-        g = (eta @ ops.Sz.reshape(k, m * m)).reshape(m, m)
-        jac = np.hstack([ops.Kz, ops.Rz[:, 1:]])
-        block = np.vstack([g[:k], d])  # over a = [xi; mu], columns xi then mu
-        jac[:, :k] += block[:, :k]
-        jac[:, 2 * k:] += block[:, k:]
-        jac[:k, k:2 * k] += d[:, :k].T
-        return jac if mu_columns else jac[:, :2 * k]
+        if mu_columns:
+            return ops.J0 + C
+        return ops.J0[:, :n] + C[:, :n]
 
     return res, jacobian
 

@@ -49,6 +49,8 @@ class StudyConfig:
     output_dir: str
 
     def __post_init__(self):
+        if not np.isfinite([self.re_min, self.re_max]).all():
+            raise ConfigError(f"re_min and re_max must be finite: {self.re_min}, {self.re_max}")
         if self.re_min > self.re_max:
             raise ConfigError("re_min exceeds re_max")
         if any(n > self.training_size for n in self.sweep):

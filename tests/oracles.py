@@ -24,12 +24,15 @@ tensor convection terms come from three contractions of the stored tensor
 (the path the symmetrized tensor replaces).  The whole reduced system, its
 KKT matrix, affine right-hand side and symmetrized tensor rebuilt from the
 stored projections, is the reference for the system in null-space
-coordinates; its residual and Jacobian serve the references that solve on
-the whole system: a zero-start reduced Newton that builds every Jacobian
-with its residual, the reference for zero starts (the path the chord
-steps in null-space coordinates replace), and a full Newton from the warm
-start, each step solving the x columns of the Jacobian over [x; mu], for
-warm-started queries.  A point in null-space coordinates is
+coordinates; at a point F [z; 1; mu] with zero pressures, its momentum
+rows tested with the null-space basis and its Jacobian carried through F
+give the residual in z and the Jacobian over z and mu (the path the
+precomputed map of the convection Jacobian replaces).  Its residual and
+Jacobian serve the references that solve on the whole system: a zero-start
+reduced Newton that builds every Jacobian with its residual, the reference
+for zero starts (the path the chord steps in null-space coordinates
+replace), and a full Newton from the warm start, each step solving the x
+columns of the Jacobian over [x; mu], for warm-started queries.  A point in null-space coordinates is
 lifted to the whole system's coefficients with pressures fitted to the
 momentum rows in least squares.  The per-basis lift of reduced
 coefficients to full-order fields is the reference for the Stokes
@@ -621,6 +624,25 @@ def reduced_system(ops, mu, x):
         return np.hstack([jac, jac_mu])
 
     return res, jacobian
+
+
+def z_system(ops, mu, z):
+    """Residual of the system in z at ``z`` and its Jacobian over z and
+    then mu, from ``reduced_system``, which contracts ``ops.tensor`` itself:
+    the whole system at x = F [z; 1; mu] with zero pressures, its adjoint
+    and state momentum rows tested with N^T (N = F[sv, :k], the pressures
+    dropping out as b_hom N = 0), and its Jacobian carried over z and mu by
+    the chain rule through F."""
+    sv, sp, _, sw, sq = ops.blocks
+    n, dim = z.size, ops.dimension()
+    F = ops.F.copy()
+    F[sp] = F[sq] = 0.0
+    N = F[sv, :n // 2]
+    res, jacobian = reduced_system(ops, mu, F @ np.concatenate([z, [1.0], mu]))
+    jac = jacobian(mu_columns=True)
+    jac = np.hstack([jac[:, :dim] @ F[:, :n], jac[:, :dim] @ F[:, n + 1:] + jac[:, dim:]])
+    return (np.concatenate([N.T @ res[sv], N.T @ res[sw]]),
+            np.vstack([N.T @ jac[sv], N.T @ jac[sw]]))
 
 
 def lift_z(ops, mu, z):

@@ -87,8 +87,9 @@ class TestConfig:
         assert model.domain_lo.tolist() == [-np.inf]
         assert model.domain_hi.tolist() == [np.inf]
         assert model.check_mu(1e6).tolist() == [1e6]
-        with pytest.raises(ParameterOutOfDomain):
-            model.check_mu(np.nan)
+        for mu in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterOutOfDomain):
+                model.check_mu(mu)
 
 
 class TestTarget:

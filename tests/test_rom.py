@@ -1162,24 +1162,51 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("offline", _NS_OFFLINE)
     def test_z_jacobian_matches_finite_differences(self, offline, request):
-        """The Jacobian of the system in z against central differences of
-        its residual, at the warm start of a query and at a random point."""
+        """The Jacobian of the system in z over z and mu against central
+        differences of its residual in z and in mu, at the warm start of a
+        query and at a random point; over z alone it is the leading
+        columns."""
         _, _, ops = request.getfixturevalue(offline)
         rng = np.random.default_rng(10)
         mu = rng.uniform(ops.domain_lo, ops.domain_hi)
-        rz = ops.Rz @ np.concatenate([[1.0], mu])
         start, _ = rom._start(ops, mu)
 
-        def system(z):
-            return rom._z_residual(ops, z, mu, rz)
+        def residual(z, mu):
+            return rom._z_residual(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))[0]
 
         for z in (start, start + rng.standard_normal(start.size) * np.abs(start).max()):
-            jac = system(z)[1]()
-            eps = 1e-6 * max(np.abs(z).max(), 1.0)
-            for k in range(z.size):
-                step = np.where(np.arange(z.size) == k, eps, 0.0)
-                fd = (system(z + step)[0] - system(z - step)[0]) / (2 * eps)
+            jacobian = rom._z_residual(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))[1]
+            jac = jacobian(mu_columns=True)
+            assert np.array_equal(jacobian(), jac[:, :z.size])
+            x = np.concatenate([z, mu])
+            eps = 1e-6 * np.maximum(np.abs(x), 1.0)
+            for k in range(x.size):
+                step = np.where(np.arange(x.size) == k, eps[k], 0.0)
+                fd = (residual(*np.split(x + step, [z.size]))
+                      - residual(*np.split(x - step, [z.size]))) / (2 * eps[k])
                 assert np.abs(fd - jac[:, k]).max() <= 1e-6 * np.abs(jac).max(), k
+
+    @pytest.mark.parametrize("offline", _NS_OFFLINE)
+    def test_z_residual_matches_tensor_oracle(self, offline, request):
+        """The residual and the Jacobian over z and mu of the system in z
+        against ``oracles.z_system``, which contracts the projected tensor
+        on the whole system, at every training solution and at 4 random
+        points: the Jacobian within 1e-13 of its largest entry, the
+        residual within 1e-13 of its terms' size |J| |[z; mu]| (at a
+        solution it is itself round-off)."""
+        _, _, ops = request.getfixturevalue(offline)
+        rng = np.random.default_rng(14)
+        scale = np.abs(ops.warm_x).max()
+        points = list(zip(ops.warm_x, ops.warm_mu))
+        points += [(rng.standard_normal(ops.Kz.shape[0]) * scale,
+                    rng.uniform(ops.domain_lo, ops.domain_hi)) for _ in range(4)]
+        for z, mu in points:
+            res, jacobian = rom._z_residual(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))
+            ref_res, ref_jac = oracles.z_system(ops, mu, z)
+            size = np.abs(ref_jac) @ np.abs(np.concatenate([z, mu]))
+            assert np.abs(res - ref_res).max() <= 1e-13 * size.max()
+            jac = jacobian(mu_columns=True)
+            assert np.abs(jac - ref_jac).max() <= 1e-13 * np.abs(ref_jac).max()
 
     @pytest.mark.parametrize("offline", _NS_OFFLINE)
     def test_pressures_match_momentum_rows(self, offline, request):
@@ -1341,8 +1368,11 @@ def test_singular_warm_start_jacobian_raises(graft_ns_offline, tmp_path, capsys,
     first column zeroed on the way to the factorization, in queries only,
     so that a loaded model keeps its training starts) raises
     ``SingularMatrix``; it is not a divergence, so there is no fallback.
-    ``ocrom online`` on the saved model exits 3 with a one-line message."""
+    The zeroed Jacobian is a fresh array: every attribute of the model is
+    bit-identical after the query.  ``ocrom online`` on the saved model
+    exits 3 with a one-line message."""
     _, _, ops = graft_ns_offline
+    before = copy.deepcopy(vars(ops))
     dense_lu, solve, querying = numerics.dense_lu, rom._solve_coefficients, []
 
     def singular(a, name):
@@ -1361,6 +1391,9 @@ def test_singular_warm_start_jacobian_raises(graft_ns_offline, tmp_path, capsys,
     monkeypatch.setattr(rom, "_solve_coefficients", query)
     with pytest.raises(SingularMatrix, match="reduced Jacobian"):
         solve_reduced(ops, np.array([24.0, 26.0]))
+    assert vars(ops).keys() == before.keys()
+    for name, value in before.items():
+        _assert_identical(name, value, vars(ops)[name])
     path = tmp_path / "rom.bin"
     save_artifact(path, ops)
     assert load_artifact(path).warm_mu is not None
@@ -1522,7 +1555,7 @@ def test_precomputed_system_matches_blockwise_oracle(offline, request, tmp_path)
     path = tmp_path / "rom.bin"
     save_artifact(path, ops)
     for model in (ops, load_artifact(path), slice_operators(ops, basis, 1)):
-        assert not [name for name in ("K", "R", "S", "N", "Y") if hasattr(model, name)]
+        assert not [name for name in ("K", "R", "S", "Sz", "N", "Y") if hasattr(model, name)]
     K, R, _ = oracles.whole_system(ops)
     conv = None if ops.tensor is None else oracles.tensor_convection(ops)
     rng = np.random.default_rng(8)

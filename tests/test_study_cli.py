@@ -109,6 +109,22 @@ class TestLoadConfig:
             load_config(config_file)
 
     @pytest.mark.parametrize("old, new", [
+        ("re_max = 80.0", "re_max = inf"),
+        ("re_min = 40.0", "re_min = nan"),
+    ], ids=["re_max-inf", "re_min-nan"])
+    def test_non_finite_reynolds_bound(self, config_file, capsys, old, new):
+        """A non-finite Reynolds bound is a ConfigError, and the CLI exits 2
+        with one stderr line, before any solve."""
+        text = config_file.read_text()
+        assert old in text
+        config_file.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(config_file)
+        assert main(["solve", "--config", str(config_file), "--mu", "60.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("old, new", [
         ("[mesh]", "[mesh]\n# \xff\xfe"),
         ("sweep = 1 2", "sweep = 1 x"),
         ("supremizers = true", "supremizers = ture"),
