@@ -110,6 +110,7 @@ def _cmd_solve(args):
         "objective": sol.objective,
         "kkt_residual": sol.kkt_residual,
         "newton_iterations": sol.newton_iterations,
+        "gmres_iterations": sol.gmres_iterations,
     }
     print(json.dumps(summary))
     if args.output:

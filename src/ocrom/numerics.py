@@ -10,10 +10,13 @@ passes, plain or transposed (block elimination on a sub-block).  Small
 dense systems that one factorization serves several times (a reduced
 Jacobian) go to LAPACK ``getrf``/``getrs`` directly (``dense_lu``),
 without the per-call checks of the ``scipy.linalg`` wrappers.  A Newton
-solve's successive Jacobians, or a path of such solves', share one raw
-solve that the caller prepares (``newton_step_solver``): later steps run
-GMRES preconditioned with it (``solve_near``), and prepare a fresh one
-when GMRES misses the LU bound.
+solve's successive Jacobians, or a path of such solves', share a raw
+solve that the caller prepares (``NewtonStepSolver``): later steps run
+GMRES preconditioned with it (``solve_near``).  The next Jacobian gets a
+fresh one after a GMRES call that needed more than ``_GMRES_STALL``
+inner iterations, a lagged preconditioner refreshed when the Krylov
+solve stalls (Knoll & Keyes, JCP 193, 2004), and at once when GMRES
+misses the LU bound.
 Symmetric eigenproblems go to LAPACK ``syevd`` (``numpy.linalg.eigh``):
 ``symmetric_eig`` returns (eigenvalues, eigenvectors), eigenvalues descending
 and eigenvector signs fixed, so repeated runs reproduce identical bases.
@@ -42,6 +45,10 @@ _SYM_RTOL = 1e-12  # largest relative asymmetry symmetric_eig accepts
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 3
 _GMRES_RTOL = 1e-11
+# inner iterations above which a GMRES call's preconditioner counts as
+# stale (NewtonStepSolver); picked from a sweep of 16, 20, 24 and 30 over
+# three Navier-Stokes graft builds
+_GMRES_STALL = 20
 
 # SuperLU's symmetric mode, for exactly symmetric matrices (see LuFactor)
 _SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
@@ -98,7 +105,9 @@ class LuFactor:
 
 def solve_near(A, b, raw_solve):
     """Solve ``A x = b`` by GMRES preconditioned with ``raw_solve``, the
-    raw solve of a matrix of ``A``'s size that is close to it.
+    raw solve of a matrix of ``A``'s size that is close to it; returns
+    ``(x, inner)``, ``inner`` the call's inner iterations (its applications
+    of ``raw_solve``).
 
     The result is returned only if its relative residual is at most 1e-10,
     the bound ``refine`` enforces; otherwise :class:`ConvergenceFailure` is
@@ -109,9 +118,16 @@ def solve_near(A, b, raw_solve):
         raise DimensionMismatch(f"system {A.shape} / rhs {b.shape[0]}")
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0
+    inner = 0
+
+    def precondition(r):
+        nonlocal inner
+        inner += 1
+        return raw_solve(r)
+
     with np.errstate(all="ignore"):
-        M = spla.LinearOperator(A.shape, matvec=raw_solve, dtype=float)
+        M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
         x, _ = spla.gmres(A, b, rtol=_GMRES_RTOL, atol=0.0,
                           restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES, M=M)
         rel = np.linalg.norm(b - A @ x) / bnorm
@@ -119,7 +135,7 @@ def solve_near(A, b, raw_solve):
         raise ConvergenceFailure(
             "preconditioned GMRES reached relative residual %.3e, above %.0e"
             % (rel, _LU_RTOL))
-    return x
+    return x, inner
 
 
 def refine(A, b, raw_solve):
@@ -184,26 +200,48 @@ def dense_lu(a, name):
     return solve
 
 
-def newton_step_solver(prepare):
+class NewtonStepSolver:
     """``solve(A, b)`` for the successive Jacobians of one Newton solve, or
-    of a path of nearby solves.  ``prepare(A)`` returns a raw solve of
-    ``A`` (a factorization, or a block elimination on one of its blocks);
-    the first Jacobian gets one, later ones go to ``solve_near`` on the
-    last one and get their own only when that misses its bound.  Every
-    solve by a prepared raw solve is refined against ``A``."""
-    raw = None
+    of a path of nearby solves.
 
-    def solve(A, b):
-        nonlocal raw
-        if raw is not None:
+    ``prepare(A)`` returns a raw solve of ``A`` (a factorization, or a
+    block elimination on one of its blocks).  The first Jacobian gets one;
+    later ones go to ``solve_near`` on the last one.  A Jacobian gets its
+    own raw solve instead, prepared and refined like the first, when
+    ``solve_near`` misses its bound on it, or when the previous
+    ``solve_near`` call needed more than ``_GMRES_STALL`` inner iterations.
+    Every solve by a prepared raw solve is refined against ``A``.
+
+    The tallies count the raw solves ``prepared``, their ``applications``
+    (in GMRES and in refinement alike) and the GMRES ``inner`` iterations,
+    those of calls that missed included.
+    """
+
+    def __init__(self, prepare):
+        self._prepare = prepare
+        self._raw = None
+        self.prepared = self.applications = self.inner = 0
+
+    def _apply(self, b):
+        self.applications += 1
+        return self._raw(b)
+
+    def __call__(self, A, b):
+        if self._raw is not None:
+            start = self.applications
             try:
-                return solve_near(A, b, raw)
+                x, inner = solve_near(A, b, self._apply)
             except ConvergenceFailure:
-                pass
-        raw = prepare(A)
-        return refine(A, b, raw)
-
-    return solve
+                self._raw = None  # released before its successor is built
+            else:
+                if inner > _GMRES_STALL:  # stale: the next Jacobian gets its own
+                    self._raw = None
+                return x
+            finally:
+                self.inner += self.applications - start
+        self._raw = self._prepare(A)
+        self.prepared += 1
+        return refine(A, b, self._apply)
 
 
 def symmetric_eig(C):

@@ -34,13 +34,15 @@ block M + G(w) + G(w)^T) and share one sparsity pattern, built on the
 first Navier-Stokes Jacobian of a model: an assembly adds the element
 convection blocks to the constant Stokes values in place, and the
 residual's convection terms are evaluated element-wise without a matrix.
-Both solves take their Newton steps from ``numerics.newton_step_solver``,
+Both solves take their Newton steps from ``numerics.NewtonStepSolver``,
 which prepares a raw solve of the first Jacobian it meets (the
 elimination, or an LU of the state block) and serves later steps by GMRES
-preconditioned with it.  A solve has its own step solver, except inside
+preconditioned with it, preparing a fresh one when GMRES stalls or misses.
+A solve has its own step solver, except inside
 ``FullOrderModel.continuation``: there successive solves follow one path,
 each starting from the previous converged solution and all sharing one
-step solver, so a snapshot build factorizes about once.
+step solver, so a snapshot build prepares a few eliminations, not one per
+point.
 """
 
 from contextlib import contextmanager
@@ -112,6 +114,7 @@ class OcpSolution:
     objective: float
     kkt_residual: float
     newton_iterations: int
+    gmres_iterations: int  # GMRES inner iterations of those Newton steps
 
 
 @dataclass
@@ -337,7 +340,7 @@ class FullOrderModel:
         """Newton step solver whose raw solves are ``_elimination`` on a
         fresh LU of the Jacobian's state block."""
         e = self._ends
-        return numerics.newton_step_solver(
+        return numerics.NewtonStepSolver(
             lambda J: self._elimination(J, numerics.factorize(J[e[2] :, : e[1]])))
 
     # -- KKT assembly --------------------------------------------------------
@@ -459,7 +462,8 @@ class FullOrderModel:
     # -- solvers ---------------------------------------------------------
 
     def _pack_solution(self, x, mu, iters, res, rhs):
-        """Solution fields at ``x``; ``res`` is the KKT residual there and
+        """Solution fields at ``x``; ``iters`` the (Newton, GMRES inner)
+        iterations that reached it, ``res`` the KKT residual there and
         ``rhs`` the Stokes right-hand side that scales it."""
         v_f, p, u, w_f, q = self._split(x)
         vL = self.lifting_field(mu)
@@ -478,7 +482,8 @@ class FullOrderModel:
             v_hom=v_hom,
             objective=J,
             kkt_residual=float(np.linalg.norm(res) / scale),
-            newton_iterations=iters,
+            newton_iterations=iters[0],
+            gmres_iterations=iters[1],
         )
 
     def solve_ocp(self, mu):
@@ -502,7 +507,7 @@ class FullOrderModel:
             self._stokes_solve = self._elimination(K, self._state_lu)
         x = numerics.refine(K, rhs, self._stokes_solve)
         if self.config.equation == "stokes":
-            return self._pack_solution(x, mu, 0, self.kkt_residual(x, mu, False), rhs)
+            return self._pack_solution(x, mu, (0, 0), self.kkt_residual(x, mu, False), rhs)
         path = self._path or _Path(self._step_solver())  # outside a build: a path of one
         if path.x is not None:
             r0 = np.linalg.norm(self.kkt_residual(x, mu, True))
@@ -518,8 +523,10 @@ class FullOrderModel:
 
     def _newton(self, mu, x, step, tol_rel, tol_abs):
         """Navier-Stokes Newton at ``mu`` from the KKT vector ``x``, its
-        steps taken by ``step``; returns (x, residual, iterations)."""
+        steps taken by ``step``; returns (x, residual, (Newton iterations,
+        GMRES inner iterations))."""
         vL = self.lifting_field(mu)
+        inner = step.inner
 
         def system(x):
             def solve(b):
@@ -528,7 +535,8 @@ class FullOrderModel:
 
             return self.kkt_residual(x, mu, True), solve
 
-        return numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
+        x, res, iters = numerics.newton(system, x, tol_rel, tol_abs, NEWTON_MAX_ITER)
+        return x, res, (iters, step.inner - inner)
 
     @contextmanager
     def continuation(self):
@@ -562,7 +570,7 @@ class FullOrderModel:
 
         vp = self._state_lu.solve(-residual(np.zeros(e[1]), False))
         if self.config.equation == "navier-stokes":
-            step = numerics.newton_step_solver(lambda S: numerics.factorize(S).raw_solve)
+            step = numerics.NewtonStepSolver(lambda S: numerics.factorize(S).raw_solve)
 
             def system(vp):
                 def solve(b):

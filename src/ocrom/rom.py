@@ -979,8 +979,14 @@ def load_artifact(path):
     if not all(np.isfinite(v).all() for v in [alpha, j_const, *finite]):
         raise ParseError(f"{path}: non-finite values")
     _check_shapes(path, arrays, equation)
-    if not (arrays["domain_lo"] <= arrays["domain_hi"]).all():  # NaN fails too
+    lo, hi = arrays["domain_lo"], arrays["domain_hi"]
+    if not (lo <= hi).all():  # NaN fails too
         raise ParseError(f"{path}: domain bounds NaN or reversed")
+    if not 0.0 < alpha < np.inf:  # OcpConfig's rule
+        raise ParseError(f"{path}: penalty alpha must be positive and finite: {alpha}")
+    training = arrays.get("training_parameters")
+    if training is not None and not ((lo <= training) & (training <= hi)).all():
+        raise ParseError(f"{path}: training parameters outside the stored domain")
     eigenvalues = None
     if "eigenvalues_v" in arrays:
         eigenvalues = {f: arrays[f"eigenvalues_{f}"] for f in FIELDS}

@@ -219,9 +219,12 @@ class TestSolveNear:
         return a0, (a0 + d).tocsc(), rng.standard_normal(a0.shape[0])
 
     def test_near_matrix_solved_to_lu_bound(self):
+        """The returned count is the call's applications of the raw solve."""
         a0, a, b = self._perturbed(0.05)
-        x = numerics.solve_near(a, b, factorize(a0).raw_solve)
+        raw, applied = factorize(a0).raw_solve, []
+        x, inner = numerics.solve_near(a, b, lambda r: applied.append(r) or raw(r))
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert inner == len(applied) > 0
 
     def test_far_matrix_raises(self):
         a0, a, b = self._perturbed(3.0, seed=1)
@@ -230,8 +233,8 @@ class TestSolveNear:
 
     def test_zero_rhs(self):
         a0, a, _ = self._perturbed(0.05)
-        x = numerics.solve_near(a, np.zeros(a.shape[0]), factorize(a0).raw_solve)
-        assert np.array_equal(x, np.zeros(a.shape[0]))
+        x, inner = numerics.solve_near(a, np.zeros(a.shape[0]), factorize(a0).raw_solve)
+        assert np.array_equal(x, np.zeros(a.shape[0])) and inner == 0
 
     def test_dimension_mismatch(self):
         lu = factorize(_laplacian_2d(4))
@@ -240,21 +243,45 @@ class TestSolveNear:
         with pytest.raises(DimensionMismatch):
             numerics.solve_near(_laplacian_2d(4), np.ones(25), lu.raw_solve)
 
-    def test_newton_step_solver_factorizes_when_gmres_misses(self, monkeypatch):
+    @staticmethod
+    def _step_solver():
+        """A step solver factorizing what it prepares, and the matrices it
+        prepared, in order."""
+        prepared = []
+        return numerics.NewtonStepSolver(
+            lambda A: prepared.append(A) or factorize(A).raw_solve), prepared
+
+    def test_newton_step_solver_factorizes_when_gmres_misses(self):
         """The first matrix is factorized; a near one is served by GMRES, a
-        far one is factorized and then serves its own successors."""
+        far one is factorized at once and then serves its own successors."""
         a0, near, b = self._perturbed(0.05)
         far = self._perturbed(3.0, seed=1)[1]
-        calls = []
-        monkeypatch.setattr(numerics, "factorize",
-                            lambda A: calls.append(A.shape) or factorize(A))
-        solve = numerics.newton_step_solver(lambda A: numerics.factorize(A).raw_solve)
+        solve, prepared = self._step_solver()
         counts = []
         for a in (a0, near, far, far):
             x = solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-            counts.append(len(calls))
-        assert counts == [1, 1, 2, 2]
+            counts.append(len(prepared))
+        assert counts == [1, 1, 2, 2] and solve.prepared == 2
+        assert prepared[1] is far
+
+    @pytest.mark.parametrize("above", [True, False], ids=["above", "at"])
+    def test_stalled_gmres_refreshes_next_matrix(self, monkeypatch, above):
+        """A GMRES call that needed more than ``_GMRES_STALL`` inner
+        iterations makes the next matrix prepare a fresh raw solve; a call
+        at the limit keeps the old one."""
+        a0, near, b = self._perturbed(0.05)
+        _, inner = numerics.solve_near(near, b, factorize(a0).raw_solve)
+        monkeypatch.setattr(numerics, "_GMRES_STALL", inner - 1 if above else inner)
+        solve, prepared = self._step_solver()
+        for a in (a0, near, near):
+            x = solve(a, b)
+            assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        if above:  # the third solve is refined on near's own raw solve
+            assert [a is near for a in prepared] == [False, True] and solve.inner == inner
+        else:  # both GMRES calls run on a0's
+            assert len(prepared) == 1 and solve.inner == 2 * inner
+        assert solve.applications > solve.inner
 
 
 class TestNewton:

@@ -314,6 +314,25 @@ class TestSnapshotPath:
         assert set(calls) == {(e[-1] - e[2], e[1])}  # state blocks only
         assert model._path is None  # the path and its factorization are released
 
+    def test_build_refreshes_stalled_elimination(self, graft_ns_model, monkeypatch):
+        """A 4-point grid build shares one step solver, which prepares a
+        fresh elimination only where GMRES stalled: its eliminations and
+        their applications are pinned, and its GMRES inner iterations are
+        the solutions' own."""
+        model = graft_ns_model
+        step_solver, solve_ocp = FullOrderModel._step_solver, FullOrderModel.solve_ocp
+        steps, sols = [], []
+        monkeypatch.setattr(FullOrderModel, "_step_solver",
+                            lambda m: steps.append(step_solver(m)) or steps[-1])
+        monkeypatch.setattr(FullOrderModel, "solve_ocp",
+                            lambda m, mu: sols.append(solve_ocp(m, mu)) or sols[-1])
+        snaps = collect_snapshots(model, training_grid(_domain(model), 2))
+        assert len(snaps) == 4 and len(steps) == 1
+        step = steps[0]
+        assert (step.prepared, step.applications) == (2, 193)
+        assert step.inner == sum(s.gmres_iterations for s in sols) > 0
+        assert all(s.kkt_residual <= 1e-8 for s in sols)
+
 
 def _identity_products(n):
     eye = sp.identity(n, format="csr")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -403,6 +404,26 @@ class TestCli:
                      "--mu", mu]) == 2
         captured = capsys.readouterr()
         assert "J=" not in captured.out and "outside" in captured.err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", -0.01, "penalty alpha"),
+        ("alpha", 0.0, "penalty alpha"),
+        ("training_parameters", np.array([[500.0], [60.0]]), "training parameters"),
+    ], ids=["alpha-negative", "alpha-zero", "training-outside-domain"])
+    def test_online_rejects_inconsistent_artifact(self, study_run, tmp_path, capsys,
+                                                   field, value, message):
+        """An artifact re-saved with a non-positive penalty, or with a
+        training point outside its stored domain, is an input error: exit 2
+        before any query."""
+        cfg, _, _ = study_run
+        ops = rom.load_artifact(f"{cfg.output_dir}/rom.bin")
+        bad = copy.copy(ops)
+        setattr(bad, field, value)
+        path = tmp_path / "rom.bin"
+        rom.save_artifact(path, bad)
+        assert main(["online", "--artifact", str(path), "--mu", "60.0"]) == 2
+        captured = capsys.readouterr()
+        assert "J=" not in captured.out and message in captured.err
 
     def test_online_missing_artifact(self, tmp_path):
         assert main(["online", "--artifact", str(tmp_path / "no.bin"),
