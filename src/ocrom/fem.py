@@ -326,23 +326,24 @@ def _test_slot(coeff, gradlam, detJ):
 class ConvectionKernel:
     """Element data for the trilinear form e(a, b, c) = integral (a.grad b).c.
 
-    Exposes the matrices needed by the state and adjoint sub-solves and the
-    reduced tensor:
+    The solves use the reduced tensor and the forms without a sparse
+    matrix: ``reduced_tensor(y)`` gives e(y_j, y_b, y_g) over the columns
+    of a basis, from scalar element blocks, with no matrix assembled per
+    column; for the Navier-Stokes Newton loop, ``residual_terms`` evaluates
+    the forms on vectors element by element, and ``jacobian_values`` sums
+    the element blocks into bins the caller maps onto a fixed sparsity
+    pattern.  No solve assembles the forms' matrices; the benchmark's
+    probes and the tests' oracles do:
 
     * ``state_matrix(a)``: entries e(a, phi_j, phi_i) (the advection operator
       linearized in its second slot), block diagonal over components.
     * ``first_slot_matrix(a)``: entries e(phi_j, a, phi_i).
     * ``test_slot_matrix(a)``: entries e(phi_i, phi_j, a).
-    * ``reduced_tensor(y)``: e(y_j, y_b, y_g) over the columns of a basis,
-      from scalar element blocks, with no matrix assembled per column.
 
-    and the same forms without a sparse matrix, for the Navier-Stokes Newton
-    loop: ``residual_terms`` evaluates them on vectors element by element,
-    and ``jacobian_values`` sums the element blocks into bins the caller
-    maps onto a fixed sparsity pattern.  All of them share the blocks above:
-    per-element coefficients times a constant reference tensor, one product
-    per chunk of elements; the residual terms multiply the same
-    coefficients by ``_LNN`` and ``_KAPPA`` without forming a block.  A
+    All of them share the same element blocks: per-element coefficients
+    times a constant reference tensor, one product per chunk of elements;
+    the residual terms multiply the same coefficients by ``_LNN`` and
+    ``_KAPPA`` without forming a block.  A
     vector block is (m, 3, 3, 10, 10): entry (c, d, i, j) is row
     ``3 cells10[e, i] + c`` and column ``3 cells10[e, j] + d``, the rows
     and columns of ``element_dofs()``.

@@ -47,8 +47,8 @@ class Centerline:
             raise InvariantViolation("non-finite centerline point")
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) == 0.0):
             raise InvariantViolation("consecutive centerline points must be distinct")
-        if not np.all(rad > 0.0):  # NaN included
-            raise InvariantViolation("centerline radii must be positive")
+        if not np.all((rad > 0.0) & (rad < np.inf)):  # NaN included
+            raise InvariantViolation("centerline radii must be positive and finite")
 
     def tangents(self):
         """Unit tangents at the polyline vertices by central differences."""
@@ -213,24 +213,18 @@ def _resample_polyline(points, radii, spacing):
     return pts, rad
 
 
-def _frames(points):
+def _frames(centerline):
     """Parallel-transported orthonormal frames (normal, binormal) per vertex."""
-    tang = np.diff(points, axis=0)
-    tang = np.vstack([tang, tang[-1]])
-    mids = np.empty_like(points)
-    mids[0] = tang[0]
-    mids[1:-1] = points[2:] - points[:-2]
-    mids[-1] = tang[-1]
-    mids /= np.linalg.norm(mids, axis=1)[:, None]
+    tang = centerline.tangents()
     # seed normal: anything not parallel to the first tangent
     seed = np.array([1.0, 0.0, 0.0])
-    if abs(mids[0] @ seed) > 0.9:
+    if abs(tang[0] @ seed) > 0.9:
         seed = np.array([0.0, 1.0, 0.0])
-    n = seed - (seed @ mids[0]) * mids[0]
+    n = seed - (seed @ tang[0]) * tang[0]
     n /= np.linalg.norm(n)
-    frames = [(n, np.cross(mids[0], n))]
-    for k in range(1, len(points)):
-        t = mids[k]
+    frames = [(n, np.cross(tang[0], n))]
+    for k in range(1, len(tang)):
+        t = tang[k]
         n = frames[-1][0]
         n = n - (n @ t) * t
         n /= np.linalg.norm(n)
@@ -279,19 +273,19 @@ def _split_prism(v):
     return tets
 
 
-def _tube_points(centerline_pts, radii, n_rings):
+def _tube_points(centerline, n_rings):
     """Structured node cloud for a tube swept along a centerline.
 
     Returns (points array, per-node layer index, disk template points, disk
     triangles) with one disk of nodes per centerline vertex.
     """
     disk, disk_tris = _disk_template(n_rings)
-    frames = _frames(centerline_pts)
+    frames = _frames(centerline)
     pts = []
     layer = []
-    for k, c in enumerate(centerline_pts):
+    for k, c in enumerate(centerline.points):
         n, b = frames[k]
-        ring = c + radii[k] * (disk[:, :1] * n + disk[:, 1:2] * b)
+        ring = c + centerline.radii[k] * (disk[:, :1] * n + disk[:, 1:2] * b)
         pts.append(ring)
         layer.extend([k] * len(disk))
     return np.vstack(pts), np.array(layer), disk, disk_tris
@@ -311,11 +305,11 @@ def generate_tube(spec):
         raise DegenerateGeometry(
             f"radius {np.min(ctrl_rad):g} must exceed resolution {h:g}"
         )
-    cpts, crad = _resample_polyline(ctrl_pts, ctrl_rad, h)
-    n_rings = max(2, int(round(float(np.min(crad)) / h)))
-    nodes, layer, disk, disk_tris = _tube_points(cpts, crad, n_rings)
+    line = Centerline(*_resample_polyline(ctrl_pts, ctrl_rad, h))
+    n_rings = max(2, int(round(float(np.min(line.radii)) / h)))
+    nodes, layer, disk, disk_tris = _tube_points(line, n_rings)
     per_layer = disk.shape[0]
-    n_layers = cpts.shape[0]
+    n_layers = line.points.shape[0]
 
     tets = []
     for k in range(n_layers - 1):
@@ -336,7 +330,7 @@ def generate_tube(spec):
         tets=tets,
         boundary_tris=btris,
         boundary_tags=tags,
-        centerlines=[Centerline(points=cpts, radii=crad)],
+        centerlines=[line],
     )
     return mesh.validate()
 
@@ -388,8 +382,8 @@ def generate_graft(spec):
         )
 
     n_rings = max(2, int(round(min(float(np.min(host.radii)), float(np.min(graft.radii))) / h)))
-    host_nodes = _tube_points(host.points, host.radii, n_rings)[0]
-    graft_nodes = _tube_points(graft.points, graft.radii, n_rings)[0]
+    host_nodes = _tube_points(host, n_rings)[0]
+    graft_nodes = _tube_points(graft, n_rings)[0]
 
     # keep graft nodes outside the host lumen and away from host nodes
     keep = ~_inside_union(graft_nodes, [host], shrink=0.25 * h)

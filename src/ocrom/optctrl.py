@@ -54,7 +54,7 @@ import scipy.sparse as sp
 from . import numerics
 from .errors import DimensionMismatch, NewtonDiverged, ParameterOutOfDomain, UnknownTag
 from .fem import ConvectionKernel, assemble_operators, build_spaces
-from .mesh import centerline_query
+from .mesh import FIRST_OUTLET_TAG, centerline_query
 
 NEWTON_TOL_REL = 1e-9
 NEWTON_TOL_ABS = 1e-12
@@ -187,9 +187,7 @@ def inlet_geometry(mesh, tag):
     for cl in mesh.centerlines:
         d = np.linalg.norm(cl.points[0] - centroid)
         if best is None or d < best[0]:
-            tangent = cl.points[1] - cl.points[0]
-            tangent = tangent / np.linalg.norm(tangent)
-            best = (d, cl.points[0], -tangent, float(cl.radii[0]))
+            best = (d, cl.points[0], -cl.tangents()[0], float(cl.radii[0]))
     _, center, normal, radius = best
     return center, normal, radius
 
@@ -231,6 +229,11 @@ class FullOrderModel:
     """
 
     def __init__(self, mesh, config):
+        self.inlet_tags = sorted(mesh.inlet_tags())
+        if not self.inlet_tags:
+            raise UnknownTag("the mesh has no inlet boundary (tags 2..99)")
+        if not (mesh.boundary_tags >= FIRST_OUTLET_TAG).any():
+            raise UnknownTag("the mesh has no outlet boundary (tags 100 and up)")
         self.mesh = mesh
         self.config = config
         self.spaces = build_spaces(mesh)
@@ -238,7 +241,6 @@ class FullOrderModel:
         self.kernel = ConvectionKernel(self.spaces)
         self._target = build_target(mesh, self.spaces, config.v_const)
         self._target.flags.writeable = False
-        self.inlet_tags = sorted(mesh.inlet_tags())
         domain = config.domain or dict.fromkeys(self.inlet_tags, (-np.inf, np.inf))
         if sorted(domain) != self.inlet_tags:
             raise UnknownTag(f"domain tags {sorted(domain)} != mesh inlets {self.inlet_tags}")

@@ -36,10 +36,12 @@ divergence rows and the control rows are linear, so the velocities are
 eliminated onto the kernel of the reduced divergence block and the control
 onto the adjoint velocity, which leaves 2 (n_v - n_p) unknowns.  The
 convection is quadratic, so the Jacobian in z over z and the parameters is
-affine in them: one routine gives the residual and that Jacobian from one
-product with a linear map precomputed on construction.  Every solve is
-chord steps, run by the package's one driver ``numerics.newton``, on one
-LU of that Jacobian made again only where the steps stop contracting fast.
+affine in them, a constant J0 plus a part linear in them: one routine gives
+the residual, J0 [z; mu] plus a constant column plus the convection, and
+that Jacobian from one product with a linear map precomputed on
+construction.  Every solve is chord steps, run by the package's one driver
+``numerics.newton``, on one LU of that Jacobian made again only where the
+steps stop contracting fast.
 The coefficients of z are one product with [z; 1; mu] plus two small tensor
 contractions for the pressures' convection, and the fields are lifted one
 basis at a time.  The training solves start from z = 0, and the Jacobian
@@ -50,6 +52,11 @@ again from z = 0 if its steps diverge.  The null space needs a divergence
 block of full row rank, which supremizers give: a model without it (a
 saddle point that is not inf-sup stable) answers every query with
 ``SingularMatrix``.
+
+The artifact holds the bases, the lifting, the projected operators, the
+parameter domain, the training parameters and, for Navier-Stokes, the
+tensor: what the online system is derived from.  The POD spectrum stays on
+the offline ``PodBasis``.
 """
 
 import io
@@ -440,13 +447,13 @@ class ReducedOperators:
     ``Z [1; mu]``.  For Navier-Stokes it keeps the system in z every query
     solves (``_null_space_system``): ``F`` (the map from [z; 1; mu] to the
     coefficients, less the pressures' convection, which ``Sp`` and ``Sq``
-    give), ``Kz`` and ``Rz`` (the matrix and affine term in z), ``J0`` and
-    ``T`` (the constant part ``[Kz | Rz[:, 1:]]`` of the Jacobian over z and
-    mu, and the transposed map whose product with x = [z; mu] is its
-    convection part), ``r_zero`` (the whole system's residual at
-    coefficient zero over [1; mu; mu (x) mu]), and ``mu_scale``, the
-    distance scale by which a query picks its nearest start
-    (``_domain_scale``).
+    give), ``J0`` and ``rz`` (the constant part of the Jacobian over
+    x = [z; mu] and the residual in z at x = 0, so that the residual's
+    affine part is ``J0 x + rz``), ``T`` (the transposed map whose product
+    with x is the Jacobian's convection part), ``r_zero`` (the whole
+    system's residual at coefficient zero over [1; mu; mu (x) mu]), and
+    ``mu_scale``, the distance scale by which a query picks its nearest
+    start (``_domain_scale``).
     With ``training_parameters`` it also derives the starts of its queries:
     ``warm_mu`` (the training parameters whose reduced solve succeeded),
     ``warm_x`` (their solutions in z) and ``warm_dx`` (their mu-tangents in
@@ -474,7 +481,6 @@ class ReducedOperators:
     domain_hi: np.ndarray
     tensor: np.ndarray | None = None  # extended^3: t[g, a, b] = e(y_a, y_b, y_g)
     training_parameters: np.ndarray | None = None
-    eigenvalues: dict | None = None
 
     def __post_init__(self):
         self.g_target = np.linalg.solve(self.m, self.h)
@@ -486,7 +492,7 @@ class ReducedOperators:
                               self.c[:nv], self.n_ctrl, self.alpha).toarray()
         R = affine_rhs(ends, self.h[:nv], self.m[:nv, nv:], self.a[:nv, nv:], self.b[:, nv:])
         self.X = self.Z = self.Z_ends = self.unsolvable = None
-        self.F = self.Kz = self.Rz = self.J0 = self.T = self.Sp = self.Sq = self.r_zero = None
+        self.F = self.J0 = self.rz = self.T = self.Sp = self.Sq = self.r_zero = None
         self.mu_scale = self.warm_mu = self.warm_x = self.warm_dx = None
         try:
             N, Y = _null_space(self.b[:, :nv], K)
@@ -498,7 +504,7 @@ class ReducedOperators:
                 self.Z_ends = np.cumsum([f.shape[0] for f in lifts[:-1]])
             else:
                 system = _null_space_system(self, K, R, N, Y)
-                self.F, self.Kz, self.Rz, self.J0, self.T, self.Sp, self.Sq, self.r_zero = system
+                self.F, self.J0, self.rz, self.T, self.Sp, self.Sq, self.r_zero = system
                 self.mu_scale = _domain_scale(self.domain_lo, self.domain_hi)
                 if self.training_parameters is not None:
                     self.warm_mu, self.warm_x, self.warm_dx = _training_starts(self)
@@ -561,7 +567,6 @@ def project_operators(model, basis):
         domain_hi=model.domain_hi,
         tensor=tensor,
         training_parameters=basis.training_parameters,
-        eigenvalues={f: basis.eigenvalues[f].copy() for f in FIELDS},
     )
 
 
@@ -659,8 +664,8 @@ def _null_space_system(ops, K, R, N, Y):
     rows is v = N xi - Y b_lift mu, w = N eta and
     u = -(alpha n_ctrl)^{-1} c^T N eta, plus pressures.  The momentum rows
     tested with N^T leave the pressures out, so the system in z is
-    ``Kz z + Rz [1; mu]`` plus the convection through ``Sz``, S with its
-    test slot on N and its velocity slots on the affine map
+    ``J0 x + rz`` at x = [z; mu] plus the convection through ``Sz``, S
+    with its test slot on N and its velocity slots on the affine map
     P: a = [xi; mu] -> [v; mu].  Tested with Y^T (b_hom Y = I) they give
     p = -Y^T and q = -Y^T of the rest of the state (w) and adjoint (v)
     rows: ``F [z; 1; mu]`` is the coefficients with the pressures' affine
@@ -678,9 +683,9 @@ def _null_space_system(ops, K, R, N, Y):
     columns of a and d^T in those of eta.  ``T`` holds that map as
     C(x) = (x T).reshape(2 k, 2 k + n_lift); it is stored as the map's
     transpose, (2 k + n_lift) x 2 k (2 k + n_lift), because BLAS forms x T
-    faster than the map times x.  ``J0 = [Kz | Rz[:, 1:]]`` is the rest of
-    that Jacobian.  Returns (F, Kz, Rz, J0, T, Sp, Sq, r_zero); a singular
-    control block raises ``LinAlgError``."""
+    faster than the map times x.  ``J0`` is the rest of that Jacobian, and
+    ``rz`` the residual in z at x = 0.  Returns (F, J0, rz, T, Sp, Sq,
+    r_zero); a singular control block raises ``LinAlgError``."""
     sv, sp, su, sw, sq = ops.blocks
     nv, k, nl = ops.n_velocity_modes, N.shape[1], ops.n_lift
     S = ops.tensor[:nv] + ops.tensor[:nv].transpose(0, 2, 1)
@@ -708,7 +713,7 @@ def _null_space_system(ops, K, R, N, Y):
     T[np.ix_(eta, xi, a)] = Sz[:, :k]
     T[np.ix_(a, xi, eta)] = Sz[:, :k].transpose(2, 1, 0)
     J0 = np.hstack([lin[:, :2 * k], lin[:, 2 * k + 1:]])
-    return (F, lin[:, :2 * k], lin[:, 2 * k:], J0, T.reshape(2 * k + nl, -1), Sp, Sq, r_zero)
+    return F, J0, lin[:, 2 * k].copy(), T.reshape(2 * k + nl, -1), Sp, Sq, r_zero
 
 
 NEWTON_TOL_REL = 1e-11
@@ -720,23 +725,15 @@ NEWTON_MAX_ITER = 30
 _CHORD_CONTRACTION = 1e-3
 
 
-def _z_residual(ops, z, mu, rz):
+def _z_residual(ops, z, mu):
     """Residual of the system in z at ``z`` and a function for its
-    Jacobian over z, or with ``mu_columns`` over z and then mu, from one
-    product C = (x T).reshape(...) at x = [z; mu]: the residual is
-    ``Kz z + rz`` (``rz = Rz [1; mu]``) plus C x / 2, the convection being
-    quadratic in x, and the Jacobian a fresh ``J0 + C``
+    Jacobian over z and then mu, from one product C = (x T).reshape(...)
+    at x = [z; mu]: the residual is ``J0 x + rz`` plus C x / 2, the
+    convection being quadratic in x, and the Jacobian a fresh ``J0 + C``
     (``_null_space_system``)."""
-    n, x = z.size, np.concatenate([z, mu])
-    C = (x @ ops.T).reshape(n, x.size)
-    res = ops.Kz @ z + rz + 0.5 * (C @ x)
-
-    def jacobian(mu_columns=False):
-        if mu_columns:
-            return ops.J0 + C
-        return ops.J0[:, :n] + C[:, :n]
-
-    return res, jacobian
+    x = np.concatenate([z, mu])
+    C = (x @ ops.T).reshape(z.size, x.size)
+    return ops.J0 @ x + ops.rz + 0.5 * (C @ x), lambda: ops.J0 + C
 
 
 def _chord(ops, mu, z, tol):
@@ -748,12 +745,11 @@ def _chord(ops, mu, z, tol):
     exceeded ``_CHORD_CONTRACTION`` and the next residual norm that ratio
     predicts would still miss the threshold; the last residual evaluation
     builds no Jacobian, so a start that already meets it factorizes nothing."""
-    rz = ops.Rz @ np.concatenate([[1.0], mu])
     lu, last = None, np.inf
 
     def system(z):
         nonlocal lu, last
-        res, jacobian = _z_residual(ops, z, mu, rz)
+        res, jacobian = _z_residual(ops, z, mu)
         norm = np.linalg.norm(res)
         if norm > _CHORD_CONTRACTION * last and norm * norm > tol * last:
             lu = None
@@ -762,7 +758,7 @@ def _chord(ops, mu, z, tol):
         def solve(rhs):
             nonlocal lu
             if lu is None:
-                lu = numerics.dense_lu(jacobian(), "reduced Jacobian")
+                lu = numerics.dense_lu(jacobian()[:, :z.size], "reduced Jacobian")
             return lu(rhs)
 
         return res, solve
@@ -789,13 +785,12 @@ def _training_starts(ops):
     solution z_i at mu_i, by chord steps from z = 0, and its mu-tangent
     D_i = -J_z^{-1} J_mu from the Jacobian [J_z | J_mu] in z at z_i.  A
     point whose solve raises is left out; Nones when none is left."""
-    n = ops.Kz.shape[0]
+    n = ops.J0.shape[0]
     starts = []
     for mu in ops.training_parameters:
         try:
             z, _ = _chord(ops, mu, *_start(ops, mu))
-            _, jacobian = _z_residual(ops, z, mu, ops.Rz @ np.concatenate([[1.0], mu]))
-            jac = jacobian(mu_columns=True)
+            jac = _z_residual(ops, z, mu)[1]()
             starts.append((mu, z, -numerics.dense_lu(jac[:, :n], "reduced Jacobian")(jac[:, n:])))
         except OcromError:
             continue
@@ -816,7 +811,7 @@ def _start(ops, mu):
     r0 = ops.r_zero @ np.concatenate([[1.0], mu, np.outer(mu, mu).ravel()])
     tol = max(NEWTON_TOL_REL * np.linalg.norm(r0), NEWTON_TOL_ABS)
     if ops.warm_mu is None:
-        return np.zeros(ops.Kz.shape[0]), tol
+        return np.zeros(ops.J0.shape[0]), tol
     i = _nearest(ops.warm_mu, mu, ops.mu_scale)
     return ops.warm_x[i] + ops.warm_dx[i] @ (mu - ops.warm_mu[i]), tol
 
@@ -920,8 +915,7 @@ _ARRAY_FIELDS = (
 
 def save_artifact(path, ops):
     """Write the reduced model to a single versioned binary file."""
-    optional = {"tensor": ops.tensor, "training_parameters": ops.training_parameters,
-                **{f"eigenvalues_{f}": ops.eigenvalues[f] for f in FIELDS if ops.eigenvalues}}
+    optional = {"tensor": ops.tensor, "training_parameters": ops.training_parameters}
     arrays = {name: getattr(ops, name) for name in _ARRAY_FIELDS}
     arrays.update((name, a) for name, a in optional.items() if a is not None)
     index = {
@@ -987,16 +981,12 @@ def load_artifact(path):
     training = arrays.get("training_parameters")
     if training is not None and not ((lo <= training) & (training <= hi)).all():
         raise ParseError(f"{path}: training parameters outside the stored domain")
-    eigenvalues = None
-    if "eigenvalues_v" in arrays:
-        eigenvalues = {f: arrays[f"eigenvalues_{f}"] for f in FIELDS}
     try:
         return ReducedOperators(
             **{name: arrays[name] for name in _ARRAY_FIELDS},
             j_const=j_const, alpha=alpha, equation=equation,
             tensor=arrays.get("tensor"),
             training_parameters=arrays.get("training_parameters"),
-            eigenvalues=eigenvalues,
         )
     except np.linalg.LinAlgError as exc:
         raise ParseError(f"{path}: singular reduced operators: {exc}") from exc
@@ -1011,11 +1001,6 @@ def _check_shapes(path, arrays, equation):
     if ("tensor" in arrays) != (equation == "navier-stokes"):
         have = "with" if "tensor" in arrays else "without"
         raise ParseError(f"{path}: {equation} artifact {have} a convection tensor")
-    eigen = [f"eigenvalues_{f}" for f in FIELDS]
-    if any(k in arrays for k in eigen) and not all(k in arrays for k in eigen):
-        raise ParseError(f"{path}: eigenvalues stored for some fields only")
-    if any(arrays[k].ndim != 1 for k in eigen if k in arrays):
-        raise ParseError(f"{path}: eigenvalue arrays must be one-dimensional")
     if any(arrays[k].ndim != 2 for k in ("y_v", "y_p", "y_u", "lifting")):
         raise ParseError(f"{path}: basis arrays must be two-dimensional")
     if arrays["lifting"].shape[0] != arrays["y_v"].shape[0]:

@@ -71,6 +71,22 @@ def config_file(tmp_path):
     return path
 
 
+def _edited_mesh_file(config_file, tmp_path, section, edit):
+    """Point ``config_file`` at a mesh file: its tube, written by ``ocrom
+    mesh gen``, with ``edit(k, fields)`` applied to the fields of each
+    record k of ``section``.  Returns the mesh file's path."""
+    path = tmp_path / "m.mesh"
+    assert main(["mesh", "gen", "--config", str(config_file), "--output", str(path)]) == 0
+    lines = path.read_text().split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith(section))
+    for k in range(int(lines[start].split()[-1])):
+        lines[start + 1 + k] = " ".join(edit(k, lines[start + 1 + k].split()))
+    path.write_text("\n".join(lines))
+    config_file.write_text(config_file.read_text().replace(
+        "kind = tube", f"kind = file\npath = {path}"))
+    return path
+
+
 class TestLoadConfig:
     def test_round_trip(self, config_file, tmp_path):
         cfg = load_config(config_file)
@@ -355,6 +371,46 @@ class TestCli:
             "kind = tube", f"kind = file\npath = {mesh_path}"))
         assert main(["solve", "--config", str(cfg_path), "--mu", "60.0"]) == 2
         assert str(mesh_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("radius = 1.0", "radius = inf"),
+        ("kind = tube", "kind = graft\ngraft_radius = inf"),
+    ], ids=["tube", "graft"])
+    def test_solve_infinite_radius(self, config_file, capsys, old, new):
+        """An infinite branch radius is an input error: exit 2 with the
+        centerline's message, for a tube and a graft alike."""
+        config_file.write_text(config_file.read_text().replace(old, new))
+        assert main(["solve", "--config", str(config_file), "--mu", "60.0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: branch: centerline radii must be positive and finite\n"
+
+    def test_mesh_file_with_infinite_radius(self, config_file, tmp_path, capsys):
+        """A mesh file whose centerline has an infinite radius fails to
+        parse: ``mesh check`` and ``solve`` exit 2 naming the file."""
+        path = _edited_mesh_file(config_file, tmp_path, "$centerline",
+                                 lambda k, fields: fields[:3] + ["inf"] if k == 0 else fields)
+        capsys.readouterr()
+        assert main(["mesh", "check", str(path)]) == 2
+        assert main(["solve", "--config", str(config_file), "--mu", "60.0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(str(path) in line and "finite" in line for line in err)
+
+    @pytest.mark.parametrize("tag, boundary", [("2", "inlet"), ("100", "outlet")])
+    def test_mesh_file_without_inlet_or_outlet(self, config_file, tmp_path, capsys,
+                                               tag, boundary):
+        """A mesh file whose inlet or outlet triangles are all tagged wall
+        is a valid mesh but no control problem: ``mesh check`` passes, and
+        ``solve`` and ``offline`` exit 2 naming the missing boundary."""
+        path = _edited_mesh_file(config_file, tmp_path, "$btris",
+                                 lambda k, fields: fields[:4] + ["1"] if fields[4] == tag
+                                 else fields)
+        assert main(["mesh", "check", str(path)]) == 0
+        capsys.readouterr()
+        for verb in (["solve", "--mu", "60.0"], ["offline"]):
+            assert main([verb[0], "--config", str(config_file), *verb[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: the mesh has no {boundary} boundary")
+            assert err.count("\n") == 1
 
     def test_online_broken_artifact(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
